@@ -85,7 +85,6 @@ def recovery_summary(rec) -> str:
     for label, n in (
         ("split", rec.splits),
         ("regrow", rec.regrows),
-        ("restart", rec.restarts),
         ("xfer-retry", rec.transfer_retries),
     ):
         if n:

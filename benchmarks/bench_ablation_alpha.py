@@ -3,7 +3,7 @@
 The paper sets α = 0.05 and doubles it for small result sets: α trades
 pinned-memory over-allocation (and more batches) against buffer-overflow
 risk.  This bench sweeps α and reports batch counts, modeled pinned
-allocation cost, and whether the overflow-retry fallback fired.
+allocation cost, and how many per-batch recovery actions fired.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def test_ablation_alpha(benchmark):
                 alpha,
                 stats.plan.n_batches,
                 stats.n_batches_run,
-                stats.overflow_retries,
+                stats.recovery.recoveries,
                 round(pinned_ms, 3),
                 max(stats.batch_sizes),
                 stats.plan.buffer_size,
@@ -49,7 +49,7 @@ def test_ablation_alpha(benchmark):
                 "alpha": alpha,
                 "planned_batches": stats.plan.n_batches,
                 "run_batches": stats.n_batches_run,
-                "overflow_retries": stats.overflow_retries,
+                "recoveries": stats.recovery.recoveries,
                 "pinned_alloc_ms": pinned_ms,
                 "max_batch": max(stats.batch_sizes),
                 "buffer": stats.plan.buffer_size,
@@ -74,7 +74,7 @@ def test_ablation_alpha(benchmark):
 
     report(
         format_table(
-            ["alpha", "planned n_b", "run n_b", "retries", "pinned ms",
+            ["alpha", "planned n_b", "run n_b", "recoveries", "pinned ms",
              "max |R_l|", "b_b"],
             rows,
             title="Ablation: overestimation factor alpha (paper uses 0.05)",

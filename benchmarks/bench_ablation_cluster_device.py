@@ -41,7 +41,7 @@ def test_ablation_cluster_device(benchmark):
         last_table = table
 
         t0 = time.perf_counter()
-        host_labels = dbscan_from_table(table, MINPTS, impl="components")
+        host_labels = dbscan_from_table(table, MINPTS)
         host_s = time.perf_counter() - t0
 
         dres = device_cluster_table(

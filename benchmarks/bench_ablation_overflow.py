@@ -1,15 +1,15 @@
-"""Ablation — overflow recovery strategy (Section VI hardening).
+"""Ablation — per-batch overflow recovery (Section VI hardening).
 
 The paper's batching scheme under-provisions the result buffer when the
-f-sample misses a dense region; the original recovery threw the whole
-build away and re-ran it with 2x the batches.  The per-batch recovery
-keeps every completed batch and re-runs only the failed one (split in
-two, or against a regrown buffer), so the re-work is O(failed batches)
-instead of O(attempts x n_b).
+f-sample misses a dense region.  The per-batch recovery keeps every
+completed batch and re-runs only the failed one (split in two, or
+against a regrown buffer), so the re-work is O(failed batches) instead
+of a whole-table rebuild with 2x the batches (the removed restart
+fallback; its last measured cost is kept in EXPERIMENTS.md).
 
-This bench injects exactly one overflow into a >= 6 batch build and
-compares wall time of the adaptive path against the legacy restart
-path, checking both produce the fault-free table.
+This bench injects exactly one overflow into an 8-batch build and
+compares wall time of the recovered build against the fault-free one,
+checking the recovered table is the fault-free table.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ def _setup():
     return grid, probe, buf
 
 
-def _run(grid, buf: int, recovery: str, inject: bool):
+def _run(grid, buf: int, inject: bool):
     cfg = BatchConfig(
         static_threshold=1,
         static_buffer_size=buf,
         min_buffer_size=128,
         alpha=0.0,
-        recovery=recovery,
     )
     plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=N_BATCHES * buf)
     assert plan.n_batches == N_BATCHES
@@ -60,10 +59,10 @@ def _run(grid, buf: int, recovery: str, inject: bool):
     return time.perf_counter() - t0, table, stats
 
 
-def _best_of(grid, buf, recovery, inject):
+def _best_of(grid, buf, inject):
     best = None
     for _ in range(REPEATS):
-        wall, table, stats = _run(grid, buf, recovery, inject)
+        wall, table, stats = _run(grid, buf, inject)
         if best is None or wall < best[0]:
             best = (wall, table, stats)
     return best
@@ -81,29 +80,21 @@ def _same_table(a, b) -> bool:
 def test_ablation_overflow_recovery(benchmark):
     grid, reference, buf = _setup()
 
-    clean_wall, clean_table, _ = _best_of(grid, buf, "auto", inject=False)
+    clean_wall, clean_table, _ = _best_of(grid, buf, inject=False)
     assert _same_table(clean_table, reference)
 
-    auto_wall, auto_table, auto_stats = _best_of(grid, buf, "auto", inject=True)
-    restart_wall, restart_table, restart_stats = _best_of(
-        grid, buf, "restart", inject=True
-    )
+    auto_wall, auto_table, auto_stats = _best_of(grid, buf, inject=True)
 
     # the recovered table is byte-for-byte the fault-free result
     assert _same_table(auto_table, reference)
-    assert _same_table(restart_table, reference)
 
-    # one failed batch -> exactly one recovery action, no restart
+    # one failed batch -> exactly one recovery action, and only that
+    # batch re-ran (as two split halves, or whole after a regrow)
     assert auto_stats.recovery.splits + auto_stats.recovery.regrows == 1
-    assert auto_stats.recovery.restarts == 0
-    assert restart_stats.recovery.restarts >= 1
-
-    # O(failed batches) re-work beats O(attempts x n_b)
-    assert auto_stats.n_batches_run < restart_stats.n_batches_run
-    assert auto_wall < restart_wall
+    assert auto_stats.n_batches_run <= N_BATCHES + 1
 
     benchmark.pedantic(
-        lambda: _run(grid, buf, "auto", inject=True), rounds=1, iterations=1
+        lambda: _run(grid, buf, inject=True), rounds=1, iterations=1
     )
 
     rows = [
@@ -114,19 +105,13 @@ def test_ablation_overflow_recovery(benchmark):
             auto_stats.n_batches_run,
             recovery_summary(auto_stats.recovery),
         ],
-        [
-            "restart (legacy)",
-            round(restart_wall * 1e3, 2),
-            restart_stats.n_batches_run,
-            recovery_summary(restart_stats.recovery),
-        ],
     ]
     report(
         format_table(
             ["strategy", "wall ms", "batches run", "recovery"],
             rows,
             title=f"Ablation: overflow recovery (1 fault in {N_BATCHES} "
-            "batches; per-batch re-work vs full restart)",
+            "batches; per-batch re-work)",
         )
     )
     save_json(
@@ -137,8 +122,6 @@ def test_ablation_overflow_recovery(benchmark):
             "fault_batch": FAULT_BATCH,
             "clean_wall_s": clean_wall,
             "auto_wall_s": auto_wall,
-            "restart_wall_s": restart_wall,
             "auto_recovery": auto_stats.recovery.as_dict(),
-            "restart_recovery": restart_stats.recovery.as_dict(),
         },
     )

@@ -1,4 +1,4 @@
-"""Ablation — multi-device shard placement with overlapped merge.
+"""Ablation — multi-device shard placement.
 
 The sharding layer's shards become genuinely concurrent once placed
 across N bounded devices.  Two placement strategies are compared at
@@ -10,10 +10,9 @@ each device count:
 * ``round-robin`` — the maximally scattered baseline.
 
 For each configuration the bench asserts the tentpole guarantees:
-labels bit-identical to the single-device components path, modeled
-multi-device makespan (builds pinned to devices, merge increments
-overlapped, finalize tail) strictly below the sequential-shard
-baseline, and — at the largest device count — locality's deduplicated
+labels bit-identical to the single-device path, modeled multi-device
+makespan (builds pinned to devices, merge absorbs overlapped, finalize
+tail) strictly below the sequential-shard baseline, and — at the largest device count — locality's deduplicated
 collective halo volume strictly below round-robin's.  The artifact is
 the ``BENCH_placement.json`` baseline the CI smoke job checks.
 """
@@ -38,7 +37,7 @@ STRATEGIES = ["locality", "round-robin"]
 
 def test_ablation_placement(benchmark):
     pts = bench_points("SW1")
-    ref = HybridDBSCAN(dbscan_impl="components").fit(pts, EPS, MINPTS)
+    ref = HybridDBSCAN().fit(pts, EPS, MINPTS)
 
     # the sequential-shard baseline: same tile grid, one device
     base = cluster_sharded(

@@ -30,7 +30,7 @@ from _bench_utils import BENCH_SCALE, bench_points, report
 EPS = 0.03
 MINPTS = 4
 GRID = (2, 2)
-N_WORKERS = 2
+N_DEVICES = 2
 FAULT_SEED = 7
 
 #: wholesale faults: device OOM on tile (0,0), device loss on tile (1,1)
@@ -64,7 +64,7 @@ def _run(fault_factory=None, **policy):
     return cluster_sharded(
         pts_cache["pts"], EPS, MINPTS,
         config=ShardConfig(
-            shards_x=GRID[0], shards_y=GRID[1], n_workers=N_WORKERS,
+            shards_x=GRID[0], shards_y=GRID[1], n_devices=N_DEVICES,
             fault_factory=fault_factory, **policy,
         ),
     )
@@ -142,7 +142,7 @@ def test_ablation_shard_recovery(benchmark):
             "eps": EPS,
             "minpts": MINPTS,
             "n_points": len(pts_cache["pts"]),
-            "n_workers": N_WORKERS,
+            "n_devices": N_DEVICES,
             "grid": list(GRID),
             "fault_seed": FAULT_SEED,
             "faults": [

@@ -28,7 +28,7 @@ from _bench_utils import BENCH_SCALE, bench_points, report
 EPS = 0.03
 MINPTS = 4
 GRIDS = [(1, 1), (2, 2), (3, 3)]
-N_WORKERS = 2
+N_DEVICES = 2
 
 
 def _single(pts):
@@ -57,7 +57,7 @@ def test_ablation_shards(benchmark):
         res = cluster_sharded(
             pts, EPS, MINPTS,
             config=ShardConfig(
-                shards_x=gx, shards_y=gy, n_workers=N_WORKERS,
+                shards_x=gx, shards_y=gy, n_devices=N_DEVICES,
                 device_mem_bytes=capped,
             ),
         )
@@ -104,7 +104,7 @@ def test_ablation_shards(benchmark):
 
     report(
         format_table(
-            ["grid", "shards", "serial ms", f"makespan ms ({N_WORKERS}w)",
+            ["grid", "shards", "serial ms", f"makespan ms ({N_DEVICES} dev)",
              "merge ms", "peak dev B", "peak vs single"],
             rows,
             title="Ablation: sharded out-of-core clustering "
@@ -119,7 +119,7 @@ def test_ablation_shards(benchmark):
             "eps": EPS,
             "minpts": MINPTS,
             "n_points": len(pts),
-            "n_workers": N_WORKERS,
+            "n_devices": N_DEVICES,
             "single_peak_device_bytes": single_peak,
             "single_wall_s": single_wall,
             "cap_bytes": cap,

@@ -19,12 +19,18 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from repro.core.table_dbscan import NOISE, canonicalize_labels
+from repro.core.neighbor_table import NeighborTable
+from repro.core.table_dbscan import NOISE, canonicalize_labels, core_mask
 from repro.index.base import BruteForceIndex, as_points
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 
-__all__ = ["SequentialStats", "IndexedPoints", "sequential_dbscan"]
+__all__ = [
+    "SequentialStats",
+    "IndexedPoints",
+    "sequential_dbscan",
+    "dbscan_from_table_expand",
+]
 
 _UNVISITED = -2
 
@@ -155,3 +161,39 @@ def sequential_dbscan(
         n_queries=n_queries,
     )
     return canonicalize_labels(labels), stats
+
+
+def dbscan_from_table_expand(table: NeighborTable, minpts: int) -> np.ndarray:
+    """Algorithm 1 with ``T`` lookups (sequential cluster expansion).
+
+    Cluster expansion walks core points breadth-first; border points are
+    attached in a separate pass to their lowest-id core neighbor — the
+    deterministic tie-break :func:`~repro.core.table_dbscan.dbscan_from_table`
+    (and the device path) uses, rather than BFS discovery order, so all
+    implementations agree bit-for-bit.  The test oracle of the table
+    path: scalar Python, one breadth-first expansion per cluster.
+    """
+    n = table.n_points
+    is_core = core_mask(table, minpts)
+    labels = np.full(n, NOISE, dtype=np.int64)
+    cluster = 0
+    for p in range(n):
+        if not is_core[p] or labels[p] != NOISE:
+            continue
+        labels[p] = cluster
+        frontier = deque([p])
+        while frontier:
+            q = frontier.popleft()
+            for r in table.neighbors(q).tolist():
+                if is_core[r] and labels[r] == NOISE:
+                    labels[r] = cluster
+                    frontier.append(r)
+        cluster += 1
+    # border attachment: lowest-id core neighbor, ties never depend on
+    # the expansion order above
+    for p in np.flatnonzero(~is_core):
+        nbrs = table.neighbors(p)
+        core_nbrs = nbrs[is_core[nbrs]]
+        if len(core_nbrs):
+            labels[p] = labels[core_nbrs.min()]
+    return canonicalize_labels(labels)

@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--labels-out", help="write labels to this .npy file")
     c.add_argument(
         "--recovery",
-        choices=["auto", "split", "regrow", "restart"],
+        choices=["auto", "split", "regrow"],
         default="auto",
         help="overflow recovery strategy for the batched table build",
     )
@@ -142,14 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
              "with halo merge (labels identical to the single-device path)",
     )
     c.add_argument(
-        "--shard-workers", type=int, default=2,
-        help="simulated worker count the shard schedule is packed onto",
-    )
-    c.add_argument(
         "--devices", type=int, default=1,
-        help="simulated bounded devices; > 1 places shards across "
-             "devices with the collective halo exchange and the "
-             "incremental (overlapped) halo merge",
+        help="simulated bounded devices the shards are placed across "
+             "(collective halo exchange, halo merge overlapped with "
+             "the builds)",
     )
     c.add_argument(
         "--placement", choices=["locality", "round-robin"],
@@ -438,7 +434,6 @@ def _cmd_cluster_sharded(args, pts: np.ndarray) -> int:
             config=ShardConfig(
                 shards_x=nx,
                 shards_y=ny,
-                n_workers=args.shard_workers,
                 n_devices=args.devices,
                 placement=args.placement,
                 device_mem_bytes=cap,
@@ -456,6 +451,7 @@ def _cmd_cluster_sharded(args, pts: np.ndarray) -> int:
         return 3
     if args.labels_out:
         np.save(args.labels_out, res.labels)
+    ds = res.device_schedule
     payload = {
         "points": len(pts),
         "eps": res.eps,
@@ -465,7 +461,7 @@ def _cmd_cluster_sharded(args, pts: np.ndarray) -> int:
         "shards": len(res.shard_stats),
         "shard_grid": f"{nx}x{ny}",
         "cluster_on": args.cluster_on,
-        "workers": args.shard_workers,
+        "devices": args.devices,
         "serial_s": round(res.serial_s, 4),
         "makespan_s": round(res.makespan_s, 4),
         "merge_s": round(res.merge_s, 4),
@@ -473,21 +469,18 @@ def _cmd_cluster_sharded(args, pts: np.ndarray) -> int:
         "recovery": res.recovery.as_dict(),
         "per_shard": [s.as_dict() for s in res.shard_stats],
         "shard_events": [e.as_dict() for e in res.events],
-    }
-    if args.devices > 1:
-        payload["devices"] = args.devices
-        payload["placement"] = res.placement.as_dict()
-        payload["exchange"] = res.exchange.as_dict()
-        payload["lost_devices"] = res.lost_devices
-        ds = res.device_schedule
-        payload["device_schedule"] = {
+        "placement": res.placement.as_dict(),
+        "exchange": res.exchange.as_dict(),
+        "lost_devices": res.lost_devices,
+        "device_schedule": {
             "makespan_s": round(ds.makespan_s, 4),
             "build_makespan_s": round(ds.build_makespan_s, 4),
             "exchange_s": round(ds.exchange_s, 6),
             "finalize_s": round(ds.finalize_s, 6),
             "speedup": round(ds.speedup, 2),
             "utilization": round(ds.utilization, 3),
-        }
+        },
+    }
     _emit(payload, args.json)
     return 0
 

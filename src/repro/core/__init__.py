@@ -51,8 +51,7 @@ from repro.core.sharding import (
 from repro.core.table_dbscan import (
     NOISE,
     dbscan_from_annotated_table,
-    dbscan_from_table_components,
-    dbscan_from_table_expand,
+    dbscan_from_table,
 )
 from repro.core.variants import Variant, VariantSet
 
@@ -97,8 +96,7 @@ __all__ = [
     "DeviceClusterResult",
     "dbscan_from_table_device",
     "device_cluster_table",
-    "dbscan_from_table_expand",
-    "dbscan_from_table_components",
+    "dbscan_from_table",
     "dbscan_from_annotated_table",
     "Variant",
     "VariantSet",

@@ -23,12 +23,11 @@ built in ``n_b`` batches:
 
 When a batch still overflows its buffer (the estimate lost to an
 adversarial density), recovery is **per batch**: the failed batch is
-split in two (or its worker's buffer is regrown, bounded by the memory
-pool's free bytes) and re-run on the same stream while every completed
-batch is kept — O(failed batches) re-work instead of the legacy
-restart-everything fallback (``recovery="restart"``), which rebuilt the
-whole table with doubled ``n_b``.  :class:`RecoveryStats` accounts for
-the recovery work (splits, regrows, retries, wasted kernel-seconds).
+split in two, and a unit that cannot split further regrows its worker's
+buffer (bounded by the memory pool's free bytes); the unit re-runs on
+the same stream while every completed batch is kept — O(failed batches)
+re-work, never a whole-table rebuild.  :class:`RecoveryStats` accounts
+for the recovery work (splits, regrows, retries, wasted kernel-seconds).
 
 At repo scale the paper's thresholds would always yield the 3-batch
 minimum, so :class:`BatchConfig` defaults to 1/100-scaled thresholds;
@@ -94,9 +93,8 @@ class BatchConfig:
     batch_order: Literal["strided", "contiguous"] = "strided"
     #: overflow recovery strategy: ``auto`` splits the failed batch and
     #: falls back to regrowing the worker's buffer; ``split`` / ``regrow``
-    #: force one mechanism; ``restart`` is the legacy rebuild-everything
-    #: fallback (kept for the ablation benchmark)
-    recovery: Literal["auto", "split", "regrow", "restart"] = "auto"
+    #: force one mechanism
+    recovery: Literal["auto", "split", "regrow"] = "auto"
     #: bound on recursive per-batch recovery (split depth / regrow count)
     max_recovery_depth: int = 16
     #: re-runs of a batch whose staging transfer failed
@@ -109,7 +107,7 @@ class BatchConfig:
             raise ValueError("sample_fraction must be in (0, 1]")
         if self.n_streams < 1:
             raise ValueError("n_streams must be >= 1")
-        if self.recovery not in ("auto", "split", "regrow", "restart"):
+        if self.recovery not in ("auto", "split", "regrow"):
             raise ValueError(f"unknown recovery strategy {self.recovery!r}")
         if self.max_recovery_depth < 0:
             raise ValueError("max_recovery_depth must be >= 0")
@@ -214,22 +212,19 @@ class RecoveryStats:
     retries: int = 0
     #: failed staging transfers that were re-run
     transfer_retries: int = 0
-    #: legacy whole-table restarts (``recovery="restart"`` only)
-    restarts: int = 0
     #: kernel/sort/transfer seconds discarded by failed attempts
     wasted_kernel_s: float = 0.0
 
     @property
     def recoveries(self) -> int:
         """Total recovery actions of any kind."""
-        return self.splits + self.regrows + self.transfer_retries + self.restarts
+        return self.splits + self.regrows + self.transfer_retries
 
     def merge(self, other: "RecoveryStats") -> None:
         self.splits += other.splits
         self.regrows += other.regrows
         self.retries += other.retries
         self.transfer_retries += other.transfer_retries
-        self.restarts += other.restarts
         self.wasted_kernel_s += other.wasted_kernel_s
 
     def as_dict(self) -> dict:
@@ -238,7 +233,6 @@ class RecoveryStats:
             "regrows": self.regrows,
             "retries": self.retries,
             "transfer_retries": self.transfer_retries,
-            "restarts": self.restarts,
             "wasted_kernel_s": round(self.wasted_kernel_s, 6),
         }
 
@@ -255,8 +249,6 @@ class TableBuildStats:
     total_s: float = 0.0
     n_batches_run: int = 0
     batch_sizes: list[int] = field(default_factory=list)
-    #: legacy whole-table restarts (== recovery.restarts)
-    overflow_retries: int = 0
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
 
 
@@ -269,7 +261,6 @@ def build_neighbor_table(
     backend: str = "vector",
     block_dim: int = 256,
     plan: Optional[BatchPlan] = None,
-    max_overflow_retries: int = 4,
     with_distances: bool = False,
     faults: Optional[FaultInjector] = None,
 ) -> tuple[NeighborTable, TableBuildStats]:
@@ -292,11 +283,11 @@ def build_neighbor_table(
     ``config.recovery``: the failed batch is split in two or its
     worker's buffer is regrown (bounded by the device pool's free
     bytes) and re-run on the same stream; completed batches are kept.
-    With ``recovery="restart"`` the legacy fallback applies instead:
-    the whole construction restarts with doubled ``n_b``, up to
-    ``max_overflow_retries`` times.  Failed staging transfers (fault
-    injection) are retried up to ``config.max_transfer_retries`` times
-    in every mode.
+    Failed staging transfers (fault injection) are retried up to
+    ``config.max_transfer_retries`` times.  A build that still fails
+    carries its partial :class:`TableBuildStats` on the exception as
+    ``exc.build_stats``, so a shard supervisor can charge the failed
+    build as wasted work.
 
     ``faults`` (or an injector attached to the device) exercises these
     paths deterministically — see :mod:`repro.gpusim.faults`.
@@ -311,87 +302,30 @@ def build_neighbor_table(
     # passed here must be visible there too for the build's duration
     prev_faults = device.faults
     device.faults = injector
-    try:
-        return _build_with_restarts(
-            grid, device, the_plan, cfg, kernel, backend, block_dim,
-            max_overflow_retries, with_distances, injector,
-        )
-    finally:
-        device.faults = prev_faults
-
-
-def _build_with_restarts(
-    grid: GridIndex,
-    device: Device,
-    the_plan: BatchPlan,
-    cfg: BatchConfig,
-    kernel: str,
-    backend: str,
-    block_dim: int,
-    max_overflow_retries: int,
-    with_distances: bool,
-    injector: Optional[FaultInjector],
-) -> tuple[NeighborTable, TableBuildStats]:
     stats = TableBuildStats(plan=the_plan)
     t_start = time.perf_counter()
-
-    for attempt in range(max_overflow_retries + 1):
-        nb = the_plan.n_batches * (2**attempt)
-        # fresh per-attempt accounting: a failed attempt must not inflate
-        # the reported per-phase timings (only its wasted seconds count)
-        attempt_stats = TableBuildStats(plan=the_plan)
-        try:
-            table = _run_batches(
-                grid,
-                device,
-                the_plan,
-                nb,
-                cfg,
-                kernel,
-                backend,
-                block_dim,
-                attempt_stats,
-                with_distances,
-                faults=injector,
-            )
-        except Exception as exc:
-            # everything this attempt did is thrown away
-            stats.recovery.merge(attempt_stats.recovery)
-            stats.recovery.wasted_kernel_s += (
-                attempt_stats.kernel_s
-                + attempt_stats.sort_s
-                + attempt_stats.transfer_s
-            )
-            if (
-                not isinstance(exc, ResultBufferOverflow)
-                or cfg.recovery != "restart"
-                or attempt == max_overflow_retries
-            ):
-                # ride the partial accounting on the exception so outer
-                # supervisors (shard-level recovery) can charge the
-                # failed build as wasted work without double counting
-                exc.build_stats = stats  # type: ignore[attr-defined]
-                raise
-            stats.recovery.restarts += 1
-            continue
-        stats.kernel_s = attempt_stats.kernel_s
-        stats.sort_s = attempt_stats.sort_s
-        stats.transfer_s = attempt_stats.transfer_s
-        stats.host_copy_s = attempt_stats.host_copy_s
-        stats.n_batches_run = attempt_stats.n_batches_run
-        stats.batch_sizes = attempt_stats.batch_sizes
-        stats.recovery.merge(attempt_stats.recovery)
-        stats.overflow_retries = stats.recovery.restarts
-        stats.total_s = time.perf_counter() - t_start
-        return table.finalize(), stats
-    raise AssertionError("unreachable")  # pragma: no cover
+    try:
+        table = _run_batches(
+            grid, device, the_plan, cfg, kernel, backend, block_dim,
+            stats, with_distances, faults=injector,
+        )
+    except Exception as exc:
+        # everything the build did is thrown away
+        stats.recovery.wasted_kernel_s += (
+            stats.kernel_s + stats.sort_s + stats.transfer_s
+        )
+        exc.build_stats = stats  # type: ignore[attr-defined]
+        raise
+    finally:
+        device.faults = prev_faults
+    stats.total_s = time.perf_counter() - t_start
+    return table.finalize(), stats
 
 
 def _run_batches(
     grid: GridIndex,
     device: Device,
     plan: BatchPlan,
-    n_batches: int,
     cfg: BatchConfig,
     kernel_name: str,
     backend: str,
@@ -402,8 +336,8 @@ def _run_batches(
 ) -> NeighborTable:
     kernel = GPUCalcGlobal() if kernel_name == "global" else GPUCalcShared()
     table = NeighborTable(len(grid), grid.eps, with_distances=with_distances)
+    n_batches = plan.n_batches
     n_workers = min(cfg.n_streams, n_batches)
-    recover = cfg.recovery != "restart"
 
     # per-stream resources: device result buffer + pinned staging buffer;
     # annotated results carry a float distance column (rows are float64,
@@ -562,9 +496,7 @@ def _run_batches(
                 stack.append((ids, depth))
                 continue
             except ResultBufferOverflow:
-                if not recover:
-                    raise
-            # overflow recovery: split the unit or regrow the buffer
+                pass  # recovered below: split the unit or regrow the buffer
             unit_ids = (
                 ids
                 if ids is not None

@@ -4,8 +4,8 @@ The kernels (:mod:`repro.kernels.cluster_kernels`) do the work; this
 module owns the host-side protocol: upload ``T``, classify cores, iterate
 the union-find kernel until the device-side ``changed`` flag settles,
 attach border points, download labels, canonicalize.  The result is
-bit-identical to :func:`~repro.core.table_dbscan.dbscan_from_table_components`
-— both produce the same partition and noise set, and
+bit-identical to :func:`~repro.core.table_dbscan.dbscan_from_table` —
+both produce the same partition and noise set, and
 :func:`~repro.core.table_dbscan.canonicalize_labels` output depends only
 on the partition.
 

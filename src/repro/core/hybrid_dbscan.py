@@ -119,9 +119,6 @@ class HybridDBSCAN:
     backend:
         ``"vector"`` (scaled runs) or ``"interpreter"`` (small-input
         fidelity runs).
-    dbscan_impl:
-        ``"components"`` (vectorized, default) or ``"expand"``
-        (faithful Algorithm 1 adaptation).  Host path only.
     cluster_on:
         ``"host"`` (the paper's Algorithm 4: DBSCAN over ``T`` on the
         CPU) or ``"device"`` (cluster formation stays on the simulated
@@ -140,7 +137,6 @@ class HybridDBSCAN:
         kernel: Literal["global", "shared"] = "global",
         batch_config: Optional[BatchConfig] = None,
         backend: Literal["vector", "interpreter"] = "vector",
-        dbscan_impl: Literal["components", "expand"] = "components",
         cluster_on: Literal["host", "device"] = "host",
         block_dim: int = 256,
         sanitize: Optional[bool] = None,
@@ -151,7 +147,6 @@ class HybridDBSCAN:
         self.kernel = kernel
         self.batch_config = batch_config or BatchConfig()
         self.backend = backend
-        self.dbscan_impl = dbscan_impl
         self.cluster_on = cluster_on
         self.block_dim = block_dim
 
@@ -213,9 +208,7 @@ class HybridDBSCAN:
         """
         where = self.cluster_on if where is None else where
         if where == "host":
-            labels_sorted = dbscan_from_table(
-                table, minpts, impl=self.dbscan_impl
-            )
+            labels_sorted = dbscan_from_table(table, minpts)
         elif where == "device":
             from repro.core.device_cluster import dbscan_from_table_device
 
@@ -269,8 +262,7 @@ class HybridDBSCAN:
         settings are reused — with ``cluster_on="device"`` shard-local
         labeling runs on the shard's own bounded device too), and
         merges the shard-local clusterings into labels
-        bit-identical to :meth:`fit` with the components
-        implementation.  See :mod:`repro.core.sharding`.
+        bit-identical to :meth:`fit`.  See :mod:`repro.core.sharding`.
 
         Shards run under the supervised recovery state machine: a shard
         that dies wholesale (OOM, device loss, transfer fault beyond
@@ -283,13 +275,12 @@ class HybridDBSCAN:
         reported in ``ShardedResult.recovery`` and the per-attempt
         ``ShardedResult.events`` audit trail.
 
-        ``shard_config.n_devices > 1`` places the shards across N
-        simulated bounded devices (``shard_config.placement`` picks the
-        locality or round-robin placer) with the collective halo
-        exchange and the incremental merge overlapped with the builds;
-        a lost device's remaining shards are rescheduled onto the
-        survivors.  Labels stay bit-identical throughout (DESIGN.md
-        §13).
+        ``shard_config.n_devices`` places the shards across N simulated
+        bounded devices (``shard_config.placement`` picks the locality
+        or round-robin placer) with the collective halo exchange and
+        the halo merge's absorbs overlapped with the builds; a lost
+        device's remaining shards are rescheduled onto the survivors.
+        Labels stay bit-identical throughout (DESIGN.md §13).
 
         Returns a :class:`~repro.core.sharding.ShardedResult`.
         """

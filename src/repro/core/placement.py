@@ -1,4 +1,4 @@
-"""Multi-device shard placement, collective halo exchange, incremental merge.
+"""Multi-device shard placement, collective halo exchange, halo merge.
 
 The sharding layer (:mod:`repro.core.sharding`) produces ε-aligned
 tiles whose halos overlap their neighbors' interiors.  Running those
@@ -22,21 +22,21 @@ answers:
    shape of NCCL's ``sparse_all_to_all_push`` — and reports the traffic
    matrix, the deduplicated collective volume, and the naive staged
    volume it replaces.
-3. **When does the merge run?**  :class:`IncrementalMerger` consumes
-   each shard's reduction arrays *as the shard completes* instead of
-   barriering on all shards: local component edges are unioned
-   immediately, cross edges are resolved as soon as the device owning
-   the halo endpoint has classified it, and only the border attachment
-   (a global minimum) plus canonicalization remain for the serial
-   finalize.  The final partition is independent of absorption order,
-   so labels stay bit-identical to the barrier merge
-   (:func:`repro.core.sharding.merge_shard_labels`) — property-tested
+3. **When does the merge run?**  :class:`IncrementalMerger` absorbs
+   each shard's reduction arrays *as the shard completes* — only its
+   exact interior core bits are recorded then — and forms the clusters
+   in one sparse connected-components pass at finalize, once every
+   shard's core status is known.  The result is independent of
+   absorption order and bit-identical to the single-device
+   :func:`~repro.core.table_dbscan.dbscan_from_table` — property-tested
    in ``tests/core/test_placement.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.core.sharding import (
     PLACEMENT_STRATEGIES,
@@ -303,137 +303,78 @@ def collective_exchange(
 
 
 # ----------------------------------------------------------------------
-# incremental merge
+# the halo merge
 # ----------------------------------------------------------------------
-class _UnionFind:
-    """Array union-find with path halving (merge-graph components)."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # root at the lower id: deterministic, order-independent
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-    def union_edges(self, edges: np.ndarray) -> None:
-        for a, b in edges:
-            self.union(int(a), int(b))
-
-    def roots(self, ids: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (self.find(int(i)) for i in ids), dtype=np.int64, count=len(ids)
-        )
-
-
 class IncrementalMerger:
-    """Order-independent incremental version of
-    :func:`repro.core.sharding.merge_shard_labels`.
+    """The halo merge of a sharded run, fed one shard at a time.
 
-    :meth:`absorb` one :class:`ShardLocalResult` at a time — local
-    component edges are unioned immediately and cross/border halo edges
-    are resolved as soon as their halo endpoint's owner shard has been
-    absorbed (the endpoint's global core status is then known exactly).
-    :meth:`finalize` resolves nothing new when every shard has arrived;
-    it only runs the inherently global tail: border attachment (a
-    minimum over *all* shards' candidates) and canonicalization.
+    :meth:`absorb` takes one completed :class:`ShardLocalResult` the
+    moment its shard finishes: it sets the shard's exact interior core
+    bits in the global core mask and keeps the shard's reduction
+    arrays.  :meth:`finalize` then clusters in one pass: a single
+    sparse connected-components over every shard's local component
+    edges plus the cross edges whose halo endpoint is globally core,
+    lowest-id border attachment over every shard's candidates, and
+    :func:`~repro.core.table_dbscan.canonicalize_labels`.
 
-    The union-find partition after all absorptions equals the connected
-    components of the barrier merge graph regardless of absorption
-    order, and border attachment sees the identical candidate multiset
-    — so the labels are bit-identical to ``merge_shard_labels``.
+    The merge graph and the candidate multiset do not depend on
+    absorption order, so the labels equal
+    :func:`~repro.core.table_dbscan.dbscan_from_table` on the whole
+    dataset for any order the shards complete in.
     """
 
     def __init__(self, n_points: int):
         self.n_points = int(n_points)
-        self._uf = _UnionFind(self.n_points)
         self._is_core = np.zeros(self.n_points, dtype=bool)
-        #: interior classification has arrived for these points
-        self._classified = np.zeros(self.n_points, dtype=bool)
-        #: (interior-core, halo) edges awaiting the halo endpoint's owner
-        self._pending_cross = np.empty((0, 2), dtype=np.int64)
-        #: (border, halo) attachment candidates awaiting classification
-        self._pending_attach = np.empty((0, 2), dtype=np.int64)
-        #: resolved attachment candidates (core targets only)
-        self._attach_parts: list[np.ndarray] = []
-        self.n_absorbed = 0
+        self._locals: list[ShardLocalResult] = []
         self._finalized = False
 
-    def _resolve(self) -> None:
-        """Process pending edges whose halo endpoint is now classified."""
-        for attr, sink in (
-            ("_pending_cross", self._union_cross),
-            ("_pending_attach", self._keep_attach),
-        ):
-            pend = getattr(self, attr)
-            if not len(pend):
-                continue
-            ready = self._classified[pend[:, 1]]
-            if ready.any():
-                sink(pend[ready])
-                setattr(self, attr, pend[~ready])
-
-    def _union_cross(self, edges: np.ndarray) -> None:
-        core = self._is_core[edges[:, 1]]
-        if core.any():
-            self._uf.union_edges(edges[core])
-
-    def _keep_attach(self, edges: np.ndarray) -> None:
-        core = self._is_core[edges[:, 1]]
-        if core.any():
-            self._attach_parts.append(edges[core])
-
     def absorb(self, lr: ShardLocalResult) -> None:
-        """Fold one completed shard's reduction arrays into the merge."""
+        """Classify one completed shard's interior; keep its arrays."""
         if self._finalized:
             raise RuntimeError("merger already finalized")
         self._is_core[lr.interior_ids[lr.interior_core]] = True
-        self._classified[lr.interior_ids] = True
-        if len(lr.comp_edges):
-            self._uf.union_edges(lr.comp_edges)
-        if len(lr.cross_edges):
-            self._pending_cross = np.concatenate(
-                [self._pending_cross, lr.cross_edges]
-            )
-        if len(lr.border_interior):
-            self._attach_parts.append(lr.border_interior)
-        if len(lr.border_halo_edges):
-            self._pending_attach = np.concatenate(
-                [self._pending_attach, lr.border_halo_edges]
-            )
-        self._resolve()
-        self.n_absorbed += 1
-
-    @property
-    def pending_edges(self) -> int:
-        """Deferred edges still awaiting their endpoint's owner shard."""
-        return len(self._pending_cross) + len(self._pending_attach)
+        self._locals.append(lr)
 
     def finalize(self) -> np.ndarray:
-        """Global tail: attach borders, canonicalize.  Labels are in
-        plan (sorted) order — bit-identical to the barrier merge."""
+        """Union, attach borders, canonicalize.  Labels are in plan
+        (sorted) order."""
         self._finalized = True
-        self._resolve()  # no-op when every shard has been absorbed
+        is_core = self._is_core
         labels = np.full(self.n_points, NOISE, dtype=np.int64)
-        core_ids = np.flatnonzero(self._is_core)
+        core_ids = np.flatnonzero(is_core)
         if len(core_ids) == 0:
             return labels
-        roots = self._uf.roots(core_ids)
-        _, comp = np.unique(roots, return_inverse=True)
+
+        # the merge graph: local component edges + cross edges whose
+        # halo endpoint is globally core
+        locals_ = self._locals
+        edges = np.concatenate(
+            [lr.comp_edges for lr in locals_]
+            + [lr.cross_edges[is_core[lr.cross_edges[:, 1]]] for lr in locals_]
+        )
+        core_index = np.full(self.n_points, -1, dtype=np.int64)
+        core_index[core_ids] = np.arange(len(core_ids))
+        g = sparse.csr_matrix(
+            (
+                np.ones(len(edges), dtype=np.int8),
+                (core_index[edges[:, 0]], core_index[edges[:, 1]]),
+            ),
+            shape=(len(core_ids), len(core_ids)),
+        )
+        _, comp = csgraph.connected_components(g, directed=False)
         labels[core_ids] = comp
-        if self._attach_parts:
-            att = np.concatenate(self._attach_parts)
+
+        # border attachment: lowest-id core neighbor across ALL shards'
+        # candidates (exact interior candidate + globally-core halo ones)
+        att = np.concatenate(
+            [lr.border_interior for lr in locals_]
+            + [
+                lr.border_halo_edges[is_core[lr.border_halo_edges[:, 1]]]
+                for lr in locals_
+            ]
+        )
+        if len(att):
             u, v = _first_per_key(att[:, 0], att[:, 1])
             labels[u] = labels[v]
         return canonicalize_labels(labels)

@@ -21,19 +21,20 @@ bound with a spatial sharding layer:
 4. **Local clustering** — components-DBSCAN runs per shard over the
    interior core subgraph, and the shard table is then *dropped*: only
    O(interior + halo-boundary) reduction arrays survive the shard;
-5. **Merge** — :func:`merge_shard_labels` unions shard-local components
-   through the core–core edges whose far endpoint lies in a halo
-   region, then re-attaches every border point to its lowest-id core
-   neighbor *globally*, so the output is bit-identical to the
-   single-device :func:`~repro.core.table_dbscan.dbscan_from_table`
-   components path.
+5. **Merge** — the halo merge
+   (:class:`~repro.core.placement.IncrementalMerger`) unions shard-local
+   components through the core–core edges whose far endpoint lies in a
+   halo region, then re-attaches every border point to its lowest-id
+   core neighbor *globally*, so the output is bit-identical to the
+   single-device :func:`~repro.core.table_dbscan.dbscan_from_table`.
 
-Shards execute sequentially on the host (one bounded device at a time —
-the out-of-core property) and the multi-worker makespan is modeled with
-:func:`repro.hostsim.schedule_parallel`, the same simulate-mode idiom
-the S2 pipeline uses.  This is the stepping stone to true multi-device
-execution: the per-shard reduction arrays are exactly the messages a
-distributed merge would exchange.
+:func:`cluster_sharded` is one executor for any ``n_devices ≥ 1``: the
+shards are placed onto per-device queues
+(:func:`repro.core.placement.place_shards`; with one device, a single
+queue in placement-curve order), run one bounded device at a time on
+this host (the out-of-core property), and their concurrency is replayed
+by :func:`repro.hostsim.schedule_devices`.  The per-shard reduction
+arrays are exactly the messages a distributed merge would exchange.
 
 Shard-level fault recovery
 --------------------------
@@ -56,7 +57,7 @@ inside a supervised attempt loop (:func:`run_shard_supervised`):
   raises :class:`ShardFailureError` naming the shard.
 
 Completed shards' :class:`ShardLocalResult`\\ s are never recomputed, and
-:func:`merge_shard_labels` accepts the mixed parent/child shard set —
+the halo merge accepts the mixed parent/child shard set —
 labels stay bit-identical to the fault-free single-device run.  Fault
 injection composes through ``ShardConfig.fault_factory`` (one
 deterministic, seed-derived :class:`~repro.gpusim.faults.FaultInjector`
@@ -95,7 +96,7 @@ from repro.core.batching import (
     RecoveryStats,
     build_neighbor_table,
 )
-from repro.core.table_dbscan import NOISE, canonicalize_labels
+from repro.core.table_dbscan import NOISE
 from repro.gpusim.device import Device, DeviceSpec
 from repro.gpusim.faults import (
     FaultInjector,
@@ -103,12 +104,7 @@ from repro.gpusim.faults import (
     classify_fault,
     derive_seed,
 )
-from repro.hostsim import (
-    DeviceSchedule,
-    Schedule,
-    schedule_devices,
-    schedule_parallel,
-)
+from repro.hostsim import DeviceSchedule, schedule_devices
 from repro.index.grid import GridIndex
 
 if TYPE_CHECKING:  # placement imports sharding; annotations only here
@@ -149,12 +145,8 @@ class ShardConfig:
     #: tile grid (kx × ky); 1 × 1 degenerates to the single-device path
     shards_x: int = 2
     shards_y: int = 2
-    #: simulated shard workers for the hostsim makespan model
-    n_workers: int = 2
-    #: simulated bounded devices shards are placed onto; > 1 switches
-    #: :func:`cluster_sharded` to the multi-device executor (per-device
-    #: pinned queues, collective halo exchange, incremental halo merge
-    #: overlapped with the builds — DESIGN.md §13)
+    #: simulated bounded devices shards are placed onto, each draining
+    #: its own pinned queue (DESIGN.md §13)
     n_devices: int = 1
     #: shard→device placement strategy (:mod:`repro.core.placement`):
     #: ``"locality"`` co-places adjacent tiles so shared halo rings stay
@@ -191,8 +183,6 @@ class ShardConfig:
     def __post_init__(self) -> None:
         if self.shards_x < 1 or self.shards_y < 1:
             raise ValueError("shard grid must be at least 1x1")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         if self.n_devices < 1:
             raise ValueError("n_devices must be >= 1")
         if self.placement not in PLACEMENT_STRATEGIES:
@@ -726,7 +716,7 @@ class ShardAttempt:
     attempt: int
     #: ``"ok"`` | ``"retry"`` | ``"split"`` | ``"failed"``
     outcome: str
-    #: device the attempt ran on (multi-device executor; 0 otherwise)
+    #: device the attempt ran on
     device: int = 0
     #: :func:`~repro.gpusim.faults.classify_fault` class ("" on success)
     fault: str = ""
@@ -894,8 +884,8 @@ def run_shard_supervised(
     budgets span retries.  Fatal faults propagate unchanged; an
     exhausted retry budget raises :class:`ShardFailureError`.  Every
     attempt is appended to ``events`` (the recovery audit trail),
-    stamped with ``device_id`` — the simulated device the multi-device
-    executor pinned this shard to (0 on the single-device path).
+    stamped with ``device_id`` — the simulated device the executor
+    pinned this shard to.
     """
     injector = (
         cfg.fault_factory(shard) if cfg.fault_factory is not None else None
@@ -1006,67 +996,19 @@ def run_shard_supervised(
 def merge_shard_labels(
     n_points: int, locals_: list[ShardLocalResult]
 ) -> np.ndarray:
-    """Union shard-local clusterings into global labels (sorted order).
+    """Global labels (sorted order) of a finished shard set: the fold of
+    :class:`~repro.core.placement.IncrementalMerger` over ``locals_``.
 
-    A union-find (via sparse connected components) over the shard-local
-    component edges plus every cross-shard core–core edge whose halo
-    endpoint is globally core; border points are then attached to their
-    lowest-id core neighbor *globally*.  Produces exactly the label
-    array :func:`~repro.core.table_dbscan.dbscan_from_table_components`
-    would on the whole dataset.
+    Produces exactly the label array
+    :func:`~repro.core.table_dbscan.dbscan_from_table` would on the
+    whole dataset.
     """
-    labels = np.full(n_points, NOISE, dtype=np.int64)
-    if not locals_:
-        return labels
+    from repro.core.placement import IncrementalMerger
 
-    # global core mask from the shards' exact interior classifications
-    is_core = np.zeros(n_points, dtype=bool)
+    merger = IncrementalMerger(n_points)
     for lr in locals_:
-        is_core[lr.interior_ids[lr.interior_core]] = True
-    core_ids = np.flatnonzero(is_core)
-    if len(core_ids) == 0:
-        return labels
-
-    # the merge graph: local component edges + validated cross edges
-    edge_parts = []
-    for lr in locals_:
-        if len(lr.comp_edges):
-            edge_parts.append(lr.comp_edges)
-        if len(lr.cross_edges):
-            keep = is_core[lr.cross_edges[:, 1]]
-            if keep.any():
-                edge_parts.append(lr.cross_edges[keep])
-    core_index = np.full(n_points, -1, dtype=np.int64)
-    core_index[core_ids] = np.arange(len(core_ids))
-    if edge_parts:
-        edges = np.concatenate(edge_parts)
-        g = sparse.csr_matrix(
-            (
-                np.ones(len(edges), dtype=np.int8),
-                (core_index[edges[:, 0]], core_index[edges[:, 1]]),
-            ),
-            shape=(len(core_ids), len(core_ids)),
-        )
-    else:  # isolated core points only
-        g = sparse.csr_matrix((len(core_ids), len(core_ids)), dtype=np.int8)
-    _, comp = csgraph.connected_components(g, directed=False)
-    labels[core_ids] = comp
-
-    # border attachment: lowest-id core neighbor across ALL shards'
-    # candidates (exact interior candidate + globally-core halo ones)
-    att_parts = []
-    for lr in locals_:
-        if len(lr.border_interior):
-            att_parts.append(lr.border_interior)
-        if len(lr.border_halo_edges):
-            keep = is_core[lr.border_halo_edges[:, 1]]
-            if keep.any():
-                att_parts.append(lr.border_halo_edges[keep])
-    if att_parts:
-        att = np.concatenate(att_parts)
-        u, v = _first_per_key(att[:, 0], att[:, 1])
-        labels[u] = labels[v]
-    return canonicalize_labels(labels)
+        merger.absorb(lr)
+    return merger.finalize()
 
 
 # ----------------------------------------------------------------------
@@ -1081,26 +1023,20 @@ class ShardedResult:
     minpts: int
     plan: ShardPlan
     shard_stats: list[ShardStats]
+    #: shard→device assignment (:func:`repro.core.placement.place_shards`)
+    placement: "DevicePlacement"
+    #: modeled collective halo exchange of that placement
+    exchange: "CollectiveExchange"
+    #: event-driven device makespan: every supervised attempt (failed
+    #: ones included) pinned to the device it ran on, merge absorbs
+    #: overlapped, exchange prefix, finalize tail (DESIGN.md §13)
+    device_schedule: DeviceSchedule
     #: wall seconds of the sequential host execution
     serial_s: float = 0.0
-    #: merge phase wall seconds (incremental absorbs + finalize on the
-    #: multi-device path; the barrier merge otherwise)
+    #: merge phase wall seconds (absorbs + finalize)
     merge_s: float = 0.0
-    #: modeled makespan over ``config.n_workers`` shard workers; every
-    #: supervised attempt (including failed ones) occupies its worker
-    #: for its full duration.  Always populated — zero tasks when the
-    #: plan yields zero shards.
-    schedule: Optional[Schedule] = None
     #: the recovery audit trail: one entry per supervised shard attempt
     events: list[ShardAttempt] = field(default_factory=list)
-    # --- multi-device placement layer (DESIGN.md §13) ---
-    #: shard→device assignment (:func:`repro.core.placement.place_shards`)
-    placement: Optional["DevicePlacement"] = None
-    #: modeled collective halo exchange of that placement
-    exchange: Optional["CollectiveExchange"] = None
-    #: event-driven multi-device makespan (builds pinned to devices,
-    #: merge increments overlapped, exchange prefix, finalize tail)
-    device_schedule: Optional[DeviceSchedule] = None
     #: devices lost mid-run; their remaining shards were rescheduled
     #: onto the surviving devices
     lost_devices: list[int] = field(default_factory=list)
@@ -1115,9 +1051,8 @@ class ShardedResult:
 
     @property
     def makespan_s(self) -> float:
-        """Modeled multi-worker wall time (plus the serial merge)."""
-        base = self.schedule.makespan_s if self.schedule else self.serial_s
-        return base + self.merge_s
+        """Modeled wall time of the run (:attr:`device_schedule`)."""
+        return self.device_schedule.makespan_s
 
     @property
     def max_peak_device_bytes(self) -> int:
@@ -1170,31 +1105,40 @@ def cluster_sharded(
 ) -> ShardedResult:
     """Out-of-core HYBRID-DBSCAN over ``kx × ky`` spatial shards.
 
-    Each shard runs on a fresh bounded :class:`Device` (capacity
-    ``config.device_mem_bytes``), one at a time — the device never holds
-    more than one shard's working set.  Every shard is supervised by the
-    recovery state machine (:func:`run_shard_supervised`): wholesale
-    shard faults retry on fallback devices or quad-split the tile, and
-    completed shards are never recomputed.  Shard wall times feed the
-    hostsim multi-worker schedule; the merge runs on the host after all
-    shards.  ``cluster_on="device"`` moves shard-local cluster
-    formation onto each shard's bounded device (the union-find label
-    kernels); the halo merge is unchanged.  Labels are bit-identical to
-    ``HybridDBSCAN(...).fit(points, eps, minpts)`` with the components
-    implementation — with or without recovered faults, on either
-    ``cluster_on`` path.
+    The shards are placed onto ``config.n_devices`` simulated bounded
+    devices (:func:`repro.core.placement.place_shards`; one device
+    holds a single queue in placement-curve order), and halo traffic
+    is modeled as one collective all-to-all.  Each shard runs on a
+    fresh bounded :class:`Device` (capacity ``config.device_mem_bytes``),
+    one at a time — no device ever holds more than one shard's working
+    set.  Concurrency is replayed as an event simulation: the next
+    shard to run is always the head of the earliest-clock live device's
+    queue, the order a real N-device host would observe completions in.
 
-    ``config.n_devices > 1`` switches to the multi-device executor
-    (DESIGN.md §13): shards are placed onto N bounded devices
-    (:func:`repro.core.placement.place_shards`), halo traffic is modeled
-    as one collective all-to-all, each device drains its pinned queue
-    concurrently (event simulation), and the halo merge runs
-    *incrementally* — each shard's reduction arrays are absorbed the
-    moment the shard completes, with only border attachment and
-    canonicalization left for the serial finalize.  A ``device_lost``
-    fault marks the device dead and reschedules its remaining shards
-    onto the surviving devices; labels stay bit-identical throughout.
+    Every shard is supervised by the recovery state machine
+    (:func:`run_shard_supervised`): wholesale shard faults retry on
+    fallback devices or quad-split the tile (the children take the
+    parent's place at the head of its device queue), and completed
+    shards are never recomputed.  A ``device_lost`` fault marks the
+    device dead and reschedules its remaining shards onto the surviving
+    devices; a lost *sole* device keeps retrying on a fresh device.
+    Each completed shard is absorbed into the halo merge
+    (:class:`repro.core.placement.IncrementalMerger`) as it finishes,
+    and one finalize pass after the last build forms the clusters.
+
+    ``cluster_on="device"`` moves shard-local cluster formation onto
+    each shard's bounded device (the union-find label kernels); the
+    halo merge is unchanged.  Labels are bit-identical to
+    ``HybridDBSCAN(...).fit(points, eps, minpts)`` — for every device
+    count and placement, with or without recovered faults, on either
+    ``cluster_on`` path.
     """
+    from repro.core.placement import (
+        IncrementalMerger,
+        collective_exchange,
+        place_shards,
+    )
+
     cfg = config or ShardConfig()
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -1213,17 +1157,19 @@ def cluster_sharded(
             sort_order=np.empty(0, dtype=np.int64),
             shards=(),
         )
+        placement = place_shards(plan, cfg.n_devices, cfg.placement)
         return ShardedResult(
             labels=np.empty(0, dtype=np.int64),
-            eps=float(eps),
+            eps=plan.eps,
             minpts=int(minpts),
             plan=plan,
             shard_stats=[],
-            schedule=schedule_parallel([], cfg.n_workers),
+            placement=placement,
+            exchange=collective_exchange(plan, placement),
+            device_schedule=schedule_devices([], [], n_devices=cfg.n_devices),
         )
     plan = plan_shards(points, eps, config=cfg)
     base_spec = device_spec or DeviceSpec()
-
     run_kwargs = dict(
         kernel=kernel,
         batch_config=batch_config,
@@ -1231,88 +1177,6 @@ def cluster_sharded(
         block_dim=block_dim,
         sanitize=sanitize,
         cluster_on=cluster_on,
-    )
-    if cfg.n_devices > 1:
-        return _cluster_sharded_multidevice(
-            plan, minpts, cfg, base_spec, run_kwargs
-        )
-
-    locals_: list[ShardLocalResult] = []
-    events: list[ShardAttempt] = []
-    t0 = time.perf_counter()
-    pending: deque[Shard] = deque(plan.shards)
-    while pending:
-        shard = pending.popleft()
-        outcome = run_shard_supervised(
-            plan, shard, minpts, cfg, base_spec, events=events, **run_kwargs
-        )
-        if isinstance(outcome, ShardLocalResult):
-            locals_.append(outcome)
-        else:
-            # a quad-split: the children take the parent's place at the
-            # head of the queue (completed shards are untouched)
-            pending.extendleft(reversed(outcome))
-    serial_s = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    labels_sorted = merge_shard_labels(plan.n_points, locals_)
-    labels = np.empty_like(labels_sorted)
-    labels[plan.sort_order] = labels_sorted
-    merge_s = time.perf_counter() - t1
-
-    stats = [lr.stats for lr in locals_]
-    # every supervised attempt — retries, splits, and successes alike —
-    # occupied a worker for its full duration; scheduling only the
-    # successful attempts' times would let failed-attempt wall time
-    # vanish from the modeled makespan
-    sched = schedule_parallel([e.shard_s for e in events], cfg.n_workers)
-    from repro.core.placement import collective_exchange, place_shards
-
-    placement = place_shards(plan, 1, cfg.placement)
-    return ShardedResult(
-        labels=labels,
-        eps=float(eps),
-        minpts=int(minpts),
-        plan=plan,
-        shard_stats=stats,
-        serial_s=serial_s,
-        merge_s=merge_s,
-        schedule=sched,
-        events=events,
-        placement=placement,
-        exchange=collective_exchange(plan, placement),
-        # the single-device baseline the placement ablation compares
-        # against: every build and the whole (barrier) merge serialized
-        device_schedule=schedule_devices(
-            [e.shard_s for e in events],
-            [0] * len(events),
-            n_devices=1,
-            finalize_s=merge_s,
-        ),
-    )
-
-
-def _cluster_sharded_multidevice(
-    plan: ShardPlan,
-    minpts: int,
-    cfg: ShardConfig,
-    base_spec: DeviceSpec,
-    run_kwargs: dict,
-) -> ShardedResult:
-    """The N-device executor: pinned queues, overlapped incremental merge.
-
-    Devices are simulated (shards still execute one at a time on this
-    host); concurrency is replayed as an event simulation — the next
-    shard to run is always the head of the earliest-clock live device's
-    queue, which is the order a real N-device host would observe
-    completions in.  The merge absorbs each completed shard immediately
-    (:class:`repro.core.placement.IncrementalMerger`), so only border
-    attachment + canonicalization remain after the last build.
-    """
-    from repro.core.placement import (
-        IncrementalMerger,
-        collective_exchange,
-        place_shards,
     )
 
     placement = place_shards(plan, cfg.n_devices, cfg.placement)
@@ -1326,7 +1190,7 @@ def _cluster_sharded_multidevice(
     alive = set(range(cfg.n_devices))
     clock = [0.0] * cfg.n_devices
     lost_devices: list[int] = []
-    locals_: list[ShardLocalResult] = []
+    shard_stats: list[ShardStats] = []
     events: list[ShardAttempt] = []
     merge_inc: dict[int, float] = {}  # event index -> absorb seconds
     merge_total = 0.0
@@ -1359,8 +1223,8 @@ def _cluster_sharded_multidevice(
             **run_kwargs,
         )
         # a lost device: everything after the loss ran on a fallback —
-        # in the N-device model that fallback is a surviving device, the
-        # dead one takes no further work, and its queue is redistributed
+        # that fallback is a surviving device, the dead one takes no
+        # further work, and its queue is redistributed
         loss_idx = next(
             (
                 i
@@ -1386,7 +1250,7 @@ def _cluster_sharded_multidevice(
             for i in range(n_ev, len(events)):
                 clock[dev] += events[i].shard_s
         if isinstance(outcome, ShardLocalResult):
-            locals_.append(outcome)
+            shard_stats.append(outcome.stats)
             tm = time.perf_counter()
             merger.absorb(outcome)
             inc = time.perf_counter() - tm
@@ -1404,20 +1268,12 @@ def _cluster_sharded_multidevice(
     labels[plan.sort_order] = labels_sorted
     finalize_s = time.perf_counter() - t1
 
-    stats = [lr.stats for lr in locals_]
     return ShardedResult(
         labels=labels,
         eps=plan.eps,
         minpts=int(minpts),
         plan=plan,
-        shard_stats=stats,
-        serial_s=serial_s,
-        merge_s=merge_total + finalize_s,
-        # worker-model makespan kept for continuity with n_devices == 1
-        schedule=schedule_parallel(
-            [e.shard_s for e in events], cfg.n_workers
-        ),
-        events=events,
+        shard_stats=shard_stats,
         placement=placement,
         exchange=exchange,
         device_schedule=schedule_devices(
@@ -1428,5 +1284,8 @@ def _cluster_sharded_multidevice(
             exchange_s=exchange.modeled_s(),
             finalize_s=finalize_s,
         ),
+        serial_s=serial_s,
+        merge_s=merge_total + finalize_s,
+        events=events,
         lost_devices=lost_devices,
     )

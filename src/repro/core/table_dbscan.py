@@ -1,28 +1,22 @@
 """DBSCAN over a precomputed neighbor table ``T``.
 
 Algorithm 4 replaces the ``NeighborSearch(p, ε, I)`` calls of Algorithm 1
-with lookups into ``T``.  Two implementations are provided:
+with lookups into ``T``.  :func:`dbscan_from_table` computes the
+clustering as the connected components of the core-point graph (core
+points adjacent iff within ε) plus border attachment.  It is vectorized
+NumPy + SciPy sparse CSR, whose C kernels release the GIL —
+this is what makes the S2 pipeline and the S3 16-thread reuse scenario
+scale on a multicore host, the role OpenMP plays in the paper.
 
-``dbscan_from_table_expand``
-    A faithful adaptation of Algorithm 1 — sequential seed-point loop
-    with breadth-first cluster expansion.  The semantic reference.
+The same clustering is computed by union-find label kernels on the
+simulated device (:mod:`repro.core.device_cluster`), and by a faithful
+sequential adaptation of Algorithm 1 kept as the test oracle
+(:func:`repro.baseline.dbscan_from_table_expand`).
 
-``dbscan_from_table_components``
-    The production path: the clustering equals connected components of
-    the core-point graph (core points adjacent iff within ε) plus border
-    attachment.  Implemented with vectorized NumPy + SciPy sparse CSR,
-    whose C kernels release the GIL — this is what makes the S2 pipeline
-    and the S3 16-thread reuse scenario scale on a multicore host, the
-    role OpenMP plays in the paper.
-
-A third implementation lives in :mod:`repro.core.device_cluster`: the
-same clustering computed by union-find label kernels on the simulated
-device.
-
-All three produce *bit-identical* labels.  Original DBSCAN leaves border
-points that are ε-reachable from several clusters to visitation order
-(Ester et al. 1996); here every implementation resolves the tie the same
-way — a border point joins the cluster of its **lowest-id core
+All of them produce *bit-identical* labels.  Original DBSCAN leaves
+border points that are ε-reachable from several clusters to visitation
+order (Ester et al. 1996); here every implementation resolves the tie
+the same way — a border point joins the cluster of its **lowest-id core
 neighbor** — so the outputs can be compared with ``np.array_equal``, no
 label-equivalence escape hatch needed.  Labels: ``-1`` is noise,
 clusters are ``0..k-1``, numbered by their lowest member point id for
@@ -30,9 +24,6 @@ determinism.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Literal
 
 import numpy as np
 from scipy import sparse
@@ -42,8 +33,6 @@ from repro.core.neighbor_table import NeighborTable
 
 __all__ = [
     "NOISE",
-    "dbscan_from_table_expand",
-    "dbscan_from_table_components",
     "dbscan_from_table",
     "dbscan_from_annotated_table",
     "core_mask",
@@ -87,44 +76,7 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def dbscan_from_table_expand(table: NeighborTable, minpts: int) -> np.ndarray:
-    """Algorithm 1 with ``T`` lookups (sequential cluster expansion).
-
-    Cluster expansion walks core points breadth-first; border points are
-    attached in a separate pass to their lowest-id core neighbor — the
-    deterministic tie-break :func:`dbscan_from_table_components` (and
-    the device path) uses, rather than BFS discovery order, so all
-    implementations agree bit-for-bit.
-    """
-    n = table.n_points
-    is_core = core_mask(table, minpts)
-    labels = np.full(n, NOISE, dtype=np.int64)
-    cluster = 0
-    for p in range(n):
-        if not is_core[p] or labels[p] != NOISE:
-            continue
-        labels[p] = cluster
-        frontier = deque([p])
-        while frontier:
-            q = frontier.popleft()
-            for r in table.neighbors(q).tolist():
-                if is_core[r] and labels[r] == NOISE:
-                    labels[r] = cluster
-                    frontier.append(r)
-        cluster += 1
-    # border attachment: lowest-id core neighbor, ties never depend on
-    # the expansion order above
-    for p in np.flatnonzero(~is_core):
-        nbrs = table.neighbors(p)
-        core_nbrs = nbrs[is_core[nbrs]]
-        if len(core_nbrs):
-            labels[p] = labels[core_nbrs.min()]
-    return canonicalize_labels(labels)
-
-
-def dbscan_from_table_components(
-    table: NeighborTable, minpts: int
-) -> np.ndarray:
+def dbscan_from_table(table: NeighborTable, minpts: int) -> np.ndarray:
     """Connected-components DBSCAN over ``T`` (vectorized, GIL-releasing)."""
     n = table.n_points
     is_core = core_mask(table, minpts)
@@ -222,17 +174,3 @@ def dbscan_from_annotated_table(
     counts = np.bincount(src, minlength=table.n_points)
     is_core = counts >= minpts
     return _cluster_from_edges(table.n_points, is_core, src, dst)
-
-
-def dbscan_from_table(
-    table: NeighborTable,
-    minpts: int,
-    *,
-    impl: Literal["components", "expand"] = "components",
-) -> np.ndarray:
-    """Dispatch to a table-DBSCAN implementation."""
-    if impl == "components":
-        return dbscan_from_table_components(table, minpts)
-    if impl == "expand":
-        return dbscan_from_table_expand(table, minpts)
-    raise ValueError(f"unknown impl {impl!r}")

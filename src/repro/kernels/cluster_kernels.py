@@ -19,7 +19,7 @@ GPU DBSCAN (Prokopenko et al.) use, and the same edge-based formulation
   settles at 0.
 * :class:`BorderAttachKernel` — attaches each border point to the label
   of its lowest-id core neighbor (the deterministic rule
-  ``dbscan_from_table_components`` uses) and records that neighbor in an
+  ``dbscan_from_table`` uses) and records that neighbor in an
   ``attach`` output array.
 
 Determinism across backends: labels only ever *decrease*, are bounded

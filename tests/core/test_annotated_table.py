@@ -92,11 +92,11 @@ class TestSubEpsDBSCAN:
             assert same_clustering(got, want), eps
 
     def test_full_eps_equals_plain_components(self, uniform_points):
-        from repro.core.table_dbscan import dbscan_from_table_components
+        from repro.core.table_dbscan import dbscan_from_table
 
         _, table = annotated_table(uniform_points, 0.4)
         a = dbscan_from_annotated_table(table, 4, 0.4)
-        b = dbscan_from_table_components(table, 4)
+        b = dbscan_from_table(table, 4)
         assert same_clustering(a, b)
 
     def test_eps_above_table_rejected(self, uniform_points):

@@ -126,7 +126,7 @@ class TestBuildNeighborTable:
 
     def test_overflow_recovers_per_batch(self, device, rng):
         """An adversarial point mass defeats the estimate; the default
-        recovery splits/regrows only the failed batches — no restart."""
+        recovery splits/regrows only the failed batches."""
         # one huge clump + a spread background: strided sampling still
         # works, but we force a tiny buffer to trigger a recovery
         pts = np.vstack([rng.normal(0, 0.02, (300, 2)), rng.random((100, 2)) * 5])
@@ -145,29 +145,7 @@ class TestBuildNeighborTable:
         table.validate()
         assert self._table_pairs(table) == self._truth(grid)
         assert stats.recovery.splits + stats.recovery.regrows >= 1
-        assert stats.recovery.restarts == 0
         assert stats.recovery.wasted_kernel_s > 0
-
-    def test_overflow_retry_doubles_batches(self, device, rng):
-        """The legacy restart fallback still works: the whole build is
-        re-run with doubled n_b until batches fit."""
-        pts = np.vstack([rng.normal(0, 0.02, (300, 2)), rng.random((100, 2)) * 5])
-        grid = GridIndex.build(pts, 0.5)
-        cfg = BatchConfig(
-            static_threshold=1,
-            static_buffer_size=30_000,
-            min_buffer_size=128,
-            alpha=0.0,
-            recovery="restart",
-        )
-        plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=40_000)
-        table, stats = build_neighbor_table(
-            grid, device, config=cfg, plan=plan
-        )
-        table.validate()
-        assert self._table_pairs(table) == self._truth(grid)
-        assert stats.overflow_retries >= 1
-        assert stats.overflow_retries == stats.recovery.restarts
 
     def test_shared_kernel_build(self, device, uniform_points):
         grid = GridIndex.build(uniform_points, 0.4)

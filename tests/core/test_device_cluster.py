@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baseline import dbscan_from_table_expand
 from repro.core import (
     NOISE,
     HybridDBSCAN,
     ShardConfig,
-    dbscan_from_table_components,
+    dbscan_from_table,
     dbscan_from_table_device,
     device_cluster_table,
 )
 from repro.core.batching import build_neighbor_table
-from repro.core.table_dbscan import core_mask, dbscan_from_table_expand
+from repro.core.table_dbscan import core_mask
 from repro.gpusim import Device
 from repro.index import GridIndex
 
@@ -58,7 +59,7 @@ class TestDeviceEqualsHost:
         pts = random_points(seed)
         h = HybridDBSCAN(kernel=kernel)
         _, table, _ = h.build_table(pts, 0.4)
-        host = dbscan_from_table_components(table, minpts)
+        host = dbscan_from_table(table, minpts)
         dev = dbscan_from_table_device(table, minpts)
         assert np.array_equal(host, dev)
 
@@ -66,7 +67,7 @@ class TestDeviceEqualsHost:
         _, table = build_table(blobs_points, 0.5)
         for minpts in (2, 5, 16):
             a = dbscan_from_table_expand(table, minpts)
-            b = dbscan_from_table_components(table, minpts)
+            b = dbscan_from_table(table, minpts)
             c = dbscan_from_table_device(table, minpts)
             assert np.array_equal(a, b)
             assert np.array_equal(b, c)
@@ -77,7 +78,7 @@ class TestDeviceEqualsHost:
         labels)."""
         pts = random_points(7)[:90]
         _, table = build_table(pts, 0.4)
-        host = dbscan_from_table_components(table, 4)
+        host = dbscan_from_table(table, 4)
         for backend in ("vector", "interpreter"):
             got = dbscan_from_table_device(table, 4, backend=backend)
             assert np.array_equal(host, got)
@@ -92,7 +93,7 @@ class TestDeviceEqualsHost:
         _, table = build_table(uniform_points, 0.2)
         labels = dbscan_from_table_device(table, 1)
         assert (labels != NOISE).all()
-        assert np.array_equal(labels, dbscan_from_table_components(table, 1))
+        assert np.array_equal(labels, dbscan_from_table(table, 1))
 
 
 # ======================================================================
@@ -109,7 +110,7 @@ class TestClusterResult:
         # raw labels: per component the minimum core id; canonical via
         # renumbering only
         assert np.array_equal(
-            res.labels, dbscan_from_table_components(table, 5)
+            res.labels, dbscan_from_table(table, 5)
         )
 
     def test_attach_semantics(self, blobs_points):
@@ -232,7 +233,7 @@ class TestSanitized:
         device = Device(sanitize=True)
         res = device_cluster_table(table, 5, device=device)
         assert np.array_equal(
-            res.labels, dbscan_from_table_components(table, 5)
+            res.labels, dbscan_from_table(table, 5)
         )
         report = device.close()  # leak check included
         assert report is not None and report.clean, report.render()

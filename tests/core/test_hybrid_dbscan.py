@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import validate_hybrid
 from repro.analysis.metrics import same_clustering
-from repro.baseline import sequential_dbscan
+from repro.baseline import dbscan_from_table_expand, sequential_dbscan
 from repro.core import BatchConfig, HybridDBSCAN
 from repro.gpusim import Device
 
@@ -34,8 +34,12 @@ class TestAgainstReference:
         assert validate_hybrid(blobs_points, 0.5, 5, hybrid=h).ok
 
     def test_expand_impl_variant(self, blobs_points):
-        h = HybridDBSCAN(dbscan_impl="expand")
-        assert validate_hybrid(blobs_points, 0.5, 5, hybrid=h).ok
+        """``fit`` equals the Algorithm 1 oracle over the same table."""
+        h = HybridDBSCAN()
+        grid, table, _ = h.build_table(blobs_points, 0.5)
+        oracle = np.empty(len(blobs_points), dtype=np.int64)
+        oracle[grid.sort_order] = dbscan_from_table_expand(table, 5)
+        assert np.array_equal(h.fit(blobs_points, 0.5, 5).labels, oracle)
 
     def test_interpreter_backend(self, rng):
         pts = np.vstack([rng.normal(0, 0.2, (40, 2)), rng.normal(3, 0.2, (40, 2))])

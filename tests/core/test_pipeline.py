@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baseline import dbscan_from_table_expand
 from repro.core import HybridDBSCAN, MultiClusterPipeline, VariantSet
 
 
@@ -56,9 +57,18 @@ class TestConfiguration:
             MultiClusterPipeline(n_consumers=0)
 
     def test_custom_hybrid(self, blobs_points, variants):
-        h = HybridDBSCAN(dbscan_impl="expand")
-        res = MultiClusterPipeline(h).run(blobs_points, variants)
+        h = HybridDBSCAN(kernel="shared")
+        res = MultiClusterPipeline(h, keep_labels=True).run(
+            blobs_points, variants
+        )
         assert len(res.outcomes) == len(variants)
+        # the custom instance's labels equal the Algorithm 1 oracle over
+        # the same table
+        v = res.outcomes[0].variant
+        grid, table, _ = h.build_table(blobs_points, v.eps)
+        oracle = np.empty(len(blobs_points), dtype=np.int64)
+        oracle[grid.sort_order] = dbscan_from_table_expand(table, v.minpts)
+        assert np.array_equal(res.outcomes[0].labels, oracle)
 
     def test_single_variant(self, blobs_points):
         vs = VariantSet.eps_sweep([0.4])

@@ -1,10 +1,10 @@
 """Tests for the multi-device placement layer (DESIGN.md §13).
 
 Covers the locality placer, the collective halo-exchange model, the
-incremental merger's bit-identity with the barrier merge, and the full
-multi-device executor — including placement × fault-injection runs
-whose labels must stay bit-identical to the fault-free single-device
-components path.
+halo merger's bit-identity with the whole-dataset ``fit``, and the
+sharded executor at every device count — including placement ×
+fault-injection runs whose labels must stay bit-identical to the
+fault-free single-device path.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ from repro.gpusim import Device, FaultSpec
 
 
 def _reference_labels(points, eps, minpts):
-    return HybridDBSCAN(dbscan_impl="components").fit(points, eps, minpts).labels
+    return HybridDBSCAN().fit(points, eps, minpts).labels
 
 
 def _shard_locals(points, eps, minpts, grid=(3, 3)):
@@ -158,14 +158,15 @@ class TestCollectiveExchange:
 
 class TestIncrementalMerger:
     def test_bit_identical_to_barrier_merge(self, blobs_points):
+        """The merge of the shard reductions equals the whole-dataset
+        ``fit`` labels, in plan (sorted) order."""
         eps, minpts = 0.5, 4
         plan, locals_ = _shard_locals(blobs_points, eps, minpts)
-        barrier = merge_shard_labels(plan.n_points, locals_)
+        ref = _reference_labels(blobs_points, eps, minpts)
         m = IncrementalMerger(plan.n_points)
         for lr in locals_:
             m.absorb(lr)
-        assert m.pending_edges == 0  # every halo owner has arrived
-        np.testing.assert_array_equal(m.finalize(), barrier)
+        np.testing.assert_array_equal(m.finalize(), ref[plan.sort_order])
 
     def test_order_independent(self, uniform_points):
         eps, minpts = 0.35, 4
@@ -289,9 +290,8 @@ class TestMultiDeviceExecutor:
         res = cluster_sharded(np.empty((0, 2)), 0.3, 4)
         assert len(res.labels) == 0
         assert res.n_clusters == 0
-        assert res.schedule is not None
-        assert res.schedule.makespan_s == 0.0
-        assert res.schedule.intervals == ()
+        assert res.device_schedule.makespan_s == 0.0
+        assert res.device_schedule.build_intervals == ()
         assert res.makespan_s == 0.0
 
     def test_empty_input_still_validates(self):
@@ -345,11 +345,65 @@ class TestMultiDeviceExecutor:
         np.testing.assert_array_equal(res.labels, ref)
 
 
+class TestOneExecutor:
+    """``cluster_sharded`` is one executor for every device count."""
+
+    @pytest.mark.parametrize("n_devices", [1, 2, 4])
+    def test_every_device_count_is_placed_and_scheduled(
+        self, blobs_points, n_devices
+    ):
+        eps, minpts = 0.5, 4
+        res = cluster_sharded(
+            blobs_points,
+            eps,
+            minpts,
+            config=ShardConfig(shards_x=3, shards_y=3, n_devices=n_devices),
+        )
+        ds = res.device_schedule
+        assert res.makespan_s == ds.makespan_s
+        assert ds.n_devices == n_devices
+        # one build interval per attempt event, on the event's device
+        assert [iv.worker for iv in ds.build_intervals] == [
+            e.device for e in res.events
+        ]
+        assert res.placement.n_devices == n_devices
+        assert len(res.placement.assignment) == res.plan.n_shards
+        assert res.exchange.n_devices == n_devices
+        np.testing.assert_array_equal(
+            res.labels, _reference_labels(blobs_points, eps, minpts)
+        )
+
+    def test_lost_sole_device_retries_on_a_fresh_device(self, blobs_points):
+        """With one device there is no survivor to reschedule onto: the
+        lost device's shard retries on a fresh device 0, nothing is
+        reported lost, and the makespan is the device schedule's."""
+        eps, minpts = 0.5, 4
+        ff = make_shard_fault_factory(
+            [FaultSpec(kind="device_lost")], seed=11, tiles=[(0, 0)]
+        )
+        res = cluster_sharded(
+            blobs_points,
+            eps,
+            minpts,
+            config=ShardConfig(
+                shards_x=3, shards_y=3, n_devices=1, fault_factory=ff
+            ),
+        )
+        np.testing.assert_array_equal(
+            res.labels, _reference_labels(blobs_points, eps, minpts)
+        )
+        assert res.recovery.fallback_placements == 1
+        assert res.lost_devices == []
+        assert {e.device for e in res.events} == {0}
+        assert len(res.device_schedule.build_intervals) == len(res.events)
+        assert res.makespan_s == res.device_schedule.makespan_s
+
+
 class TestMakespanAccounting:
     def test_failed_attempts_occupy_workers(self, blobs_points):
-        """Satellite regression: a retried shard's failed attempt must
-        appear in the modeled schedule — the schedule has one task per
-        supervised attempt, not one per successful shard."""
+        """Regression: a retried shard's failed attempt must appear in
+        the modeled schedule — the schedule has one build per supervised
+        attempt, not one per successful shard."""
         eps, minpts = 0.5, 4
         ff = make_shard_fault_factory(
             [FaultSpec(kind="device_lost")], seed=3, tiles=[(0, 0)]
@@ -361,13 +415,10 @@ class TestMakespanAccounting:
             config=ShardConfig(shards_x=3, shards_y=3, fault_factory=ff),
         )
         assert res.recovery.fallback_placements >= 1
-        assert res.schedule is not None
-        assert len(res.schedule.intervals) == len(res.events)
+        builds = res.device_schedule.build_intervals
+        assert len(builds) == len(res.events)
         assert len(res.events) > len(res.shard_stats)
         # the schedule's total busy time includes the wasted attempts
-        assert res.schedule.serial_s == pytest.approx(
-            sum(e.shard_s for e in res.events)
-        )
-        assert res.schedule.serial_s > sum(
-            s.shard_s for s in res.shard_stats
-        )
+        busy = sum(iv.end_s - iv.start_s for iv in builds)
+        assert busy == pytest.approx(sum(e.shard_s for e in res.events))
+        assert busy > sum(s.shard_s for s in res.shard_stats)

@@ -1,8 +1,5 @@
 """Per-batch overflow recovery: acceptance, accounting, and properties."""
 
-import itertools
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,7 +70,6 @@ class TestAcceptance:
         # as two split halves
         assert stats.n_batches_run == plan.n_batches + 1
         assert stats.recovery.splits + stats.recovery.regrows == 1
-        assert stats.recovery.restarts == 0
         assert stats.recovery.wasted_kernel_s > 0
         assert _neighbors(table) == reference
 
@@ -88,7 +84,6 @@ class TestAcceptance:
         assert stats.n_batches_run == plan.n_batches
         assert stats.recovery.regrows == 1
         assert stats.recovery.splits == 0
-        assert stats.recovery.restarts == 0
         assert _neighbors(table) == reference
 
     def test_injector_attached_to_device_is_used(self, reference):
@@ -189,44 +184,8 @@ class TestPinnedAccounting:
         assert device.close().clean
 
 
-class TestStatsReset:
-    def test_failed_restart_attempts_excluded_from_phase_stats(
-        self, monkeypatch
-    ):
-        """Regression: phase seconds used to accumulate across failed
-        restart attempts.  With a fake clock ticking +1 per reading,
-        every successful batch contributes exactly 1 to ``kernel_s``, so
-        the total must equal the successful attempt's batch count."""
-        import repro.core.batching as batching
-
-        ticks = itertools.count()
-        monkeypatch.setattr(
-            batching, "time", SimpleNamespace(perf_counter=lambda: next(ticks))
-        )
-        cfg = _cfg(n_streams=1, recovery="restart")
-        plan = _plan(cfg, n_batches=4)
-        # batches 0 and 1 complete, batch 2 fails -> attempt discarded,
-        # restart with 8 batches succeeds
-        table, stats = build_neighbor_table(
-            _grid(), Device(), config=cfg, plan=plan,
-            faults=FaultInjector.overflow_at(2),
-        )
-        assert stats.recovery.restarts == 1
-        assert stats.n_batches_run == 8
-        assert stats.kernel_s == stats.n_batches_run
-        assert stats.sort_s == stats.n_batches_run
-        assert stats.transfer_s == stats.n_batches_run
-        assert stats.host_copy_s == stats.n_batches_run
-        # the discarded attempt: 2 completed batches x 3 timed phases,
-        # plus 1 tick inside the failed unit
-        assert stats.recovery.wasted_kernel_s == 7
-        assert _neighbors(table) == [
-            sorted(table.neighbors(i).tolist()) for i in range(table.n_points)
-        ]
-
-
 FAULT_KINDS = st.sampled_from(["overflow", "transfer"])
-STRATEGIES = st.sampled_from(["auto", "split", "regrow", "restart"])
+STRATEGIES = st.sampled_from(["auto", "split", "regrow"])
 
 
 class TestRecoveryProperties:
@@ -273,6 +232,5 @@ class TestRecoveryProperties:
         table, stats = build_neighbor_table(
             _grid(), Device(), config=cfg, plan=plan, faults=faults
         )
-        assert stats.recovery.restarts == 0
         assert stats.recovery.recoveries >= 1
         assert _neighbors(table) == reference

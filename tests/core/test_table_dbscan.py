@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baseline import dbscan_from_table_expand
 from repro.core import NOISE
 from repro.core.batching import build_neighbor_table
 from repro.core.table_dbscan import (
     canonicalize_labels,
     core_mask,
     dbscan_from_table,
-    dbscan_from_table_components,
-    dbscan_from_table_expand,
 )
 from repro.gpusim import Device
 from repro.index import GridIndex
@@ -48,8 +47,8 @@ class TestKnownFixtures:
     def test_chain_is_one_cluster(self, chain_points):
         """Density reachability chains across the whole line."""
         _, table = build_table(chain_points, 0.5)
-        for impl in ("expand", "components"):
-            labels = dbscan_from_table(table, 3, impl=impl)
+        for cluster in (dbscan_from_table_expand, dbscan_from_table):
+            labels = cluster(table, 3)
             assert labels.max() == 0
             assert (labels == 0).all()
 
@@ -85,8 +84,8 @@ class TestKnownFixtures:
         lonely = np.array([[5.0, 5.0]])
         pts = np.vstack([core, border, lonely])
         _, table = build_table(pts, 0.45)
-        for impl in ("expand", "components"):
-            labels = dbscan_from_table(table, 4, impl=impl)
+        for cluster in (dbscan_from_table_expand, dbscan_from_table):
+            labels = cluster(table, 4)
             assert labels[4] == labels[0]  # border joins the cluster
             assert labels[5] == NOISE
 
@@ -95,11 +94,6 @@ class TestKnownFixtures:
         labels = dbscan_from_table(table, 5)
         used = np.unique(labels[labels != NOISE])
         assert used.tolist() == list(range(len(used)))
-
-    def test_unknown_impl(self, uniform_points):
-        _, table = build_table(uniform_points, 0.3)
-        with pytest.raises(ValueError):
-            dbscan_from_table(table, 4, impl="quantum")
 
 
 class TestImplementationEquivalence:
@@ -119,7 +113,7 @@ class TestImplementationEquivalence:
         pts = np.vstack(parts)
         _, table = build_table(pts, 0.4)
         a = dbscan_from_table_expand(table, minpts)
-        b = dbscan_from_table_components(table, minpts)
+        b = dbscan_from_table(table, minpts)
         # bit-identical, not merely equivalent: every implementation
         # resolves border ties by lowest-id core neighbor
         assert np.array_equal(a, b)
@@ -128,7 +122,7 @@ class TestImplementationEquivalence:
         _, table = build_table(blobs_points, 0.4)
         for minpts in (2, 4, 8, 16, 64):
             a = dbscan_from_table_expand(table, minpts)
-            b = dbscan_from_table_components(table, minpts)
+            b = dbscan_from_table(table, minpts)
             assert a.max() == b.max()
             assert (a == NOISE).sum() == (b == NOISE).sum()
 

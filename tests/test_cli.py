@@ -81,6 +81,14 @@ class TestCluster:
         assert payload["shards"] >= 1
         assert payload["peak_device_bytes"] <= 4 * (1 << 20)
         assert len(payload["per_shard"]) == payload["shards"]
+        # one executor for every device count: the placement layer's
+        # keys are present at the default single device too
+        assert {"placement", "exchange", "device_schedule",
+                "lost_devices"} <= payload.keys()
+        assert "workers" not in payload
+        assert payload["placement"]["n_devices"] == 1
+        assert payload["lost_devices"] == []
+        assert payload["makespan_s"] == payload["device_schedule"]["makespan_s"]
 
     def test_sharded_batch_fault_injection_recovers(
         self, capsys, points_file, tmp_path

@@ -6,9 +6,11 @@ sequential reference throughout — the "does the whole system hold
 together" layer above the per-module tests.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis import validate_hybrid
+from repro.baseline import dbscan_from_table_expand
 from repro.core import (
     HybridDBSCAN,
     MultiClusterPipeline,
@@ -59,7 +61,9 @@ class TestCrossFeatureConsistency:
         fit = HybridDBSCAN().fit(pts, eps, minpts)
 
         shared = HybridDBSCAN(kernel="shared").fit(pts, eps, minpts)
-        expand = HybridDBSCAN(dbscan_impl="expand").fit(pts, eps, minpts)
+        grid, table, _ = HybridDBSCAN().build_table(pts, eps)
+        expand = np.empty(len(pts), dtype=np.int64)
+        expand[grid.sort_order] = dbscan_from_table_expand(table, minpts)
         sweep = cluster_eps_sweep(pts, [eps, 0.8], minpts, keep_labels=True)
         sweep_labels = next(
             o.labels for o in sweep.outcomes if o.eps == eps
@@ -75,7 +79,7 @@ class TestCrossFeatureConsistency:
 
         for other, label in [
             (shared.labels, "shared kernel"),
-            (expand.labels, "expand impl"),
+            (expand, "expand oracle"),
             (sweep_labels, "annotated sweep"),
             (pipe.outcomes[0].labels, "pipeline"),
             (reuse.outcomes[0].labels, "reuse"),

@@ -87,25 +87,9 @@ class TestResourceExhaustion:
             build_neighbor_table(grid, small, config=cfg)
         assert small.memory.used_bytes == before
 
-    def test_overflow_retry_exhaustion(self, rng):
-        """Legacy restart mode: when even doubled batch counts overflow,
-        the error surfaces (instead of looping forever)."""
-        from repro.gpusim.memory import ResultBufferOverflow
-        from repro.core.batching import BatchPlanner
-
-        pts = np.ones((500, 2))  # one cell: every batch sees all pairs
-        grid = GridIndex.build(pts, 0.5)
-        cfg = BatchConfig(static_threshold=1, static_buffer_size=600,
-                          min_buffer_size=600, alpha=0.0, recovery="restart")
-        plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=600)
-        with pytest.raises(ResultBufferOverflow):
-            build_neighbor_table(
-                grid, Device(), config=cfg, plan=plan, max_overflow_retries=1
-            )
-
     def test_split_recovery_handles_single_dense_cell(self, rng):
-        """The per-batch default recovers the same adversarial case the
-        restart fallback gives up on: splits shrink units until they fit."""
+        """Per-batch recovery survives a single dense cell where every
+        batch sees all pairs: splits shrink units until they fit."""
         pts = np.ones((500, 2))
         grid = GridIndex.build(pts, 0.5)
         cfg = BatchConfig(static_threshold=1, static_buffer_size=600,
@@ -116,7 +100,6 @@ class TestResourceExhaustion:
         table.validate()
         assert table.total_pairs == 500 * 500
         assert stats.recovery.splits >= 1
-        assert stats.recovery.restarts == 0
 
     def test_split_recovery_exhaustion(self, rng):
         """A single point whose neighborhood exceeds the buffer cannot be

@@ -7,7 +7,7 @@ from repro.analysis.statistics import summarize_clustering
 from repro.bench import SeriesSet
 from repro.bench.asciiplot import render_ascii
 from repro.core import HybridDBSCAN, NeighborTable
-from repro.core.table_dbscan import dbscan_from_table_components
+from repro.core.table_dbscan import dbscan_from_table
 
 
 class TestClusterSummary:
@@ -83,8 +83,8 @@ class TestTablePersistence:
         h = HybridDBSCAN()
         grid, table, _ = h.build_table(blobs_points, 0.4)
         loaded = NeighborTable.load(table.save(tmp_path / "t.npz"))
-        a = dbscan_from_table_components(table, 5)
-        b = dbscan_from_table_components(loaded, 5)
+        a = dbscan_from_table(table, 5)
+        b = dbscan_from_table(loaded, 5)
         assert np.array_equal(a, b)
 
     def test_load_validates(self, tmp_path, blobs_points):
