@@ -37,7 +37,7 @@ def test_fig5_reuse_threads(benchmark):
             s_tot = ss.new_series(f"Hybrid (eps={eps}): Total Time")
             s_db = ss.new_series(f"Hybrid (eps={eps}): DBSCAN Time")
             for nt in THREADS:
-                makespan = schedule_parallel(durations, nt).makespan_s
+                makespan = schedule_parallel(durations, nt).makespan
                 s_db.add(nt, makespan)
                 s_tot.add(nt, base.build_s + makespan)
             # monotone: more threads never slower

@@ -55,7 +55,7 @@ def main() -> None:
     durations = [o.dbscan_s for o in result.outcomes]
     print("\nthread scaling (modeled makespan of the clustering phase):")
     for nt in (1, 2, 4, 8, 16):
-        makespan = schedule_parallel(durations, nt).makespan_s
+        makespan = schedule_parallel(durations, nt).makespan
         print(f"  {nt:>2} threads: {result.build_s + makespan:.2f} s total")
 
 

@@ -30,7 +30,6 @@ from repro.core.placement import (
 )
 from repro.core.reuse import (
     ReuseResult,
-    ReuseVariantError,
     ReuseVariantOutcome,
     cluster_with_reuse,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "PipelineResult",
     "ReuseResult",
     "cluster_with_reuse",
-    "ReuseVariantError",
     "ReuseVariantOutcome",
     "CollectiveExchange",
     "DevicePlacement",

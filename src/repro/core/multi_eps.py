@@ -110,13 +110,13 @@ def cluster_eps_sweep(
             )
         )
 
-    sched = schedule_parallel([o.dbscan_s for o in outcomes], n_threads)
+    cluster_s = schedule_parallel([o.dbscan_s for o in outcomes], n_threads).makespan
     return EpsSweepResult(
         eps_max=eps_max,
         minpts=int(minpts),
         build_s=build_s,
-        cluster_s=sched.makespan_s,
-        total_s=build_s + sched.makespan_s,
+        cluster_s=cluster_s,
+        total_s=build_s + cluster_s,
         n_threads=n_threads,
         table_pairs=table.total_pairs,
         outcomes=outcomes,

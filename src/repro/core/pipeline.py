@@ -6,16 +6,17 @@ producer is already building ``T(v_{i+1})`` on the GPU.  The producer
 itself spawns the 3 batching threads of Section VI, and up to
 ``n_consumers`` threads run DBSCAN on completed tables.
 
-The non-pipelined mode executes variants strictly one after another —
-the comparison Figure 4 and Table IV make.
+Every variant is built and clustered once, in order, which gives exact
+results and measured per-variant times; the pipelined makespan replays
+those times on the simulated host
+(:func:`repro.hostsim.schedule_pipeline`).  The non-pipelined total is
+the measured sequential time — the comparison Figure 4 and Table IV
+make.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,8 +52,6 @@ class PipelineResult:
     outcomes: list[VariantOutcome]
     total_s: float
     pipelined: bool
-    #: "simulate" (modeled makespan) or "threads" (real threads)
-    mode: str = "simulate"
 
     @property
     def sum_build_s(self) -> float:
@@ -86,177 +85,54 @@ class MultiClusterPipeline:
         if n_consumers < 1:
             raise ValueError("n_consumers must be >= 1")
         if queue_depth < 1:
-            # queue.Queue(maxsize=0) would silently mean *unbounded* in
-            # threads mode while the simulated model deadlocks — reject
-            # the ambiguity at construction
+            # a producer that may not run ahead of its consumers at all
+            # deadlocks; reject it at construction, not at the first run
             raise ValueError("queue_depth must be >= 1")
         self.hybrid = hybrid or HybridDBSCAN(sanitize=sanitize)
         self.n_consumers = n_consumers
         self.queue_depth = queue_depth
         self.keep_labels = keep_labels
 
-    # ------------------------------------------------------------------
     def run(
         self,
         points: np.ndarray,
         variants: VariantSet,
         *,
         pipelined: bool = True,
-        mode: str = "simulate",
     ) -> PipelineResult:
         """Cluster every variant; returns outcomes plus total time.
 
-        ``mode="simulate"`` (default) executes variants one after the
-        other — producing exact results and per-variant timings — and,
-        when ``pipelined=True``, reports the producer/consumer makespan
-        modeled over simulated cores (:mod:`repro.hostsim`).
-        ``mode="threads"`` uses a real producer thread and consumer
-        pool; meaningful only on a multicore host.
+        Variants are built and clustered one after the other.
+        ``total_s`` is the measured sequential time, or, when
+        ``pipelined=True``, the producer/consumer makespan of the
+        measured build and DBSCAN times over ``n_consumers`` simulated
+        cores (:mod:`repro.hostsim`).
         """
-        if mode not in ("simulate", "threads"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if not pipelined:
-            return self._run_sequential(points, variants)
-        if mode == "simulate":
-            return self._run_pipelined_simulated(points, variants)
-        return self._run_pipelined(points, variants)
-
-    def _run_pipelined_simulated(
-        self, points: np.ndarray, variants: VariantSet
-    ) -> PipelineResult:
-        seq = self._run_sequential(points, variants)
-        sched = schedule_pipeline(
-            [o.build_s for o in seq.outcomes],
-            [o.dbscan_s for o in seq.outcomes],
-            self.n_consumers,
-            queue_depth=self.queue_depth,
-        )
-        return PipelineResult(
-            outcomes=seq.outcomes,
-            total_s=sched.makespan_s,
-            pipelined=True,
-            mode="simulate",
-        )
-
-    # ------------------------------------------------------------------
-    def _cluster(
-        self,
-        grid,
-        table,
-        variant: Variant,
-        build_s: float,
-        recovery: Optional[RecoveryStats] = None,
-    ) -> VariantOutcome:
-        t0 = time.perf_counter()
-        labels = self.hybrid.cluster_table(grid, table, variant.minpts)
-        dbscan_s = time.perf_counter() - t0
-        return VariantOutcome(
-            variant=variant,
-            n_clusters=int(labels.max()) + 1 if (labels != NOISE).any() else 0,
-            n_noise=int((labels == NOISE).sum()),
-            build_s=build_s,
-            dbscan_s=dbscan_s,
-            labels=labels if self.keep_labels else None,
-            recovery=recovery or RecoveryStats(),
-        )
-
-    def _run_sequential(
-        self, points: np.ndarray, variants: VariantSet
-    ) -> PipelineResult:
         t_start = time.perf_counter()
         outcomes = []
         for v in variants:
             t0 = time.perf_counter()
             grid, table, timings = self.hybrid.build_table(points, v.eps)
-            build_s = time.perf_counter() - t0
+            t1 = time.perf_counter()
+            labels = self.hybrid.cluster_table(grid, table, v.minpts)
+            t2 = time.perf_counter()
             outcomes.append(
-                self._cluster(grid, table, v, build_s, timings.recovery)
+                VariantOutcome(
+                    variant=v,
+                    n_clusters=int(labels.max()) + 1 if (labels != NOISE).any() else 0,
+                    n_noise=int((labels == NOISE).sum()),
+                    build_s=t1 - t0,
+                    dbscan_s=t2 - t1,
+                    labels=labels if self.keep_labels else None,
+                    recovery=timings.recovery,
+                )
             )
-        return PipelineResult(
-            outcomes=outcomes,
-            total_s=time.perf_counter() - t_start,
-            pipelined=False,
-            mode="serial",
-        )
-
-    def _run_pipelined(
-        self, points: np.ndarray, variants: VariantSet
-    ) -> PipelineResult:
-        t_start = time.perf_counter()
-        work: queue.Queue = queue.Queue(maxsize=self.queue_depth)
-        outcomes: list[Optional[VariantOutcome]] = [None] * len(variants)
-        errors: list[BaseException] = []
-        # set on the first producer OR consumer error; every blocking
-        # queue operation polls it, so a dead consumer can never leave
-        # the producer stuck on a full queue (and vice versa)
-        stop = threading.Event()
-
-        def _put(item) -> bool:
-            while not stop.is_set():
-                try:
-                    work.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def producer() -> None:
-            try:
-                for i, v in enumerate(variants):
-                    if stop.is_set():
-                        return
-                    t0 = time.perf_counter()
-                    grid, table, timings = self.hybrid.build_table(points, v.eps)
-                    build_s = time.perf_counter() - t0
-                    if not _put((i, v, grid, table, build_s, timings.recovery)):
-                        return
-            except BaseException as exc:  # surface in the caller
-                errors.append(exc)
-                stop.set()
-            finally:
-                for _ in range(self.n_consumers):
-                    if not _put(None):
-                        break
-
-        def consumer() -> None:
-            while True:
-                try:
-                    item = work.get(timeout=0.05)
-                except queue.Empty:
-                    if stop.is_set():
-                        return
-                    continue
-                if item is None:
-                    return
-                i, v, grid, table, build_s, recovery = item
-                try:
-                    outcomes[i] = self._cluster(grid, table, v, build_s, recovery)
-                except BaseException as exc:  # propagate, don't deadlock
-                    errors.append(exc)
-                    stop.set()
-                    # drain pending work so the producer unblocks promptly
-                    try:
-                        while True:
-                            work.get_nowait()
-                    except queue.Empty:
-                        pass
-                    return
-
-        prod = threading.Thread(target=producer, name="table-producer")
-        prod.start()
-        with ThreadPoolExecutor(
-            max_workers=self.n_consumers, thread_name_prefix="dbscan"
-        ) as pool:
-            futures = [pool.submit(consumer) for _ in range(self.n_consumers)]
-            for f in futures:
-                f.result()
-        prod.join()
-        if errors:
-            raise errors[0]
-        assert all(o is not None for o in outcomes)
-        return PipelineResult(
-            outcomes=outcomes,  # type: ignore[arg-type]
-            total_s=time.perf_counter() - t_start,
-            pipelined=True,
-            mode="threads",
-        )
+        total_s = time.perf_counter() - t_start
+        if pipelined:
+            total_s = schedule_pipeline(
+                [o.build_s for o in outcomes],
+                [o.dbscan_s for o in outcomes],
+                self.n_consumers,
+                queue_depth=self.queue_depth,
+            ).makespan
+        return PipelineResult(outcomes=outcomes, total_s=total_s, pipelined=pipelined)

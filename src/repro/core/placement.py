@@ -35,16 +35,8 @@ answers:
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-
-from repro.core.sharding import (
-    PLACEMENT_STRATEGIES,
-    ShardLocalResult,
-    ShardPlan,
-    _first_per_key,
-)
-from repro.core.table_dbscan import NOISE, canonicalize_labels
+from repro.core.sharding import PLACEMENT_STRATEGIES, ShardLocalResult, ShardPlan
+from repro.core.table_dbscan import NOISE, components_labels
 
 __all__ = [
     "DevicePlacement",
@@ -341,10 +333,8 @@ class IncrementalMerger:
         (sorted) order."""
         self._finalized = True
         is_core = self._is_core
-        labels = np.full(self.n_points, NOISE, dtype=np.int64)
-        core_ids = np.flatnonzero(is_core)
-        if len(core_ids) == 0:
-            return labels
+        if not is_core.any():
+            return np.full(self.n_points, NOISE, dtype=np.int64)
 
         # the merge graph: local component edges + cross edges whose
         # halo endpoint is globally core
@@ -353,18 +343,6 @@ class IncrementalMerger:
             [lr.comp_edges for lr in locals_]
             + [lr.cross_edges[is_core[lr.cross_edges[:, 1]]] for lr in locals_]
         )
-        core_index = np.full(self.n_points, -1, dtype=np.int64)
-        core_index[core_ids] = np.arange(len(core_ids))
-        g = sparse.csr_matrix(
-            (
-                np.ones(len(edges), dtype=np.int8),
-                (core_index[edges[:, 0]], core_index[edges[:, 1]]),
-            ),
-            shape=(len(core_ids), len(core_ids)),
-        )
-        _, comp = csgraph.connected_components(g, directed=False)
-        labels[core_ids] = comp
-
         # border attachment: lowest-id core neighbor across ALL shards'
         # candidates (exact interior candidate + globally-core halo ones)
         att = np.concatenate(
@@ -374,7 +352,6 @@ class IncrementalMerger:
                 for lr in locals_
             ]
         )
-        if len(att):
-            u, v = _first_per_key(att[:, 0], att[:, 1])
-            labels[u] = labels[v]
-        return canonicalize_labels(labels)
+        return components_labels(
+            is_core, edges[:, 0], edges[:, 1], att[:, 0], att[:, 1]
+        )

@@ -96,7 +96,7 @@ from repro.core.batching import (
     RecoveryStats,
     build_neighbor_table,
 )
-from repro.core.table_dbscan import NOISE
+from repro.core.table_dbscan import NOISE, first_per_key
 from repro.gpusim.device import Device, DeviceSpec
 from repro.gpusim.faults import (
     FaultInjector,
@@ -505,14 +505,6 @@ class ShardLocalResult:
     stats: ShardStats
 
 
-def _first_per_key(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each unique ``src``, the minimum ``dst`` (vectorized)."""
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    first = np.concatenate(([True], src[1:] != src[:-1]))
-    return src[first], dst[first]
-
-
 def run_shard(
     plan: ShardPlan,
     shard: Shard,
@@ -665,7 +657,7 @@ def run_shard(
             # exact candidates among interior neighbors (core status known)
             bi = interior_core[bdst]
             if bi.any():
-                u, v = _first_per_key(ids[bsrc[bi]], ids[bdst[bi]])
+                u, v = first_per_key(ids[bsrc[bi]], ids[bdst[bi]])
                 border_interior = np.column_stack([u, v])
         # halo neighbors: core status resolved at merge
         bh = ~is_interior[bdst]
@@ -1166,7 +1158,7 @@ def cluster_sharded(
             shard_stats=[],
             placement=placement,
             exchange=collective_exchange(plan, placement),
-            device_schedule=schedule_devices([], [], n_devices=cfg.n_devices),
+            device_schedule=schedule_devices([], [], [], n_devices=cfg.n_devices),
         )
     plan = plan_shards(points, eps, config=cfg)
     base_spec = device_spec or DeviceSpec()

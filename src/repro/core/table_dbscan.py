@@ -3,10 +3,11 @@
 Algorithm 4 replaces the ``NeighborSearch(p, ε, I)`` calls of Algorithm 1
 with lookups into ``T``.  :func:`dbscan_from_table` computes the
 clustering as the connected components of the core-point graph (core
-points adjacent iff within ε) plus border attachment.  It is vectorized
-NumPy + SciPy sparse CSR, whose C kernels release the GIL —
-this is what makes the S2 pipeline and the S3 16-thread reuse scenario
-scale on a multicore host, the role OpenMP plays in the paper.
+points adjacent iff within ε) plus border attachment, in vectorized
+NumPy + SciPy sparse CSR.  That pass, :func:`components_labels`, also
+serves the sub-ε path (:func:`dbscan_from_annotated_table`) and the
+sharded halo merge (:class:`repro.core.placement.IncrementalMerger`),
+which differ only in how they collect edges.
 
 The same clustering is computed by union-find label kernels on the
 simulated device (:mod:`repro.core.device_cluster`), and by a faithful
@@ -37,6 +38,8 @@ __all__ = [
     "dbscan_from_annotated_table",
     "core_mask",
     "canonicalize_labels",
+    "components_labels",
+    "first_per_key",
 ]
 
 NOISE = -1
@@ -76,78 +79,70 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def dbscan_from_table(table: NeighborTable, minpts: int) -> np.ndarray:
-    """Connected-components DBSCAN over ``T`` (vectorized, GIL-releasing)."""
-    n = table.n_points
-    is_core = core_mask(table, minpts)
+def first_per_key(
+    keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each unique key, the minimum value (vectorized)."""
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    return keys[first], values[first]
+
+
+def components_labels(
+    is_core: np.ndarray,
+    core_src: np.ndarray,
+    core_dst: np.ndarray,
+    border_src: np.ndarray,
+    border_dst: np.ndarray,
+) -> np.ndarray:
+    """Labels from the core mask and its filtered ε-edges.
+
+    ``(core_src, core_dst)`` are the core–core edges and ``(border_src,
+    border_dst)`` the (non-core, core) edges.  Clusters are the
+    connected components of the core graph; a border point joins the
+    cluster of its lowest-id core neighbor (deterministic).
+    """
+    n = len(is_core)
     labels = np.full(n, NOISE, dtype=np.int64)
     core_ids = np.flatnonzero(is_core)
     if len(core_ids) == 0:
         return labels
-
-    # core–core edges: expand the table rows of core points, keep core targets
-    src, dst = table.edges_for(core_ids)
-    keep = is_core[dst]
-    src, dst = src[keep], dst[keep]
-
     # compress to core-only vertex ids
     core_index = np.full(n, -1, dtype=np.int64)
     core_index[core_ids] = np.arange(len(core_ids))
     g = sparse.csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (core_index[src], core_index[dst])),
-        shape=(len(core_ids), len(core_ids)),
-    )
-    n_comp, comp = csgraph.connected_components(g, directed=False)
-    labels[core_ids] = comp
-
-    # border points: non-core with at least one core neighbor; attach to
-    # the cluster of their lowest-id core neighbor (deterministic)
-    border_ids = np.flatnonzero(~is_core)
-    if len(border_ids):
-        bsrc, bdst = table.edges_for(border_ids)
-        bkeep = is_core[bdst]
-        bsrc, bdst = bsrc[bkeep], bdst[bkeep]
-        if len(bsrc):
-            # lowest-id core neighbor per border point (stable first hit
-            # after sorting by (border, core) pairs)
-            order = np.lexsort((bdst, bsrc))
-            bsrc, bdst = bsrc[order], bdst[order]
-            first = np.concatenate(([True], bsrc[1:] != bsrc[:-1]))
-            labels[bsrc[first]] = labels[bdst[first]]
-    return canonicalize_labels(labels)
-
-
-def _cluster_from_edges(
-    n: int, is_core: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Components + border attachment over an explicit edge list.
-
-    Shared by the sub-ε path (:func:`dbscan_from_annotated_table`),
-    which filters edges by distance before clustering.
-    """
-    labels = np.full(n, NOISE, dtype=np.int64)
-    core_ids = np.flatnonzero(is_core)
-    if len(core_ids) == 0:
-        return labels
-    cc = is_core[src] & is_core[dst]
-    csrc, cdst = src[cc], dst[cc]
-    core_index = np.full(n, -1, dtype=np.int64)
-    core_index[core_ids] = np.arange(len(core_ids))
-    g = sparse.csr_matrix(
-        (np.ones(len(csrc), dtype=np.int8), (core_index[csrc], core_index[cdst])),
+        (
+            np.ones(len(core_src), dtype=np.int8),
+            (core_index[core_src], core_index[core_dst]),
+        ),
         shape=(len(core_ids), len(core_ids)),
     )
     _, comp = csgraph.connected_components(g, directed=False)
     labels[core_ids] = comp
-
-    bc = (~is_core[src]) & is_core[dst]
-    bsrc, bdst = src[bc], dst[bc]
-    if len(bsrc):
-        order = np.lexsort((bdst, bsrc))
-        bsrc, bdst = bsrc[order], bdst[order]
-        first = np.concatenate(([True], bsrc[1:] != bsrc[:-1]))
-        labels[bsrc[first]] = labels[bdst[first]]
+    if len(border_src):
+        u, v = first_per_key(border_src, border_dst)
+        labels[u] = labels[v]
     return canonicalize_labels(labels)
+
+
+def dbscan_from_table(table: NeighborTable, minpts: int) -> np.ndarray:
+    """Connected-components DBSCAN over ``T`` (vectorized, GIL-releasing)."""
+    is_core = core_mask(table, minpts)
+    if not is_core.any():
+        # all noise: skip both table expansions
+        return np.full(table.n_points, NOISE, dtype=np.int64)
+
+    def edges_to_core(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # filtered before the next expansion is built, so two unfiltered
+        # edge lists never coexist (they dominate peak memory)
+        src, dst = table.edges_for(ids)
+        keep = is_core[dst]
+        return src[keep], dst[keep]
+
+    core_edges = edges_to_core(np.flatnonzero(is_core))
+    border_edges = edges_to_core(np.flatnonzero(~is_core))
+    return components_labels(is_core, *core_edges, *border_edges)
 
 
 def dbscan_from_annotated_table(
@@ -171,6 +166,8 @@ def dbscan_from_annotated_table(
     src, dst, pos = table.edges_with_positions()
     keep = table.distances[pos] <= eps
     src, dst = src[keep], dst[keep]
-    counts = np.bincount(src, minlength=table.n_points)
-    is_core = counts >= minpts
-    return _cluster_from_edges(table.n_points, is_core, src, dst)
+    is_core = np.bincount(src, minlength=table.n_points) >= minpts
+    from_core, to_core = is_core[src], is_core[dst]
+    cc = from_core & to_core
+    bc = ~from_core & to_core
+    return components_labels(is_core, src[cc], dst[cc], src[bc], dst[bc])

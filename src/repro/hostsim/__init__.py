@@ -2,32 +2,24 @@
 
 The paper's host is a 16-core Xeon running OpenMP threads; this
 execution environment may have as little as one core, so — exactly as
-the GPU is simulated by :mod:`repro.gpusim` — the host-side concurrency
-of scenarios S2 (producer/consumer pipeline) and S3 (16 threads sharing
-one neighbor table) is *modeled*: every task runs serially (producing
-real results and real per-task wall times), and the parallel makespan is
-computed by a deterministic list scheduler over ``n`` simulated cores.
-
-``mode="threads"`` remains available on the S2/S3 entry points for hosts
-with real cores.
+the GPU is simulated by :mod:`repro.gpusim` — host-side concurrency is
+*modeled*: every task runs once, serially (producing real results and
+real per-task wall times), and the measured times are replayed on
+:class:`WorkerPool`, one deterministic virtual clock.  Scenario S2's
+producer/consumer pipeline, S3's 16 threads sharing one neighbor table,
+the sharded executor's devices and the serving layer's workers are all
+bookings on it.
 """
 
 from repro.hostsim.multidevice import DeviceSchedule, schedule_devices
-from repro.hostsim.queueing import WorkerInterval, WorkerPool
-from repro.hostsim.scheduler import (
-    PipelineSchedule,
-    Schedule,
-    schedule_parallel,
-    schedule_pipeline,
-)
+from repro.hostsim.queueing import Interval, WorkerPool
+from repro.hostsim.scheduler import schedule_parallel, schedule_pipeline
 
 __all__ = [
     "schedule_parallel",
     "schedule_pipeline",
     "schedule_devices",
-    "Schedule",
-    "PipelineSchedule",
     "DeviceSchedule",
-    "WorkerInterval",
+    "Interval",
     "WorkerPool",
 ]

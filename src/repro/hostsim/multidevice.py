@@ -1,4 +1,4 @@
-"""Event-driven multi-device schedule for the sharded placement layer.
+"""Multi-device schedule for the sharded placement layer.
 
 :func:`schedule_parallel` models *interchangeable* workers pulling tasks
 from one queue; the placement layer needs the opposite: every task is
@@ -8,8 +8,8 @@ task's reduction output as it completes — the S2 producer/consumer
 overlap lifted to the shard level (N producers, one consumer, no
 barrier between the build phase and the merge phase).
 
-:func:`schedule_devices` replays that execution as a deterministic
-event simulation:
+:func:`schedule_devices` replays that execution as pinned bookings on
+the host's one virtual clock (:class:`WorkerPool`):
 
 * device ``d`` runs its assigned builds back to back, in list order,
   starting after the (optional) collective halo exchange;
@@ -28,16 +28,16 @@ the single-device sequential baseline — property-tested in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.hostsim.scheduler import TaskInterval
+from repro.hostsim.queueing import Interval, WorkerPool
 
 __all__ = ["DeviceSchedule", "schedule_devices"]
 
 
 @dataclass(frozen=True)
 class DeviceSchedule:
-    """Result of an event-driven multi-device schedule.
+    """Result of a multi-device schedule.
 
     ``build_intervals`` use ``worker`` for the device id; the
     ``merge_intervals`` all run on the single host merge worker.
@@ -49,21 +49,21 @@ class DeviceSchedule:
     exchange_s: float
     #: serial tail after the last merge increment (global finalize)
     finalize_s: float
-    build_intervals: tuple[TaskInterval, ...]
-    merge_intervals: tuple[TaskInterval, ...]
+    build_intervals: tuple[Interval, ...]
+    merge_intervals: tuple[Interval, ...]
 
     @property
     def build_makespan_s(self) -> float:
         """When the last device finishes its build queue."""
-        return max((iv.end_s for iv in self.build_intervals), default=self.exchange_s)
+        return max((iv.end for iv in self.build_intervals), default=self.exchange_s)
 
     @property
     def serial_s(self) -> float:
         """Total work if nothing overlapped (the sequential baseline)."""
         return (
             self.exchange_s
-            + sum(iv.end_s - iv.start_s for iv in self.build_intervals)
-            + sum(iv.end_s - iv.start_s for iv in self.merge_intervals)
+            + sum(iv.end - iv.start for iv in self.build_intervals)
+            + sum(iv.end - iv.start for iv in self.merge_intervals)
             + self.finalize_s
         )
 
@@ -76,83 +76,52 @@ class DeviceSchedule:
         """Build-phase device utilization (merge worker excluded)."""
         span = self.build_makespan_s - self.exchange_s
         denom = span * self.n_devices
-        busy = sum(iv.end_s - iv.start_s for iv in self.build_intervals)
+        busy = sum(iv.end - iv.start for iv in self.build_intervals)
         return busy / denom if denom else 1.0
 
     def device_busy_s(self, device: int) -> float:
         return sum(
-            iv.end_s - iv.start_s
-            for iv in self.build_intervals
-            if iv.worker == device
+            iv.end - iv.start for iv in self.build_intervals if iv.worker == device
         )
 
 
 def schedule_devices(
     build_durations: Sequence[float],
     device_of: Sequence[int],
-    merge_durations: Optional[Sequence[float]] = None,
+    merge_durations: Sequence[float],
     *,
-    n_devices: Optional[int] = None,
+    n_devices: int,
     exchange_s: float = 0.0,
     finalize_s: float = 0.0,
 ) -> DeviceSchedule:
     """Makespan of pinned device queues overlapped with incremental merge.
 
     ``build_durations[i]`` runs on device ``device_of[i]``; each device
-    executes its tasks in list order.  ``merge_durations[i]`` (default
-    all zero) is the host merge increment consuming task ``i``'s output,
-    processed by one work-conserving merge worker in completion order.
+    executes its tasks in list order.  ``merge_durations[i]`` is the
+    host merge increment consuming task ``i``'s output, processed by one
+    work-conserving merge worker in completion order.
     """
-    bs = [float(d) for d in build_durations]
-    if any(d < 0 for d in bs):
-        raise ValueError("build_durations must be non-negative")
-    devs = [int(d) for d in device_of]
-    if len(devs) != len(bs):
-        raise ValueError("device_of and build_durations must have equal length")
-    if merge_durations is None:
-        ms = [0.0] * len(bs)
-    else:
-        ms = [float(d) for d in merge_durations]
-    if len(ms) != len(bs):
-        raise ValueError("merge_durations and build_durations must have equal length")
-    if any(d < 0 for d in ms):
-        raise ValueError("merge_durations must be non-negative")
+    if not len(build_durations) == len(device_of) == len(merge_durations):
+        raise ValueError(
+            "build_durations, device_of and merge_durations must have equal length"
+        )
     if exchange_s < 0 or finalize_s < 0:
         raise ValueError("exchange_s and finalize_s must be non-negative")
-    if n_devices is None:
-        n_devices = max(devs, default=-1) + 1 or 1
-    if n_devices < 1:
-        raise ValueError("n_devices must be >= 1")
-    if any(d < 0 or d >= n_devices for d in devs):
-        raise ValueError("device ids must lie in [0, n_devices)")
 
-    # builds: each device's queue runs back to back after the exchange
-    clock = [float(exchange_s)] * n_devices
-    build: list[TaskInterval] = []
-    for i, (dur, d) in enumerate(zip(bs, devs, strict=True)):
-        start = clock[d]
-        end = start + dur
-        build.append(TaskInterval(task=i, worker=d, start_s=start, end_s=end))
-        clock[d] = end
+    devices = WorkerPool(n_devices)
+    for dur, d in zip(build_durations, device_of):
+        devices.commit(devices.peek_start(exchange_s, d), dur, worker=d)
 
-    # merge: one work-conserving host worker, completion order (FIFO)
-    ready = sorted(range(len(bs)), key=lambda i: (build[i].end_s, i))
-    t_merge = float(exchange_s)
-    merge: list[TaskInterval] = []
-    for i in ready:
-        start = max(t_merge, build[i].end_s)
-        end = start + ms[i]
-        merge.append(TaskInterval(task=i, worker=0, start_s=start, end_s=end))
-        t_merge = end
-    last = max(
-        [iv.end_s for iv in build] + [iv.end_s for iv in merge],
-        default=float(exchange_s),
-    )
+    merge = WorkerPool(1)
+    for b in sorted(devices.intervals, key=lambda iv: (iv.end, iv.task)):
+        merge.commit(merge.peek_start(b.end), merge_durations[b.task], task=b.task)
+
     return DeviceSchedule(
-        makespan_s=last + finalize_s,
-        n_devices=n_devices,
+        makespan_s=max(devices.makespan, merge.makespan, float(exchange_s))
+        + finalize_s,
+        n_devices=devices.n_workers,
         exchange_s=float(exchange_s),
         finalize_s=float(finalize_s),
-        build_intervals=tuple(build),
-        merge_intervals=tuple(merge),
+        build_intervals=tuple(devices.intervals),
+        merge_intervals=tuple(merge.intervals),
     )

@@ -1,36 +1,39 @@
-"""Virtual-clock worker pool for the long-lived serving layer.
+"""The one virtual clock of the simulated host.
 
-The batch schedulers in :mod:`repro.hostsim.scheduler` take a complete
-task list up front; a *service* admits requests one at a time, at
-arrival, and must answer "when could this start?" before deciding
-whether to run it at all (admission control, deadline fitting,
-degradation — :mod:`repro.service`).  :class:`WorkerPool` is the
-incremental counterpart: a min-heap of per-worker free instants on a
-virtual millisecond clock, advanced by modeled execution times — never
-by wall clock — so every serving decision is deterministic.
+Every host-side schedule is a series of bookings on
+:class:`WorkerPool`: identical workers whose free instants only
+bookings advance — never the wall clock — so every schedule is
+deterministic.  The batch schedulers (:mod:`repro.hostsim.scheduler`,
+:mod:`repro.hostsim.multidevice`) replay measured task times on pools;
+the serving layer (:mod:`repro.service`) books one request at a time,
+at arrival, with its modeled execution time.
 
 The two-phase API mirrors how admission works: ``peek_start`` quotes
-the earliest start for a request arriving *now* (the quote drives the
-deadline/degrade decision), and ``commit`` books the chosen duration
-onto the earliest-free worker.  Calls must alternate per decision, which
-is exactly the shape of the single-threaded event loop driving it.
+the earliest start for a task ready at ``now`` (the quote drives the
+service's deadline/degrade decision), and ``commit`` books the chosen
+duration — onto the earliest-free worker, or onto a named one for
+pinned work such as a shard placed on a device.  Calls alternate per
+decision, which is exactly the shape of the single-threaded loops
+driving them.  The clock has no unit: the batch schedulers book
+seconds, the service milliseconds.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import Optional
 
-__all__ = ["WorkerInterval", "WorkerPool"]
+__all__ = ["Interval", "WorkerPool"]
 
 
 @dataclass(frozen=True)
-class WorkerInterval:
-    """One committed busy interval (for utilization reporting)."""
+class Interval:
+    """One committed busy interval: ``task`` ran on ``worker``."""
 
+    task: int
     worker: int
-    start_ms: float
-    end_ms: float
+    start: float
+    end: float
 
 
 class WorkerPool:
@@ -40,51 +43,69 @@ class WorkerPool:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
-        self._free: list[tuple[float, int]] = [
-            (0.0, w) for w in range(self.n_workers)
-        ]
-        heapq.heapify(self._free)
-        self.intervals: list[WorkerInterval] = []
+        self._free = [0.0] * self.n_workers
+        self.intervals: list[Interval] = []
 
-    def peek_start(self, now_ms: float) -> float:
-        """Earliest instant a request arriving at ``now_ms`` could start."""
-        return max(float(now_ms), self._free[0][0])
+    def _pick(self, worker: Optional[int]) -> int:
+        if worker is None:
+            # the earliest-free worker; ties go to the lowest id
+            return min(range(self.n_workers), key=self._free.__getitem__)
+        if not 0 <= worker < self.n_workers:
+            raise ValueError(f"worker {worker} is not in [0, {self.n_workers})")
+        return int(worker)
 
-    def commit(self, start_ms: float, duration_ms: float) -> int:
-        """Book ``duration_ms`` on the earliest-free worker; returns its id.
+    def peek_start(self, now: float, worker: Optional[int] = None) -> float:
+        """Earliest instant a task ready at ``now`` could start, on
+        ``worker`` if given, else on the earliest-free worker."""
+        return max(float(now), self._free[self._pick(worker)])
 
-        ``start_ms`` must be at least the quoted :meth:`peek_start` for
-        the same decision (the pool cannot travel back in time).
+    def commit(
+        self,
+        start: float,
+        duration: float,
+        *,
+        worker: Optional[int] = None,
+        task: Optional[int] = None,
+    ) -> int:
+        """Book ``duration`` from ``start``; returns the worker's id.
+
+        The booking goes to ``worker`` if given, else to the
+        earliest-free worker.  ``task`` names the interval (default: the
+        booking's index).  ``start`` must be at least the quoted
+        :meth:`peek_start` for the same decision (the pool cannot travel
+        back in time).
         """
-        if duration_ms < 0:
-            raise ValueError("duration_ms must be non-negative")
-        free_ms, worker = self._free[0]
-        if start_ms < free_ms:
+        if duration < 0:
+            raise ValueError("duration must be non-negative")
+        w = self._pick(worker)
+        if start < self._free[w]:
             raise ValueError(
-                f"start {start_ms} predates worker {worker}'s free instant {free_ms}"
+                f"start {start} predates worker {w}'s free instant {self._free[w]}"
             )
-        heapq.heapreplace(self._free, (float(start_ms) + float(duration_ms), worker))
+        end = float(start) + float(duration)
+        self._free[w] = end
         self.intervals.append(
-            WorkerInterval(
-                worker=worker,
-                start_ms=float(start_ms),
-                end_ms=float(start_ms) + float(duration_ms),
+            Interval(
+                task=len(self.intervals) if task is None else task,
+                worker=w,
+                start=float(start),
+                end=end,
             )
         )
-        return worker
+        return w
 
     @property
-    def busy_ms(self) -> float:
+    def busy(self) -> float:
         """Total committed busy time across workers."""
-        return sum(iv.end_ms - iv.start_ms for iv in self.intervals)
+        return sum(iv.end - iv.start for iv in self.intervals)
 
     @property
-    def makespan_ms(self) -> float:
+    def makespan(self) -> float:
         """Last committed end instant (0 with nothing committed)."""
-        return max((iv.end_ms for iv in self.intervals), default=0.0)
+        return max((iv.end for iv in self.intervals), default=0.0)
 
     @property
     def utilization(self) -> float:
         """Busy fraction of ``n_workers`` x makespan (1.0 when idle)."""
-        denom = self.makespan_ms * self.n_workers
-        return self.busy_ms / denom if denom else 1.0
+        denom = self.makespan * self.n_workers
+        return self.busy / denom if denom else 1.0

@@ -1,117 +1,38 @@
-"""Deterministic task schedulers for the simulated multicore host.
+"""The S2 and S3 host schedules, as bookings on :class:`WorkerPool`.
 
 Two shapes cover the paper's host-side concurrency:
 
-* :func:`schedule_parallel` — ``n`` identical workers pull tasks in
+* :func:`schedule_parallel` — ``n`` identical workers take tasks in
   order as they become free (OpenMP dynamic-schedule analogue).  Used
   for S3: 16 threads clustering different minpts values from one ``T``.
 * :func:`schedule_pipeline` — one producer emits items one after
-  another; ``n`` consumers process each item as it becomes ready.  Used
+  another; ``n`` consumers process each item once it is produced.  Used
   for S2: the table producer feeds DBSCAN consumers.
 
-Both return full per-task intervals so benches can report utilization,
-not just the makespan.
+Both return the booked pool, so benches can report utilization and
+every interval, not just the makespan.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["Schedule", "PipelineSchedule", "schedule_parallel", "schedule_pipeline"]
+from repro.hostsim.queueing import WorkerPool
+
+__all__ = ["schedule_parallel", "schedule_pipeline"]
 
 
-@dataclass(frozen=True)
-class TaskInterval:
-    task: int
-    worker: int
-    start_s: float
-    end_s: float
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Result of a parallel schedule."""
-
-    makespan_s: float
-    n_workers: int
-    intervals: tuple[TaskInterval, ...]
-
-    @property
-    def serial_s(self) -> float:
-        return sum(t.end_s - t.start_s for t in self.intervals)
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_s / self.makespan_s if self.makespan_s else 1.0
-
-    @property
-    def utilization(self) -> float:
-        denom = self.makespan_s * self.n_workers
-        return self.serial_s / denom if denom else 1.0
-
-
-@dataclass(frozen=True)
-class PipelineSchedule:
-    """Result of a producer/consumer pipeline schedule."""
-
-    makespan_s: float
-    n_consumers: int
-    produce_end_s: tuple[float, ...]
-    consume_intervals: tuple[TaskInterval, ...]
-
-    @property
-    def producer_busy_s(self) -> float:
-        return self.produce_end_s[-1] if self.produce_end_s else 0.0
-
-    @property
-    def serial_s(self) -> float:
-        """Total if nothing overlapped (the non-pipelined execution)."""
-        return self.producer_busy_s + sum(
-            t.end_s - t.start_s for t in self.consume_intervals
-        )
-
-    @property
-    def speedup_vs_serial(self) -> float:
-        return self.serial_s / self.makespan_s if self.makespan_s else 1.0
-
-
-def _validate(durations: Sequence[float], name: str) -> list[float]:
-    out = [float(d) for d in durations]
-    if any(d < 0 for d in out):
-        raise ValueError(f"{name} must be non-negative")
-    return out
-
-
-def schedule_parallel(
-    durations: Sequence[float],
-    n_workers: int,
-    *,
-    per_task_overhead_s: float = 0.0,
-) -> Schedule:
+def schedule_parallel(durations: Sequence[float], n_workers: int) -> WorkerPool:
     """Greedy in-order dispatch of tasks onto ``n_workers`` cores.
 
     Tasks are dispatched in list order to the earliest-free worker —
-    the behaviour of an OpenMP dynamic-schedule loop (and of a
-    ``ThreadPoolExecutor.map``), which is how the paper runs the 16
-    concurrent DBSCAN variants of scenario S3.
+    the behaviour of an OpenMP dynamic-schedule loop, which is how the
+    paper runs the 16 concurrent DBSCAN variants of scenario S3.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    ds = _validate(durations, "durations")
-    free: list[tuple[float, int]] = [(0.0, w) for w in range(n_workers)]
-    heapq.heapify(free)
-    intervals: list[TaskInterval] = []
-    for i, d in enumerate(ds):
-        t, w = heapq.heappop(free)
-        end = t + per_task_overhead_s + d
-        intervals.append(TaskInterval(task=i, worker=w, start_s=t, end_s=end))
-        heapq.heappush(free, (end, w))
-    makespan = max((iv.end_s for iv in intervals), default=0.0)
-    return Schedule(
-        makespan_s=makespan, n_workers=n_workers, intervals=tuple(intervals)
-    )
+    pool = WorkerPool(n_workers)
+    for d in durations:
+        pool.commit(pool.peek_start(0.0), d)
+    return pool
 
 
 def schedule_pipeline(
@@ -119,52 +40,30 @@ def schedule_pipeline(
     consume_durations: Sequence[float],
     n_consumers: int,
     *,
-    queue_depth: int | None = None,
-) -> PipelineSchedule:
-    """Makespan of a single-producer, ``n_consumers``-consumer pipeline.
+    queue_depth: int,
+) -> WorkerPool:
+    """The consumers of a single-producer, ``n_consumers``-consumer pipeline.
 
-    Item ``i`` becomes ready when the producer finishes it (the producer
-    works strictly in order); each consumer processes one item at a
-    time.  With a bounded ``queue_depth`` the producer stalls when that
-    many finished items await consumption — matching the bounded queue
-    of :class:`repro.core.pipeline.MultiClusterPipeline`.
+    The producer makes item ``i`` strictly after item ``i - 1``; the
+    earliest-free consumer takes it once it is made.  The producer
+    stalls while ``queue_depth`` finished items await consumption —
+    the bounded queue of :class:`repro.core.pipeline.MultiClusterPipeline`.
+    Every item is consumed after it is produced, so the returned
+    consumers' makespan is the pipeline's.
     """
-    if n_consumers < 1:
-        raise ValueError("n_consumers must be >= 1")
-    if queue_depth is not None and queue_depth < 1:
+    if queue_depth < 1:
         # depth 0 would mean "item i may only be produced once item i has
-        # started consumption" — a deadlock (and an IndexError below,
-        # since intervals[i] does not exist before item i is produced)
-        raise ValueError("queue_depth must be >= 1 (or None for unbounded)")
-    ps = _validate(produce_durations, "produce_durations")
-    cs = _validate(consume_durations, "consume_durations")
-    if len(ps) != len(cs):
+        # started consumption" — a deadlock
+        raise ValueError("queue_depth must be >= 1")
+    if len(produce_durations) != len(consume_durations):
         raise ValueError("produce and consume lists must have equal length")
-
-    free: list[tuple[float, int]] = [(0.0, w) for w in range(n_consumers)]
-    heapq.heapify(free)
-    produce_end: list[float] = []
-    intervals: list[TaskInterval] = []
-    consume_start_bound = 0.0  # for queue-depth stalling
-    t_prod = 0.0
-    for i, (p, c) in enumerate(zip(ps, cs, strict=True)):
-        # queue-depth back-pressure: item i can only be produced once
-        # item i - queue_depth has started consumption
-        if queue_depth is not None and i >= queue_depth:
-            t_prod = max(t_prod, intervals[i - queue_depth].start_s)
-        t_prod += p
-        produce_end.append(t_prod)
-        t, w = heapq.heappop(free)
-        start = max(t, t_prod)
-        end = start + c
-        intervals.append(TaskInterval(task=i, worker=w, start_s=start, end_s=end))
-        heapq.heappush(free, (end, w))
-    makespan = max(
-        [iv.end_s for iv in intervals] + produce_end, default=0.0
-    )
-    return PipelineSchedule(
-        makespan_s=makespan,
-        n_consumers=n_consumers,
-        produce_end_s=tuple(produce_end),
-        consume_intervals=tuple(intervals),
-    )
+    producer = WorkerPool(1)
+    consumers = WorkerPool(n_consumers)
+    for i, (p, c) in enumerate(zip(produce_durations, consume_durations)):
+        # back-pressure: item i can only be produced once item
+        # i - queue_depth has started consumption
+        slot = consumers.intervals[i - queue_depth].start if i >= queue_depth else 0.0
+        producer.commit(producer.peek_start(slot), p)
+        made = producer.intervals[-1].end
+        consumers.commit(consumers.peek_start(made), c)
+    return consumers

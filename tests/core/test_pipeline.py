@@ -1,7 +1,5 @@
 """Tests for the S2 multi-clustering pipeline."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -15,11 +13,10 @@ def variants():
 
 
 class TestOutcomes:
-    @pytest.mark.parametrize("mode", ["simulate", "threads"])
-    def test_pipelined_equals_sequential(self, blobs_points, variants, mode):
+    def test_pipelined_equals_sequential(self, blobs_points, variants):
         pipe = MultiClusterPipeline(keep_labels=True)
         seq = pipe.run(blobs_points, variants, pipelined=False)
-        par = pipe.run(blobs_points, variants, pipelined=True, mode=mode)
+        par = pipe.run(blobs_points, variants, pipelined=True)
         assert len(seq.outcomes) == len(par.outcomes) == len(variants)
         for a, b in zip(seq.outcomes, par.outcomes, strict=True):
             assert a.variant == b.variant
@@ -77,35 +74,5 @@ class TestConfiguration:
 
     def test_producer_error_propagates(self, variants):
         bad_points = np.full((10, 2), np.nan)
-        for mode in ("simulate", "threads"):
-            with pytest.raises(ValueError):
-                MultiClusterPipeline().run(bad_points, variants, mode=mode)
-
-    def test_consumer_error_propagates_without_deadlock(self, blobs_points):
-        """Regression: a consumer that raised used to leave the producer
-        blocked forever on the bounded work queue."""
-        variants = VariantSet.eps_sweep(
-            [0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55], minpts=4
-        )
-        pipe = MultiClusterPipeline(n_consumers=2, queue_depth=1)
-
-        def boom(*a, **kw):
-            raise RuntimeError("injected consumer failure")
-
-        pipe.hybrid.cluster_table = boom
-        caught: list[BaseException] = []
-
-        def run():
-            try:
-                pipe.run(blobs_points, variants, pipelined=True, mode="threads")
-            except BaseException as exc:
-                caught.append(exc)
-
-        t = threading.Thread(target=run, daemon=True)
-        t.start()
-        t.join(timeout=30)
-        if t.is_alive():
-            pytest.fail("pipeline deadlocked after consumer exception")
-        assert len(caught) == 1
-        assert isinstance(caught[0], RuntimeError)
-        assert "injected consumer failure" in str(caught[0])
+        with pytest.raises(ValueError):
+            MultiClusterPipeline().run(bad_points, variants)

@@ -225,8 +225,8 @@ class TestMultiDeviceExecutor:
         base = one.device_schedule.makespan_s
         for k in (2, 3):
             devs = [i % k for i in range(len(durations))]
-            s = schedule_devices(durations, devs, n_devices=k,
-                                 finalize_s=one.merge_s)
+            s = schedule_devices(durations, devs, [0.0] * len(durations),
+                                 n_devices=k, finalize_s=one.merge_s)
             assert s.makespan_s <= base + 1e-9
 
     def test_device_lost_reschedules_onto_survivors(self, blobs_points):
@@ -419,6 +419,6 @@ class TestMakespanAccounting:
         assert len(builds) == len(res.events)
         assert len(res.events) > len(res.shard_stats)
         # the schedule's total busy time includes the wasted attempts
-        busy = sum(iv.end_s - iv.start_s for iv in builds)
+        busy = sum(iv.end - iv.start for iv in builds)
         assert busy == pytest.approx(sum(e.shard_s for e in res.events))
         assert busy > sum(s.shard_s for s in res.shard_stats)

@@ -23,8 +23,7 @@ class TestCorrectness:
             blobs_points, 0.5, minpts_values, n_threads=1, keep_labels=True
         )
         threaded = cluster_with_reuse(
-            blobs_points, 0.5, minpts_values, n_threads=4, keep_labels=True,
-            mode="threads",
+            blobs_points, 0.5, minpts_values, n_threads=4, keep_labels=True
         )
         for a, b in zip(serial.outcomes, threaded.outcomes, strict=True):
             assert a.minpts == b.minpts
@@ -59,6 +58,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             cluster_with_reuse(blobs_points, 0.5, [])
 
+    @pytest.mark.parametrize(
+        "eps, minpts_values",
+        [(0.5, [4, 0]), (0.15, [2.5])],
+        ids=["below-one", "fractional"],
+    )
+    def test_bad_minpts_rejected_before_build(self, device, eps, minpts_values):
+        """A minpts below 1, or a fractional one (2.5 would cluster as
+        3 but report 2), fails before any kernel launches."""
+        pts = np.random.default_rng(0).uniform(0, 10, size=(2000, 2))
+        with pytest.raises(ValueError, match="minpts"):
+            cluster_with_reuse(
+                pts, eps, minpts_values, hybrid=HybridDBSCAN(device)
+            )
+        assert device.profiler.kernels == []
+
     def test_timings(self, blobs_points):
         res = cluster_with_reuse(blobs_points, 0.5, [4, 8], n_threads=2)
         assert res.build_s > 0
@@ -67,8 +81,8 @@ class TestValidation:
 
 
 class TestThreadsModeFailureCapture:
-    """A poisoned variant must not take down the surviving threads'
-    results (mode="threads"); simulate mode stays strict."""
+    """A raising variant propagates: every variant runs on the one
+    serial path, so no failure is swallowed."""
 
     def _poisoned_hybrid(self, monkeypatch, bad_minpts):
         h = HybridDBSCAN()
@@ -82,44 +96,9 @@ class TestThreadsModeFailureCapture:
         monkeypatch.setattr(h, "cluster_table", cluster_table)
         return h
 
-    def test_survivors_returned_with_typed_error(
-        self, monkeypatch, blobs_points
-    ):
-        from repro.core import ReuseVariantError
-
-        h = self._poisoned_hybrid(monkeypatch, bad_minpts=4)
-        res = cluster_with_reuse(
-            blobs_points, 0.5, [2, 4, 8], n_threads=3, mode="threads",
-            keep_labels=True, hybrid=h,
-        )
-        assert res.failed_minpts == [4]
-        by_minpts = {o.minpts: o for o in res.outcomes}
-        bad = by_minpts[4]
-        assert not bad.ok
-        assert isinstance(bad.error, ReuseVariantError)
-        assert bad.error.minpts == 4
-        assert isinstance(bad.error.cause, RuntimeError)
-        assert bad.labels is None and bad.n_clusters == 0
-        # survivors match independent fits
-        for m in (2, 8):
-            assert by_minpts[m].ok
-            fit = HybridDBSCAN().fit(blobs_points, 0.5, m)
-            np.testing.assert_array_equal(by_minpts[m].labels, fit.labels)
-
-    def test_single_thread_threads_mode_also_captures(
-        self, monkeypatch, blobs_points
-    ):
-        h = self._poisoned_hybrid(monkeypatch, bad_minpts=2)
-        res = cluster_with_reuse(
-            blobs_points, 0.5, [2, 4], n_threads=1, mode="threads", hybrid=h
-        )
-        assert res.failed_minpts == [2]
-        assert res.outcomes[1].ok
-
     def test_simulate_mode_stays_strict(self, monkeypatch, blobs_points):
         h = self._poisoned_hybrid(monkeypatch, bad_minpts=4)
         with pytest.raises(RuntimeError, match="poisoned"):
             cluster_with_reuse(
-                blobs_points, 0.5, [2, 4, 8], n_threads=3, mode="simulate",
-                hybrid=h,
+                blobs_points, 0.5, [2, 4, 8], n_threads=3, hybrid=h
             )

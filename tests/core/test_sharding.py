@@ -197,7 +197,7 @@ class TestOutOfCore:
         ds = res.device_schedule
         total = sum(s.shard_s for s in res.shard_stats)
         longest = max(s.shard_s for s in res.shard_stats)
-        busy = sum(iv.end_s - iv.start_s for iv in ds.build_intervals)
+        busy = sum(iv.end - iv.start for iv in ds.build_intervals)
         assert busy == pytest.approx(total)
         assert longest <= res.makespan_s <= ds.serial_s + 1e-9
         d = res.shard_stats[0].as_dict()

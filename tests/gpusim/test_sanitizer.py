@@ -4,8 +4,8 @@ Each test constructs a known-bad program — a cross-stream race, a
 double-free, a result-buffer overflow, a skipped block barrier — and
 asserts the sanitizer raises the *right* structured error.  The
 no-false-positive tests at the bottom run the full batched hybrid
-pipeline (3 streams) and the threads-mode multi-variant pipeline under
-``sanitize=True`` and require a clean report.
+pipeline (3 streams) under ``sanitize=True`` and require a clean
+report.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.batching import BatchConfig
 from repro.core.hybrid_dbscan import HybridDBSCAN
-from repro.core.pipeline import MultiClusterPipeline, VariantSet
 from repro.gpusim import (
     Device,
     DoubleFreeError,
@@ -292,14 +291,6 @@ class TestNoFalsePositives:
         res = h.fit(_blobs(60), eps=0.5, minpts=4)
         assert res.n_clusters >= 1
         assert h.device.close().clean
-
-    def test_threads_pipeline_clean(self):
-        """Producer/consumer threads mode under the sanitizer."""
-        pipe = MultiClusterPipeline(sanitize=True, n_consumers=2)
-        variants = VariantSet.eps_sweep([0.4, 0.6], minpts=4)
-        result = pipe.run(_blobs(300), variants, mode="threads")
-        assert len(result.outcomes) == 2
-        assert pipe.hybrid.device.close().clean
 
     def test_fault_recovery_clean(self):
         """Overflow-triggered split/regrow recovery must not trip the

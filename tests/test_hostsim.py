@@ -14,32 +14,27 @@ durations_strategy = st.lists(
 class TestScheduleParallel:
     def test_single_worker_is_serial(self):
         s = schedule_parallel([1.0, 2.0, 3.0], 1)
-        assert s.makespan_s == 6.0
-        assert s.speedup == 1.0
+        assert s.makespan == s.busy == 6.0
 
     def test_perfect_split(self):
         s = schedule_parallel([1.0] * 8, 4)
-        assert s.makespan_s == 2.0
-        assert s.speedup == 4.0
+        assert s.makespan == 2.0
+        assert s.busy / s.makespan == 4.0
 
     def test_imbalanced_tail(self):
         # one long task dominates regardless of worker count
         s = schedule_parallel([10.0, 1.0, 1.0], 16)
-        assert s.makespan_s == 10.0
+        assert s.makespan == 10.0
 
     def test_in_order_dispatch(self):
         s = schedule_parallel([5.0, 1.0, 1.0], 2)
         # task 0 on w0; tasks 1, 2 share w1 -> makespan 5
-        assert s.makespan_s == 5.0
+        assert s.makespan == 5.0
         by_task = {iv.task: iv for iv in s.intervals}
-        assert by_task[2].start_s == pytest.approx(1.0)
+        assert by_task[2].start == pytest.approx(1.0)
 
     def test_empty(self):
-        assert schedule_parallel([], 4).makespan_s == 0.0
-
-    def test_per_task_overhead(self):
-        s = schedule_parallel([1.0, 1.0], 2, per_task_overhead_s=0.5)
-        assert s.makespan_s == 1.5
+        assert schedule_parallel([], 4).makespan == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -59,16 +54,16 @@ class TestScheduleParallel:
         s = schedule_parallel(ds, n)
         serial = sum(ds)
         longest = max(ds, default=0.0)
-        assert s.makespan_s <= serial + 1e-9
-        assert s.makespan_s >= serial / n - 1e-9
-        assert s.makespan_s >= longest - 1e-9
+        assert s.makespan <= serial + 1e-9
+        assert s.makespan >= serial / n - 1e-9
+        assert s.makespan >= longest - 1e-9
 
     @given(durations_strategy)
     @settings(max_examples=40)
     def test_property_more_workers_never_slower(self, ds):
         prev = None
         for n in (1, 2, 4, 8):
-            m = schedule_parallel(ds, n).makespan_s
+            m = schedule_parallel(ds, n).makespan
             if prev is not None:
                 assert m <= prev + 1e-9
             prev = m
@@ -76,45 +71,46 @@ class TestScheduleParallel:
 
 class TestSchedulePipeline:
     def test_no_overlap_single_item(self):
-        s = schedule_pipeline([2.0], [3.0], 1)
-        assert s.makespan_s == 5.0
+        s = schedule_pipeline([2.0], [3.0], 1, queue_depth=1)
+        assert s.makespan == 5.0
 
     def test_full_overlap_balanced(self):
         """With equal produce/consume costs, the steady state hides all
         but the pipeline fill — the paper's S2 design point."""
         n = 10
-        s = schedule_pipeline([1.0] * n, [1.0] * n, 1)
-        assert s.makespan_s == pytest.approx(n + 1.0)
-        assert s.speedup_vs_serial == pytest.approx(2 * n / (n + 1.0))
+        s = schedule_pipeline([1.0] * n, [1.0] * n, 1, queue_depth=n)
+        assert s.makespan == pytest.approx(n + 1.0)
 
     def test_producer_bound(self):
-        s = schedule_pipeline([2.0] * 5, [0.1] * 5, 3)
-        assert s.makespan_s == pytest.approx(10.0 + 0.1)
+        s = schedule_pipeline([2.0] * 5, [0.1] * 5, 3, queue_depth=5)
+        assert s.makespan == pytest.approx(10.0 + 0.1)
 
     def test_consumer_bound_extra_consumers_help(self):
-        slow = schedule_pipeline([0.1] * 6, [3.0] * 6, 1)
-        fast = schedule_pipeline([0.1] * 6, [3.0] * 6, 3)
-        assert fast.makespan_s < slow.makespan_s
+        slow = schedule_pipeline([0.1] * 6, [3.0] * 6, 1, queue_depth=6)
+        fast = schedule_pipeline([0.1] * 6, [3.0] * 6, 3, queue_depth=6)
+        assert fast.makespan < slow.makespan
 
     def test_queue_depth_backpressure(self):
-        """A bounded queue stalls the producer when consumers lag."""
-        free = schedule_pipeline([0.1] * 10, [5.0] * 10, 1, queue_depth=None)
-        bounded = schedule_pipeline([0.1] * 10, [5.0] * 10, 1, queue_depth=2)
-        # same makespan here (consumer-bound) but the producer finishes
-        # later under back-pressure
-        assert bounded.produce_end_s[-1] > free.produce_end_s[-1]
+        """A bounded queue stalls the producer when consumers lag: at
+        depth 1 the slow last build cannot start until item 1 is taken
+        at 5.1, so it ends at 11.1 instead of 6.2."""
+        ps, cs = [0.1, 0.1, 6.0], [5.0, 5.0, 0.1]
+        free = schedule_pipeline(ps, cs, 1, queue_depth=3)
+        bounded = schedule_pipeline(ps, cs, 1, queue_depth=1)
+        assert free.makespan == pytest.approx(10.2)
+        assert bounded.makespan == pytest.approx(11.2)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            schedule_pipeline([1.0], [1.0, 2.0], 1)
+            schedule_pipeline([1.0], [1.0, 2.0], 1, queue_depth=1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            schedule_pipeline([1.0], [1.0], 0)
+            schedule_pipeline([1.0], [1.0], 0, queue_depth=1)
 
     def test_queue_depth_zero_rejected(self):
-        # regression: depth 0 used to index intervals[i] before item i
-        # existed (IndexError) — it is a deadlock, not a valid depth
+        # depth 0 would index the consumer intervals before item i
+        # exists — it is a deadlock, not a valid depth
         with pytest.raises(ValueError, match="queue_depth"):
             schedule_pipeline([1.0, 1.0], [1.0, 1.0], 1, queue_depth=0)
         with pytest.raises(ValueError, match="queue_depth"):
@@ -127,24 +123,24 @@ class TestSchedulePipeline:
             MultiClusterPipeline(queue_depth=0)
 
     def test_empty(self):
-        assert schedule_pipeline([], [], 2).makespan_s == 0.0
+        assert schedule_pipeline([], [], 2, queue_depth=1).makespan == 0.0
 
     @given(
         st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=25),
         st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=25),
         st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=30),
     )
     @settings(max_examples=60)
-    def test_property_bounds(self, ps, cs, n):
+    def test_property_bounds(self, ps, cs, n, depth):
         k = min(len(ps), len(cs))
         ps, cs = ps[:k], cs[:k]
-        s = schedule_pipeline(ps, cs, n)
+        s = schedule_pipeline(ps, cs, n, queue_depth=depth)
         serial = sum(ps) + sum(cs)
-        assert s.makespan_s <= serial + 1e-9
+        assert s.makespan <= serial + 1e-9
         # cannot beat either resource's total demand
-        assert s.makespan_s >= sum(ps) - 1e-9
-        assert s.makespan_s >= sum(cs) / n - 1e-9
-        assert s.speedup_vs_serial >= 1.0 - 1e-9
+        assert s.makespan >= sum(ps) - 1e-9
+        assert s.makespan >= sum(cs) / n - 1e-9
 
 
 def _intervals_disjoint(ivs):
@@ -153,9 +149,9 @@ def _intervals_disjoint(ivs):
     for iv in ivs:
         by_worker.setdefault(iv.worker, []).append(iv)
     for group in by_worker.values():
-        group.sort(key=lambda iv: iv.start_s)
+        group.sort(key=lambda iv: iv.start)
         for a, b in zip(group, group[1:]):
-            if a.end_s > b.start_s + 1e-9:
+            if a.end > b.start + 1e-9:
                 return False
     return True
 
@@ -171,52 +167,54 @@ devices_case = st.lists(
 
 class TestScheduleDevices:
     def test_single_device_is_serial(self):
-        s = schedule_devices([1.0, 2.0, 3.0], [0, 0, 0], [0.5, 0.5, 0.5])
+        s = schedule_devices(
+            [1.0, 2.0, 3.0], [0, 0, 0], [0.5, 0.5, 0.5], n_devices=1
+        )
         # builds back to back; merge increments hide behind later builds
         # except the last one
         assert s.build_makespan_s == 6.0
         assert s.makespan_s == pytest.approx(6.5)
 
     def test_two_devices_overlap(self):
-        s = schedule_devices([2.0, 2.0], [0, 1])
+        s = schedule_devices([2.0, 2.0], [0, 1], [0.0, 0.0], n_devices=2)
         assert s.makespan_s == pytest.approx(2.0)
         assert s.device_busy_s(0) == pytest.approx(2.0)
         assert s.device_busy_s(1) == pytest.approx(2.0)
 
     def test_merge_worker_is_serial_and_fifo(self):
-        s = schedule_devices([1.0, 2.0], [0, 1], [5.0, 5.0])
+        s = schedule_devices([1.0, 2.0], [0, 1], [5.0, 5.0], n_devices=2)
         by_task = {iv.task: iv for iv in s.merge_intervals}
-        assert by_task[0].start_s == pytest.approx(1.0)
+        assert by_task[0].start == pytest.approx(1.0)
         # task 1's merge waits for the single merge worker, not just
         # its own build
-        assert by_task[1].start_s == pytest.approx(6.0)
+        assert by_task[1].start == pytest.approx(6.0)
         assert s.makespan_s == pytest.approx(11.0)
 
     def test_exchange_prefix_and_finalize_tail(self):
         s = schedule_devices(
-            [1.0], [0], [1.0], exchange_s=0.5, finalize_s=0.25
+            [1.0], [0], [1.0], n_devices=1, exchange_s=0.5, finalize_s=0.25
         )
-        assert s.build_intervals[0].start_s == pytest.approx(0.5)
+        assert s.build_intervals[0].start == pytest.approx(0.5)
         assert s.makespan_s == pytest.approx(0.5 + 1.0 + 1.0 + 0.25)
 
     def test_empty(self):
-        s = schedule_devices([], [], n_devices=3)
+        s = schedule_devices([], [], [], n_devices=3)
         assert s.makespan_s == 0.0
         assert s.serial_s == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            schedule_devices([1.0], [0], n_devices=0)
+            schedule_devices([1.0], [0], [0.0], n_devices=0)
         with pytest.raises(ValueError):
-            schedule_devices([1.0], [2], n_devices=2)
+            schedule_devices([1.0], [2], [0.0], n_devices=2)
         with pytest.raises(ValueError):
-            schedule_devices([-1.0], [0])
+            schedule_devices([-1.0], [0], [0.0], n_devices=1)
         with pytest.raises(ValueError):
-            schedule_devices([1.0], [0, 1])
+            schedule_devices([1.0], [0, 1], [0.0], n_devices=2)
         with pytest.raises(ValueError):
-            schedule_devices([1.0], [0], [1.0, 2.0])
+            schedule_devices([1.0], [0], [1.0, 2.0], n_devices=1)
         with pytest.raises(ValueError):
-            schedule_devices([1.0], [0], exchange_s=-1.0)
+            schedule_devices([1.0], [0], [0.0], n_devices=1, exchange_s=-1.0)
 
     @given(devices_case, st.integers(min_value=1, max_value=6))
     @settings(max_examples=80)
@@ -232,9 +230,9 @@ class TestScheduleDevices:
         assert _intervals_disjoint(s.build_intervals)
         assert _intervals_disjoint(s.merge_intervals)
         # every merge starts at/after its build completes
-        ends = {iv.task: iv.end_s for iv in s.build_intervals}
+        ends = {iv.task: iv.end for iv in s.build_intervals}
         for iv in s.merge_intervals:
-            assert iv.start_s >= ends[iv.task] - 1e-9
+            assert iv.start >= ends[iv.task] - 1e-9
 
     @given(devices_case, st.integers(min_value=2, max_value=6))
     @settings(max_examples=60)
@@ -267,6 +265,43 @@ class TestScheduleDevices:
         assert s.makespan_s >= sum(merges) - 1e-9
 
 
+class TestSchedulerAgreement:
+    """The three schedulers are bookings on one clock, so their special
+    cases must coincide."""
+
+    @given(
+        durations_strategy,
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=60)
+    def test_pipeline_without_production_is_parallel(self, cs, n, extra):
+        # nothing to produce and a queue deep enough to never stall
+        pipe = schedule_pipeline(
+            [0.0] * len(cs), cs, n, queue_depth=max(1, len(cs) + extra)
+        )
+        par = schedule_parallel(cs, n)
+        assert pipe.makespan == par.makespan
+        assert pipe.intervals == par.intervals
+
+    @given(
+        durations_strategy,
+        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    )
+    @settings(max_examples=60)
+    def test_one_device_without_merges_is_serial(self, builds, xs, fs):
+        s = schedule_devices(
+            builds,
+            [0] * len(builds),
+            [0.0] * len(builds),
+            n_devices=1,
+            exchange_s=xs,
+            finalize_s=fs,
+        )
+        assert s.makespan_s == pytest.approx(xs + sum(builds) + fs)
+
+
 class TestEndToEndModes:
     def test_reuse_simulate_speedup_monotone(self, blobs_points):
         from repro.core import cluster_with_reuse
@@ -276,16 +311,9 @@ class TestEndToEndModes:
             r = cluster_with_reuse(
                 blobs_points, 0.5, list(range(2, 18)), n_threads=nt
             )
-            assert r.mode == "simulate"
             if prev is not None:
                 assert r.cluster_s <= prev + 1e-9
             prev = r.cluster_s
-
-    def test_reuse_invalid_mode(self, blobs_points):
-        from repro.core import cluster_with_reuse
-
-        with pytest.raises(ValueError):
-            cluster_with_reuse(blobs_points, 0.5, [4], mode="mpi")
 
     def test_pipeline_simulate_not_slower_than_serial(self, blobs_points):
         from repro.core import MultiClusterPipeline, VariantSet
@@ -294,17 +322,8 @@ class TestEndToEndModes:
         pipe = MultiClusterPipeline()
         seq = pipe.run(blobs_points, vs, pipelined=False)
         par = pipe.run(blobs_points, vs, pipelined=True)
-        assert par.mode == "simulate"
         # modeled pipelined makespan cannot exceed its own serial parts
         assert par.total_s <= par.sum_build_s + par.sum_dbscan_s + 1e-9
-
-    def test_pipeline_invalid_mode(self, blobs_points):
-        from repro.core import MultiClusterPipeline, VariantSet
-
-        with pytest.raises(ValueError):
-            MultiClusterPipeline().run(
-                blobs_points, VariantSet.eps_sweep([0.3]), mode="mpi"
-            )
 
 
 class TestWorkerPool:
@@ -350,6 +369,22 @@ class TestWorkerPool:
         pool = WorkerPool(2)
         pool.commit(0.0, 4.0)
         pool.commit(0.0, 8.0)
-        assert pool.busy_ms == pytest.approx(12.0)
-        assert pool.makespan_ms == pytest.approx(8.0)
+        assert pool.busy == pytest.approx(12.0)
+        assert pool.makespan == pytest.approx(8.0)
         assert pool.utilization == pytest.approx(12.0 / 16.0)
+
+    def test_pinned_booking(self):
+        from repro.hostsim import WorkerPool
+
+        pool = WorkerPool(2)
+        assert pool.commit(0.0, 4.0, worker=1) == 1
+        assert pool.peek_start(0.0, 1) == 4.0
+        # unpinned work still goes to the earliest-free worker
+        assert pool.peek_start(0.0) == 0.0
+        assert pool.commit(0.0, 1.0) == 0
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="worker"):
+                pool.peek_start(0.0, bad)
+            with pytest.raises(ValueError, match="worker"):
+                pool.commit(5.0, 1.0, worker=bad)
+        assert len(pool.intervals) == 2
