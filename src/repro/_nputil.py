@@ -34,7 +34,7 @@ def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if len(counts) > 1:
         reset_at = np.cumsum(counts[:-1])
         incr[reset_at] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(incr)
+    return np.cumsum(incr, out=incr)
 
 
 def expand_ranges(

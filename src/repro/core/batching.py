@@ -67,9 +67,6 @@ __all__ = [
 ]
 
 PAIR_DTYPE = np.int64
-#: bytes per plain (key, value) pair; annotated (key, value, dist)
-#: rows are 24 B — the 50% transfer overhead of the multi-ε extension
-PAIR_BYTES = 16
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "NOISE",
     "dbscan_from_table",
     "dbscan_from_annotated_table",
+    "dbscan_from_annotated_edges",
     "core_mask",
     "canonicalize_labels",
     "components_labels",
@@ -89,6 +90,31 @@ def first_per_key(
     return keys[first], values[first]
 
 
+def _core_graph(
+    core_ids: np.ndarray, n: int, core_src: np.ndarray, core_dst: np.ndarray
+) -> sparse.csr_matrix:
+    """The core graph as a CSR over core-only vertex ids, built directly:
+    no COO conversion, no duplicate summing, no index sort.  Its
+    temporaries die on return, before the components pass runs."""
+    m = len(core_ids)
+    idx = np.int32 if max(m, len(core_src)) < 2**31 else np.int64
+    core_index = np.full(n, -1, dtype=idx)
+    core_index[core_ids] = np.arange(m, dtype=idx)
+    rows = core_index[core_src]
+    cols = core_index[core_dst]
+    if len(rows) and not (rows[1:] >= rows[:-1]).all():
+        # group by row (the merger's edges arrive unordered)
+        order = np.argsort(rows, kind="stable")
+        rows, cols = rows[order], cols[order]
+    indptr = np.zeros(m + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    # float64 weights: any other dtype makes SciPy's astype sum
+    # duplicates and sort the indices
+    return sparse.csr_matrix(
+        (np.ones(len(cols), dtype=np.float64), cols, indptr), shape=(m, m)
+    )
+
+
 def components_labels(
     is_core: np.ndarray,
     core_src: np.ndarray,
@@ -108,17 +134,9 @@ def components_labels(
     core_ids = np.flatnonzero(is_core)
     if len(core_ids) == 0:
         return labels
-    # compress to core-only vertex ids
-    core_index = np.full(n, -1, dtype=np.int64)
-    core_index[core_ids] = np.arange(len(core_ids))
-    g = sparse.csr_matrix(
-        (
-            np.ones(len(core_src), dtype=np.int8),
-            (core_index[core_src], core_index[core_dst]),
-        ),
-        shape=(len(core_ids), len(core_ids)),
+    _, comp = csgraph.connected_components(
+        _core_graph(core_ids, n, core_src, core_dst), directed=False
     )
-    _, comp = csgraph.connected_components(g, directed=False)
     labels[core_ids] = comp
     if len(border_src):
         u, v = first_per_key(border_src, border_dst)
@@ -164,9 +182,25 @@ def dbscan_from_annotated_table(
     if minpts < 1:
         raise ValueError("minpts must be >= 1")
     src, dst, pos = table.edges_with_positions()
-    keep = table.distances[pos] <= eps
+    return dbscan_from_annotated_edges(
+        table.n_points, src, dst, table.distances[pos], minpts, eps
+    )
+
+
+def dbscan_from_annotated_edges(
+    n_points: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    dist: np.ndarray,
+    minpts: int,
+    eps: float,
+) -> np.ndarray:
+    """:func:`dbscan_from_annotated_table` over an annotated table's
+    expanded ``(source, neighbor, distance)`` edges, sources ascending —
+    an ε sweep expands them once and filters them per ε."""
+    keep = dist <= eps
     src, dst = src[keep], dst[keep]
-    is_core = np.bincount(src, minlength=table.n_points) >= minpts
+    is_core = np.bincount(src, minlength=n_points) >= minpts
     from_core, to_core = is_core[src], is_core[dst]
     cc = from_core & to_core
     bc = ~from_core & to_core

@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro._nputil import expand_ranges
 from repro.data.scale import DATASETS, DatasetSpec, scaled_size
 from repro.index.grid import GridIndex
 
@@ -111,18 +110,9 @@ def _sample_neighbor_counts(
     n = len(grid)
     stride = max(1, int(round(1 / max(sample_fraction, 1e-9))))
     ids = np.arange(0, n, stride, dtype=np.int64)
-    nbr = grid.neighbor_cells_of_points(grid.cell_of_point[ids])
-    valid = nbr >= 0
-    safe = np.where(valid, nbr, 0)
-    starts = np.where(valid, grid.cell_min[safe], -1)
-    ends = np.where(valid, grid.cell_max[safe], -1)
-    rep, flat = expand_ranges(
-        np.repeat(np.arange(len(ids)), nbr.shape[1]), starts.ravel(), ends.ravel()
-    )
-    cand = grid.lookup[flat]
-    diff = grid.points[ids[rep]] - grid.points[cand]
-    hit = (diff[:, 0] ** 2 + diff[:, 1] ** 2) <= eps * eps
-    return np.bincount(rep[hit], minlength=len(ids))
+    rep, _, d2, _ = grid.candidate_pairs(ids)
+    # ids are multiples of stride, so rep // stride is the sample position
+    return np.bincount(rep[d2 <= eps * eps] // stride, minlength=len(ids))
 
 
 def mean_neighbors(

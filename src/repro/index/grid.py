@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro._nputil import run_boundaries
+from repro._nputil import expand_ranges, run_boundaries
 from repro.index.base import as_points
 
 __all__ = ["GridIndex", "GridStats"]
@@ -58,6 +58,9 @@ class GridIndex:
     ny: int
     #: points sorted into spatial (unit-bin) order — the device's ``D``
     points: np.ndarray
+    #: contiguous x and y columns of ``points`` (fast candidate gathers)
+    xs: np.ndarray
+    ys: np.ndarray
     #: permutation such that ``points == original_points[sort_order]``
     sort_order: np.ndarray
     #: linear cell id of each (sorted) point
@@ -132,6 +135,8 @@ class GridIndex:
             nx=nx,
             ny=ny,
             points=pts,
+            xs=np.ascontiguousarray(pts[:, 0]),
+            ys=np.ascontiguousarray(pts[:, 1]),
             sort_order=order,
             cell_of_point=cell_ids,
             lookup=lookup,
@@ -183,6 +188,33 @@ class GridIndex:
         out = nbr_y * self.nx + nbr_x
         out[~ok] = -1
         return out
+
+    def candidate_pairs(
+        self, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Every (point, candidate) pair of the points ``ids``: each point
+        against all points of its ≤9 in-grid neighbor cells.
+
+        Returns ``(point_ids, candidate_ids, squared_distances,
+        n_cells)``; ``n_cells`` counts the in-grid neighbor cells whose
+        ranges were read.  Pairs come grouped by ``ids`` in their given
+        order.  Distances are ``(px - qx)**2 + (py - qy)**2`` with the
+        squares taken as products, as in the device code, so the ε
+        boundary is the same on every backend.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        nbr = self.neighbor_cells_of_points(self.cell_of_point[ids])
+        valid = nbr >= 0
+        safe = np.where(valid, nbr, 0)
+        starts = np.where(valid, self.cell_min[safe], -1)
+        ends = np.where(valid, self.cell_max[safe], -1)
+        rep, flat = expand_ranges(
+            np.repeat(ids, nbr.shape[1]), starts.ravel(), ends.ravel()
+        )
+        cand = self.lookup[flat]
+        del flat
+        d2 = (self.xs[rep] - self.xs[cand]) ** 2 + (self.ys[rep] - self.ys[cand]) ** 2
+        return rep, cand, d2, int(valid.sum())
 
     def cell_point_ids(self, h: int) -> np.ndarray:
         """Point ids (into the sorted ``points``) inside cell ``h``."""

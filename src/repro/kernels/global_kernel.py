@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro._nputil import expand_ranges
 from repro.gpusim.costmodel import KernelCounters
 from repro.gpusim.kernelapi import KernelContext
 from repro.gpusim.launch import Kernel, LaunchConfig
@@ -150,7 +149,7 @@ class GPUCalcGlobal(Kernel):
                     qx, qy = D[cand]
                     ctx.count_global_load(3)  # A[a] + 2 coords
                     ctx.count_distance()
-                    d2 = (px - qx) ** 2 + (py - qy) ** 2
+                    d2 = (px - qx) * (px - qx) + (py - qy) * (py - qy)
                     if d2 <= eps2:
                         if emit_distance:
                             ctx.result_append(result, (pid, cand, d2**0.5))
@@ -182,11 +181,10 @@ class GPUCalcGlobal(Kernel):
         array over all points) narrows the batch to a subset — the
         overflow-recovery path re-runs a failed batch as split halves.
         """
-        pts = grid.points
         if point_mask is not None:
             ids = np.flatnonzero(point_mask).astype(np.int64)
         else:
-            ids = batch_point_ids(len(pts), batch, n_batches, batch_order)
+            ids = batch_point_ids(len(grid), batch, n_batches, batch_order)
         if config.total_threads < len(ids):
             raise ValueError(
                 f"launch too small: {config.total_threads} threads for "
@@ -196,40 +194,29 @@ class GPUCalcGlobal(Kernel):
         if len(ids) == 0:
             return 0
 
-        nbr = grid.neighbor_cells_of_points(grid.cell_of_point[ids])  # (n, 9)
-        valid = nbr >= 0
-        safe = np.where(valid, nbr, 0)
-        starts = np.where(valid, grid.cell_min[safe], -1)
-        ends = np.where(valid, grid.cell_max[safe], -1)
-        rep_ids, flat_a = expand_ranges(
-            np.repeat(ids, nbr.shape[1]), starts.ravel(), ends.ravel()
-        )
-        cand = grid.lookup[flat_a]
-
-        diff = pts[rep_ids] - pts[cand]
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+        rep_ids, cand, d2, n_cells = grid.candidate_pairs(ids)
         hit = d2 <= grid.eps * grid.eps
-        keys = rep_ids[hit]
-        values = cand[hit]
+        n_hits = int(np.count_nonzero(hit))
 
         n_cand = len(rep_ids)
         counters.distance_calcs += n_cand
         counters.global_loads += 2 * len(ids)  # own coords
         # cell range lookups: only in-grid neighbor cells are ever read
         # (the SIMT path bounds-checks before touching G)
-        counters.global_loads += 2 * int(valid.sum())
+        counters.global_loads += 2 * n_cells
         counters.global_loads += 3 * n_cand  # A[a] + candidate coords
-        counters.atomics += len(keys)
-        counters.global_stores += (3 if emit_distance else 2) * len(keys)
+        width = 3 if emit_distance else 2
+        counters.atomics += n_hits
+        counters.global_stores += width * n_hits
 
-        if len(keys):
+        if n_hits:
+            rows = np.empty((n_hits, width), dtype=result.dtype)
+            rows[:, 0] = rep_ids[hit]
+            rows[:, 1] = cand[hit]
             if emit_distance:
-                result.append_block(
-                    np.column_stack([keys, values, np.sqrt(d2[hit])])
-                )
-            else:
-                result.append_block(np.column_stack([keys, values]))
-        return int(len(keys))
+                rows[:, 2] = np.sqrt(d2[hit])
+            result.append_block(rows)
+        return n_hits
 
     # ------------------------------------------------------------------
     @staticmethod

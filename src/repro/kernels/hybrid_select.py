@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._nputil import expand_ranges
 from repro.gpusim.costmodel import KernelCounters
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import Kernel, LaunchConfig
@@ -176,20 +175,15 @@ class HybridSelectKernel(Kernel):
             if n_batches > 1:
                 sp_ids = sp_ids[sp_ids % n_batches == batch]
             if len(sp_ids):
-                nbr = grid.neighbor_cells_of_points(grid.cell_of_point[sp_ids])
-                valid = nbr >= 0
-                safe = np.where(valid, nbr, 0)
-                starts = np.where(valid, grid.cell_min[safe], -1)
-                ends = np.where(valid, grid.cell_max[safe], -1)
-                rep, flat = expand_ranges(
-                    np.repeat(sp_ids, nbr.shape[1]), starts.ravel(), ends.ravel()
-                )
-                cand = grid.lookup[flat]
-                diff = pts[rep] - pts[cand]
-                hit = diff[:, 0] ** 2 + diff[:, 1] ** 2 <= eps2
+                rep, cand, d2, n_cells = grid.candidate_pairs(sp_ids)
+                hit = d2 <= eps2
                 keys, values = rep[hit], cand[hit]
                 counters.distance_calcs += len(rep)
-                counters.global_loads += 3 * len(rep) + 20 * len(sp_ids)
+                # GPUCalcGlobal's charges: own coords, in-grid cell
+                # ranges, A[a] + candidate coords
+                counters.global_loads += (
+                    2 * len(sp_ids) + 2 * n_cells + 3 * len(rep)
+                )
                 counters.atomics += len(keys)
                 counters.global_stores += 2 * len(keys)
                 if len(keys):

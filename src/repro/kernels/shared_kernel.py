@@ -180,7 +180,7 @@ class GPUCalcShared(Kernel):
                             qx, qy = pnts_comp[j]
                             ctx.count_shared_load(2)
                             ctx.count_distance()
-                            d2 = (px - qx) ** 2 + (py - qy) ** 2
+                            d2 = (px - qx) * (px - qx) + (py - qy) * (py - qy)
                             if d2 <= eps2:
                                 ctx.result_append(
                                     result, (origin_pid[tid], comp_pid[j])

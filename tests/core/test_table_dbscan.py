@@ -1,5 +1,6 @@
 """Tests for DBSCAN over the neighbor table."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from repro.core import NOISE
 from repro.core.batching import build_neighbor_table
 from repro.core.table_dbscan import (
     canonicalize_labels,
+    components_labels,
     core_mask,
     dbscan_from_table,
 )
@@ -125,6 +127,66 @@ class TestImplementationEquivalence:
             b = dbscan_from_table(table, minpts)
             assert a.max() == b.max()
             assert (a == NOISE).sum() == (b == NOISE).sum()
+
+
+def networkx_labels(is_core, src, dst, bsrc, bdst) -> np.ndarray:
+    """Oracle: networkx components of the core graph; a border point
+    joins the cluster of its lowest-id core neighbor."""
+    g = nx.Graph()
+    g.add_nodes_from(np.flatnonzero(is_core).tolist())
+    g.add_edges_from(zip(src.tolist(), dst.tolist(), strict=True))
+    labels = np.full(len(is_core), NOISE, dtype=np.int64)
+    for comp in nx.connected_components(g):
+        labels[list(comp)] = min(comp)
+    for u in np.unique(bsrc):
+        labels[u] = labels[bdst[bsrc == u].min()]
+    return canonicalize_labels(labels)
+
+
+@st.composite
+def merger_edges(draw):
+    """Core mask plus core-core and border edges shaped like the halo
+    merger's: unordered sources, duplicates, one direction only."""
+    n = draw(st.integers(1, 40))
+    is_core = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    core = np.flatnonzero(is_core)
+    other = np.flatnonzero(~is_core)
+    if len(core) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return is_core, empty, empty, empty, empty
+    pick_core = st.sampled_from(core.tolist())
+    edges = draw(st.lists(st.tuples(pick_core, pick_core), max_size=60))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    border = []
+    if len(other):
+        pick_other = st.sampled_from(other.tolist())
+        border = draw(st.lists(st.tuples(pick_other, pick_core), max_size=30))
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    b = np.array(border, dtype=np.int64).reshape(-1, 2)
+    return is_core, e[:, 0], e[:, 1], b[:, 0], b[:, 1]
+
+
+class TestComponentsLabels:
+    @given(merger_edges())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_networkx(self, inp):
+        assert np.array_equal(components_labels(*inp), networkx_labels(*inp))
+
+    def test_descending_one_directional_chain(self):
+        """A chain given only as (i + 1 -> i), highest source first: the
+        rows must be grouped before the CSR is built."""
+        n = 12
+        is_core = np.ones(n, dtype=bool)
+        is_core[[3, 9]] = False
+        dst = np.array(
+            [i for i in range(n - 2, -1, -1) if is_core[i] and is_core[i + 1]]
+        )
+        src = dst + 1
+        bsrc = np.array([3, 3, 9])
+        bdst = np.array([4, 2, 10])
+        labels = components_labels(is_core, src, dst, bsrc, bdst)
+        assert labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]
+        assert np.array_equal(labels, networkx_labels(is_core, src, dst, bsrc, bdst))
 
 
 class TestCanonicalize:

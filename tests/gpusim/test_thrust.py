@@ -84,6 +84,29 @@ class TestSortPairs:
         expected = arr[np.argsort(arr[:, 0], kind="stable")] if len(arr) else arr
         assert np.array_equal(buf.view(), expected)
 
+    @pytest.mark.parametrize("width, dtype", [(2, np.int64), (3, np.float64)])
+    def test_presorted_and_shuffled_keys_sort_alike(self, width, dtype):
+        """Presorted keys with ties skip the permutation; shuffled keys
+        are sorted.  Both leave the stable order and record the same
+        modeled sort."""
+        rng = np.random.default_rng(3)
+        keys = np.repeat(np.arange(60), rng.integers(1, 5, 60))  # ties
+        rows = np.column_stack(
+            [keys, np.arange(len(keys)), rng.random(len(keys))][:width]
+        ).astype(dtype)
+        records = []
+        for arr in (rows, rows[rng.permutation(len(rows))]):
+            device = Device()
+            buf = device.allocate_result_buffer((len(arr) + 5, width), dtype)
+            buf.append_block(arr)
+            assert sort_pairs(buf, device) == len(arr)
+            expected = arr[np.argsort(arr[:, 0], kind="stable")]
+            assert np.array_equal(buf.view(), expected)
+            rec = device.profiler.sorts[-1]
+            records.append((rec.n, rec.modeled_ms))
+        assert records[0] == records[1]
+        assert records[0] == (len(rows), Device().cost.sort_time_ms(len(rows)))
+
 
 class TestReduce:
     def test_sum(self, device):

@@ -1,0 +1,130 @@
+"""The vector and interpreter backends agree exactly — pairs, counts and
+every ``KernelCounters`` field — on inputs that sit on the ε boundary:
+pairs exactly ε apart, points on cell edges, duplicates and coordinates
+offset by 1e6."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.gpusim import Device, launch
+from repro.index import GridIndex
+from repro.kernels import NeighborCountKernel
+
+from .conftest import run_global, run_shared, truth_pairs
+
+
+@st.composite
+def boundary_inputs(draw) -> tuple[np.ndarray, float]:
+    eps = draw(
+        st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.1, 2.0))
+    )
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    # a lattice of ε/k steps: steps sit on or next to cell edges, and k
+    # steps along an axis are ε apart — exactly in many cases (no offset,
+    # or a binary ε), up to rounding otherwise; for k = 5, (3, 4) steps
+    # are ε apart on the diagonal too.  Every backend must round alike.
+    k = draw(st.sampled_from([1, 2, 5]))
+    steps = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2 * k), st.integers(0, 2 * k)),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    free = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 4.0, allow_nan=False),
+                st.floats(0.0, 4.0, allow_nan=False),
+            ),
+            max_size=8,
+        )
+    )
+    pts = np.array(steps, dtype=np.float64) * (eps / k)
+    if free:
+        pts = np.vstack([pts, np.array(free, dtype=np.float64) * eps])
+    dups = draw(st.lists(st.integers(0, len(pts) - 1), max_size=5))
+    pts = np.vstack([pts, pts[dups]]) + offset
+    return pts, eps
+
+
+def counters_dict(res) -> dict[str, int]:
+    return dataclasses.asdict(res.counters)
+
+
+def run_count(device: Device, grid: GridIndex, ids: np.ndarray, backend: str):
+    """Launch NeighborCountKernel; returns (e_b, LaunchResult)."""
+    kernel = NeighborCountKernel()
+    cfg = NeighborCountKernel.launch_config(len(ids), block_dim=32)
+    counter = device.allocate(1, np.int64, fill=0)
+    if backend == "vector":
+        res = launch(kernel, cfg, device, grid=grid, sample_ids=ids, counter=counter)
+    else:
+        ga = grid.device_arrays()
+        res = launch(
+            kernel, cfg, device, backend="interpreter",
+            D=ga["D"], A=ga["A"], G_min=ga["G_min"], G_max=ga["G_max"],
+            eps=grid.eps, xmin=grid.xmin, ymin=grid.ymin,
+            nx=grid.nx, ny=grid.ny, sample_ids=ids, counter=counter,
+        )
+    return int(counter.data[0]), res
+
+
+@given(boundary_inputs(), st.integers(1, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_global_kernel_backends_identical(inp, n_batches, data):
+    pts, eps = inp
+    grid = GridIndex.build(pts, eps)
+    batch = data.draw(st.integers(0, n_batches - 1))
+    device = Device()
+    pv, rv, bv = run_global(
+        device, grid, batch=batch, n_batches=n_batches, block_dim=32
+    )
+    pi, ri, bi = run_global(
+        device, grid, backend="interpreter",
+        batch=batch, n_batches=n_batches, block_dim=32,
+    )
+    assert pv == pi
+    assert len(bv.view()) == len(bi.view())
+    assert counters_dict(rv) == counters_dict(ri)
+
+
+@given(boundary_inputs(), st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_count_kernel_backends_identical(inp, fraction):
+    pts, eps = inp
+    grid = GridIndex.build(pts, eps)
+    ids = np.unique(
+        np.floor(np.linspace(0, len(grid) - 1, max(1, int(fraction * len(grid)))))
+    ).astype(np.int64)
+    device = Device()
+    ev, rv = run_count(device, grid, ids, "vector")
+    ei, ri = run_count(device, grid, ids, "interpreter")
+    assert ev == ei
+    assert counters_dict(rv) == counters_dict(ri)
+
+
+@pytest.mark.parametrize("kernel", ["global", "shared", "count"])
+def test_pair_exactly_eps_apart_where_pow_rounds_up(kernel):
+    """At ε = 0.835449, glibc's ``pow`` (behind ``np.float64(ε) ** 2``)
+    rounds one ulp above ``ε * ε``, so device code that squared with
+    ``** 2`` lost the pair exactly ε apart that the vector backends keep."""
+    eps = 0.835449
+    grid = GridIndex.build(np.array([[0.0, 0.0], [eps, 0.0], [0.0, 3 * eps]]), eps)
+    truth = truth_pairs(grid)
+    assert len(truth) == 5  # the ε pair both ways + three self pairs
+    device = Device()
+    if kernel == "count":
+        ids = np.arange(len(grid), dtype=np.int64)
+        assert run_count(device, grid, ids, "vector")[0] == len(truth)
+        assert run_count(device, grid, ids, "interpreter")[0] == len(truth)
+        return
+    run = run_global if kernel == "global" else run_shared
+    assert run(device, grid)[0] == truth
+    assert run(device, grid, backend="interpreter", block_dim=32)[0] == truth

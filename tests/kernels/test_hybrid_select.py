@@ -1,6 +1,8 @@
 """Tests for the density-adaptive HybridSelect kernel (future work of
 Section VII-C, implemented as an extension)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,24 @@ class TestCorrectness:
             device, grid, block_dim=16, dense_threshold=threshold
         )
         assert pairs == truth_pairs(grid)
+
+
+class TestCounters:
+    def test_all_sparse_charges_like_global_kernel(self, device):
+        """The sparse side runs GPUCalcGlobal's strategy, so an all-sparse
+        launch charges GPUCalcGlobal's counters field by field: global
+        loads count only the in-grid neighbor cells (60,576 here, not 9
+        cells per point).  ``block_dim=100`` makes both launches 3 full
+        blocks, so neither has idle tail threads."""
+        pts = np.random.default_rng(0).random((300, 2)) * 3
+        grid = GridIndex.build(pts, 0.5)
+        ph, rh = run_hybrid_select(
+            device, grid, block_dim=100, dense_threshold=10**9
+        )
+        pg, rg, _ = run_global(device, grid, block_dim=100)
+        assert ph == pg
+        assert rg.counters.global_loads == 60_576
+        assert dataclasses.asdict(rh.counters) == dataclasses.asdict(rg.counters)
 
 
 class TestAdaptiveAdvantage:
