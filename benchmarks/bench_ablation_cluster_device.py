@@ -8,16 +8,20 @@ connected-components wall time versus the device union-find kernels'
 modeled device time (plus driver wall time and the round count the
 ``changed``-flag iteration needed), asserting at every density that the
 two paths produce bit-identical labels.  The artifact is the
-``BENCH_cluster_device.json`` baseline the CI smoke checks.
+``BENCH_cluster_device.json`` baseline: before overwriting it, a run at
+the committed scale checks its deterministic counts against it — no ε
+may need more union-find rounds than recorded, and the core and cluster
+counts must match exactly.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 
-from repro.bench import format_table, save_json
+from repro.bench import format_table, results_dir, save_json
 from repro.core import HybridDBSCAN
 from repro.core.device_cluster import device_cluster_table
 from repro.core.table_dbscan import dbscan_from_table
@@ -27,6 +31,30 @@ from _bench_utils import BENCH_SCALE, bench_points, report
 #: eps sweep — sparse to dense neighborhoods on the same dataset
 EPS_VALUES = [0.02, 0.06, 0.12]
 MINPTS = 4
+BASELINE = "BENCH_cluster_device"
+
+
+def check_against_baseline(densities: list[dict]) -> None:
+    """Fail when a run at the committed scale regresses a count."""
+    path = results_dir() / f"{BASELINE}.json"
+    if not path.exists():
+        return
+    committed = json.loads(path.read_text())
+    if committed["scale"] != BENCH_SCALE:
+        return
+    recorded = {d["eps"]: d for d in committed["densities"]}
+    for d in densities:
+        ref = recorded.get(d["eps"])
+        if ref is None:
+            continue
+        assert d["uf_iterations"] <= ref["uf_iterations"], (
+            f"eps={d['eps']}: {d['uf_iterations']} union-find rounds, "
+            f"baseline {ref['uf_iterations']}"
+        )
+        for key in ("n_core", "clusters"):
+            assert d[key] == ref[key], (
+                f"eps={d['eps']}: {key} {d[key]}, baseline {ref[key]}"
+            )
 
 
 def test_ablation_cluster_device(benchmark):
@@ -89,8 +117,9 @@ def test_ablation_cluster_device(benchmark):
             f"(SW1, minpts={MINPTS}; host components vs union-find kernels)",
         )
     )
+    check_against_baseline(results)
     save_json(
-        "BENCH_cluster_device",
+        BASELINE,
         {
             "scale": BENCH_SCALE,
             "dataset": "SW1",

@@ -1018,7 +1018,7 @@ class _Interp:
             and isinstance(func.value, ast.Name)
             and func.value.id == self.ctx_name
         ):
-            if func.attr == "atomic_add" and len(node.args) >= 2:
+            if func.attr in ("atomic_add", "atomic_min") and len(node.args) >= 2:
                 buf = self._eval(node.args[0], env)
                 idx_node = node.args[1]
                 idx = self._eval(idx_node, env)

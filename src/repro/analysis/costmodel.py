@@ -15,11 +15,11 @@ interpreter's product domain:
   finding (severity ``error``) unless the kernel's
   :class:`CostContract` covers its variable with a trip estimate.
 * **Counter sites** are the explicit ``ctx.count_*`` /
-  ``ctx.atomic_add`` / ``ctx.result_append`` / ``ctx.syncthreads``
-  calls — exactly what both execution backends increment — weighted by
-  the product of enclosing loop bounds.  Both arms of every branch are
-  charged (tainted branches serialize both arms, and an untainted
-  worst case is still a worst case).
+  ``ctx.atomic_add`` / ``ctx.atomic_min`` / ``ctx.result_append`` /
+  ``ctx.syncthreads`` calls — exactly what both execution backends
+  increment — weighted by the product of enclosing loop bounds.  Both
+  arms of every branch are charged (tainted branches serialize both
+  arms, and an untainted worst case is still a worst case).
 * **Memory transactions** reuse the KC003 access classification:
   coalesced/uniform warps cost one line transaction, ``strided(k)``
   costs ``min(warp, ceil(k·warp·word/line))``, gathers cost the full
@@ -611,7 +611,7 @@ def _collect_sites(
                 sites.append(
                     CounterSite(line, _COUNT_CALLS[attr], delta, delta, loops)
                 )
-            elif attr == "atomic_add":
+            elif attr in ("atomic_add", "atomic_min"):
                 sites.append(CounterSite(line, "atomics", 1, 1, loops))
             elif attr == "result_append":
                 arity = 2

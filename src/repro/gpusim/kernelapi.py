@@ -165,6 +165,17 @@ class KernelContext:
         self._counters.atomics += 1
         return old
 
+    def atomic_min(
+        self, buf: Union[DeviceBuffer, np.ndarray], index: int, value
+    ):
+        """Atomic read-modify-write minimum; returns the old value."""
+        arr = _as_array(buf)
+        old = arr[index]
+        if value < old:
+            arr[index] = value
+        self._counters.atomics += 1
+        return old
+
     def result_append(self, buf: ResultBuffer, record) -> int:
         """Append one record to a result buffer (atomic cursor bump)."""
         start = buf.reserve(1)

@@ -10,9 +10,10 @@
   set size estimator of Section VI (counts neighbors of an ``f``-sample).
 * :mod:`repro.kernels.cluster_kernels` — device-resident cluster
   formation over ``T``: :class:`CoreFlagKernel` (core classification),
-  :class:`ClusterUnionFindKernel` (iterated hook+jump min-label
-  union-find), :class:`BorderAttachKernel` (border attachment to the
-  lowest-id core neighbor).
+  :class:`ClusterUnionFindKernel` (iterated min-label union-find: a
+  pointer jump per round, and each lowered label hooks its old root
+  with an atomic minimum), :class:`BorderAttachKernel` (border
+  attachment to the lowest-id core neighbor).
 
 Each kernel provides interpreter device code and a vectorized backend;
 they produce identical key/value result sets (property-tested).

@@ -11,25 +11,30 @@ GPU DBSCAN (Prokopenko et al.) use, and the same edge-based formulation
 * :class:`CoreFlagKernel` — one thread per point; classifies core points
   from the ``T`` row lengths (``|N_ε(p)| >= minpts``) and initializes
   each core's label to its own id (non-core to ``-1``).
-* :class:`ClusterUnionFindKernel` — one hook + jump round of min-label
-  propagation over core–core edges.  Each core thread takes the minimum
-  label over its core neighbors (hooking) followed by one pointer jump
-  (``labels[best]``), and bumps a device-side ``changed`` counter when
-  its label strictly decreases.  The host relaunches until ``changed``
-  settles at 0.
+* :class:`ClusterUnionFindKernel` — one round of min-label union-find
+  over core–core edges.  Each core thread takes the minimum label over
+  its core neighbors followed by one pointer jump (``labels[best]``).
+  When its label strictly decreases it hooks — an atomic minimum lowers
+  both its own slot and the slot of its old label, so a whole label
+  tree joins per round — and bumps a device-side ``changed`` counter.
+  The host relaunches until ``changed`` settles at 0.
 * :class:`BorderAttachKernel` — attaches each border point to the label
   of its lowest-id core neighbor (the deterministic rule
   ``dbscan_from_table`` uses) and records that neighbor in an
   ``attach`` output array.
 
-Determinism across backends: labels only ever *decrease*, are bounded
-below by the component's minimum core id, and that minimum's own label
-never changes — so the fixpoint is the per-component minimum core id for
-both the Jacobi-style vector backend and the sequential-per-block
-interpreter (Gauss–Seidel) backend, even though the two need different
-iteration counts.  Per-launch load counters are structure-only (row
-lengths) and match across backends; store/atomic counters depend on the
-propagation schedule and legitimately differ.
+Determinism across backends: every write is a minimum of labels from
+one component, so labels only ever *decrease*, are bounded below by the
+component's minimum core id, and that minimum's own label never
+changes; a round without a hook leaves equal labels on every core–core
+edge — so the fixpoint is the per-component minimum core id for both
+the Jacobi-style vector backend and the sequential-per-block interpreter
+(Gauss–Seidel) backend, even though the two need different iteration
+counts.  Both vector backends find their per-row minima as one
+segmented ``np.minimum.reduceat`` over ``B`` (:func:`_row_minima`).
+Per-launch load counters are structure-only (row lengths) and match
+across backends; the union-find atomic counter (3 per hooking thread)
+depends on the propagation schedule and legitimately differs.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._nputil import expand_ranges
+from repro._nputil import multi_arange
 from repro.gpusim.costmodel import KernelCounters
 from repro.gpusim.kernelapi import KernelContext, device_array
 from repro.gpusim.launch import Kernel, LaunchConfig
@@ -49,6 +54,34 @@ __all__ = ["BorderAttachKernel", "ClusterUnionFindKernel", "CoreFlagKernel"]
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.absint import KernelInvariants
     from repro.analysis.costmodel import CostContract
+
+#: "no core point here" in the row minima — above every label and id
+_NO_CORE = np.iinfo(np.int64).max
+
+
+def _row_minima(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row ``r``, ``vals[lo[r]:hi[r] + 1].min()``.
+
+    ``vals`` is a per-entry gather over ``B``; the rows are non-empty
+    and, like all rows of ``T``, disjoint.  One ``np.minimum.reduceat``
+    over the interleaved ``(lo, hi + 1)`` bounds computes every row:
+    its even outputs are the row minima, its odd outputs reduce the gaps
+    between rows and are dropped.  The bounds are sorted by ``lo`` first
+    — the strided batches interleave rows in ``B``, and an unsorted gap
+    can span most of it.
+    """
+    mins = np.empty(len(lo), dtype=vals.dtype)
+    if len(lo) == 0:
+        return mins
+    order = np.argsort(lo)
+    bounds = np.empty(2 * len(lo), dtype=np.int64)
+    bounds[0::2] = lo[order]
+    bounds[1::2] = hi[order] + 1
+    if bounds[-1] == len(vals):
+        # reduceat's last segment runs to the end of ``vals`` anyway
+        bounds = bounds[:-1]
+    mins[order] = np.minimum.reduceat(vals, bounds)[0::2]
+    return mins
 
 
 class CoreFlagKernel(Kernel):
@@ -162,13 +195,14 @@ class ClusterUnionFindKernel(Kernel):
     """One hook + jump round of min-label union-find over core edges.
 
     Each core thread scans its ``T`` row, takes the minimum label among
-    core neighbors (hooking — rows include the point itself), then does
-    one pointer jump through the best label found.  A strict decrease is
-    written back and counted into the device-side ``changed`` flag; the
-    host relaunches until a round leaves every label fixed.  Labels are
-    monotone non-increasing and bounded by the component's minimum core
-    id, whose own label is stationary — so both backends converge to the
-    same fixpoint regardless of intra-launch update order.
+    core neighbors (rows include the point itself), then does one
+    pointer jump through the best label found.  On a strict decrease it
+    hooks: an atomic minimum writes the new label into its own slot *and*
+    into the slot of its old label, so every vertex whose label still
+    points at that old root follows it on its next jump.  Each hook
+    bumps the device-side ``changed`` counter; the host relaunches until
+    a round leaves every label fixed.  Both backends reach the same
+    fixpoint regardless of intra-launch update order (module docstring).
     """
 
     name = "ClusterUnionFind"
@@ -197,7 +231,7 @@ class ClusterUnionFindKernel(Kernel):
         from repro.analysis.costmodel import CostContract
 
         return CostContract(
-            counter_bounds={"global_loads": "3*m + 5", "atomics": "1"},
+            counter_bounds={"global_loads": "3*m + 5", "atomics": "3"},
             trip_estimates={"a": "r_row"},
             stats={"r_row": "mean neighbor-table row length (m / n)"},
         )
@@ -245,8 +279,10 @@ class ClusterUnionFindKernel(Kernel):
         if m < best:
             best = m
         if best < old:
-            labels[pid] = best
-            ctx.count_global_store(1)
+            # hook: both slots take the minimum atomically — a plain
+            # store could undo a smaller label another thread hooked in
+            ctx.atomic_min(labels, pid, best)
+            ctx.atomic_min(labels, old, best)
             ctx.atomic_add(changed, 0, 1)
 
     def vector_impl(
@@ -268,30 +304,41 @@ class ClusterUnionFindKernel(Kernel):
         c = device_array(core)
         lab = device_array(labels)
         n = len(c)
-        core_ids = np.flatnonzero(c)
+        is_core = c != 0
+        core_ids = np.flatnonzero(is_core)
         n_core = len(core_ids)
         counters.divergent_threads += (config.total_threads - n) + (n - n_core)
         counters.global_loads += n  # every in-range thread reads its flag
         if n_core == 0:
             return 0
         snapshot = lab.copy()
-        src, flat = expand_ranges(core_ids, tmin[core_ids], tmax[core_ids])
-        dst = b[flat]
-        keep = c[dst] != 0
-        best = snapshot.copy()
-        np.minimum.at(best, src[keep], snapshot[dst[keep]])
+        vals = np.where(is_core, snapshot, _NO_CORE)[b]
+        lo = tmin[core_ids]
+        hi = tmax[core_ids]
+        old = snapshot[core_ids]
+        best = np.minimum(old, _row_minima(vals, lo, hi))
         # pointer jump through the hooked label
-        best[core_ids] = np.minimum(
-            best[core_ids], snapshot[best[core_ids]]
+        best = np.minimum(best, snapshot[best])
+        hooks = best < old
+        new = best[hooks]
+        # the hooking threads' own slots still hold ``old`` > ``new``, so
+        # their atomic minimum is a store; old roots may be shared
+        lab[core_ids[hooks]] = new
+        np.minimum.at(lab, old[hooks], new)
+        n_changed = len(new)
+        # the device code's loads: 3 per core thread, 2 per row entry, 1
+        # per core entry of a core row, 1 for the jump.  Rows tile B, so
+        # a core row's core entries are B's minus the non-core rows'
+        # (those rows are short: under minpts unless ``eligible`` cut them)
+        noncore = np.flatnonzero(~is_core & (tmin >= 0))
+        in_noncore = multi_arange(tmin[noncore], tmax[noncore] - tmin[noncore] + 1)
+        core_entries = np.count_nonzero(vals != _NO_CORE) - np.count_nonzero(
+            vals[in_noncore] != _NO_CORE
         )
-        improved = core_ids[best[core_ids] < snapshot[core_ids]]
-        lab[improved] = best[improved]
-        n_changed = len(improved)
         counters.global_loads += (
-            3 * n_core + 2 * len(flat) + int(keep.sum()) + n_core
+            3 * n_core + 2 * int((hi - lo + 1).sum()) + core_entries + n_core
         )
-        counters.global_stores += n_changed
-        counters.atomics += n_changed
+        counters.atomics += 3 * n_changed
         if changed is not None:
             device_array(changed)[0] += n_changed
         return n_changed
@@ -402,24 +449,23 @@ class BorderAttachKernel(Kernel):
         lab = device_array(labels)
         att = device_array(attach)
         n = len(c)
-        noncore = np.flatnonzero(c == 0)
+        is_core = c != 0
+        noncore = np.flatnonzero(~is_core)
         counters.divergent_threads += (
             (config.total_threads - n) + (n - len(noncore))
         )
         counters.global_loads += n + 2 * len(noncore)
         valid = noncore[tmin[noncore] >= 0]
-        src, flat = expand_ranges(valid, tmin[valid], tmax[valid])
-        dst = b[flat]
-        keep = c[dst] != 0
-        sentinel = np.iinfo(np.int64).max
-        nearest = np.full(n, sentinel, dtype=np.int64)
-        np.minimum.at(nearest, src[keep], dst[keep])
-        att[noncore] = np.where(
-            nearest[noncore] == sentinel, -1, nearest[noncore]
-        )
-        attached = noncore[nearest[noncore] != sentinel]
-        lab[attached] = lab[nearest[attached]]
-        counters.global_loads += 2 * len(flat) + len(attached)
+        lo = tmin[valid]
+        hi = tmax[valid]
+        core_id = np.where(is_core, np.arange(n, dtype=np.int64), _NO_CORE)
+        nearest = _row_minima(core_id[b], lo, hi)
+        found = nearest != _NO_CORE
+        attached = valid[found]
+        att[noncore] = -1
+        att[attached] = nearest[found]
+        lab[attached] = lab[nearest[found]]
+        counters.global_loads += 2 * int((hi - lo + 1).sum()) + len(attached)
         counters.global_stores += len(noncore) + len(attached)
         return len(attached)
 

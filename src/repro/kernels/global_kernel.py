@@ -13,6 +13,7 @@ uniformly in space, keeping per-batch result sizes nearly equal.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -152,7 +153,7 @@ class GPUCalcGlobal(Kernel):
                     d2 = (px - qx) * (px - qx) + (py - qy) * (py - qy)
                     if d2 <= eps2:
                         if emit_distance:
-                            ctx.result_append(result, (pid, cand, d2**0.5))
+                            ctx.result_append(result, (pid, cand, math.sqrt(d2)))
                         else:
                             ctx.result_append(result, (pid, cand))
 

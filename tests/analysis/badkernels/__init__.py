@@ -16,6 +16,7 @@ from tests.analysis.badkernels.kc002 import SharedRWRaceKernel, SharedWWRaceKern
 from tests.analysis.badkernels.kc003 import NonAffineKernel, StridedKernel
 from tests.analysis.badkernels.kc004 import UndeclaredSharedKernel
 from tests.analysis.badkernels.kc005 import (
+    OobNegativeAtomicMinKernel,
     OobNegativeGatherKernel,
     OobOffByOneKernel,
     OobSharedWriteKernel,
@@ -41,6 +42,7 @@ BAD_KERNELS = [
     (OobOffByOneKernel(), "KC005"),
     (OobSharedWriteKernel(), "KC005"),
     (OobNegativeGatherKernel(), "KC005"),
+    (OobNegativeAtomicMinKernel(), "KC005"),
     (RegisterHogKernel(), "KC006"),
     (UnboundedLoopKernel(), "KC007"),
     (CostContractLiarKernel(), "KC007"),
@@ -60,6 +62,7 @@ __all__ = [
     "OobOffByOneKernel",
     "OobSharedWriteKernel",
     "OobNegativeGatherKernel",
+    "OobNegativeAtomicMinKernel",
     "RegisterHogKernel",
     "UnboundedLoopKernel",
     "CostContractLiarKernel",

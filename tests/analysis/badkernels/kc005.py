@@ -3,8 +3,8 @@
 Each kernel ships a ``value_invariants()`` contract (KC005 only proves
 global accesses against declared lengths), and each contains exactly one
 way an access escapes its buffer: no guard at all, an off-by-one guard,
-a shared-memory write past the block-sized shape, and a gather whose
-index array may hold a ``-1`` sentinel.
+a shared-memory write past the block-sized shape, and a gather and an
+atomic minimum whose index array may hold a ``-1`` sentinel.
 """
 
 import numpy as np
@@ -85,3 +85,25 @@ class OobNegativeGatherKernel(Kernel):
             return
         j = idx[gid]
         out[j] = 1
+
+
+class OobNegativeAtomicMinKernel(Kernel):
+    """An atomic minimum into a slot gathered from an index array that
+    admits the ``-1`` sentinel: an atomic is a write, and KC005 bounds
+    its index like any store."""
+
+    name = "BadOobNegativeAtomicMin"
+
+    def value_invariants(self):
+        return KernelInvariants(
+            lengths={"idx": "m", "out": "n"},
+            scalars={"m": (1, None), "n": (1, None)},
+            elements={"idx": (-1, "n-1")},
+        )
+
+    def device_code(self, ctx: KernelContext, *, idx: np.ndarray, out: np.ndarray) -> None:
+        gid = ctx.global_id
+        if gid >= len(idx):
+            return
+        j = idx[gid]
+        ctx.atomic_min(out, j, gid)

@@ -184,11 +184,16 @@ class TestEpsSweep:
             cluster_eps_sweep(blobs_points, [0.2], 5, n_threads=0, hybrid=h)
 
     def test_thread_makespan_monotone(self, blobs_points):
+        """One sweep's measured ε times, scheduled on 4 workers and on 1:
+        comparing two separately timed sweeps would race their wall
+        clocks."""
         from repro.core import cluster_eps_sweep
+        from repro.hostsim import schedule_parallel
 
-        r1 = cluster_eps_sweep(blobs_points, [0.2, 0.3, 0.4, 0.5], 5, n_threads=1)
-        r4 = cluster_eps_sweep(blobs_points, [0.2, 0.3, 0.4, 0.5], 5, n_threads=4)
-        assert r4.cluster_s <= r1.cluster_s + 1e-9
+        r = cluster_eps_sweep(blobs_points, [0.2, 0.3, 0.4, 0.5], 5, n_threads=4)
+        times = [o.dbscan_s for o in r.outcomes]
+        assert r.cluster_s == schedule_parallel(times, 4).makespan
+        assert r.cluster_s <= schedule_parallel(times, 1).makespan
 
 
 class TestAnnotatedInterpreterPath:
@@ -212,6 +217,30 @@ class TestAnnotatedInterpreterPath:
                 t_vec.neighbor_distances(i)[order_v],
                 t_sim.neighbor_distances(i)[order_s],
             )
+
+    def test_interpreter_distances_bit_identical(self):
+        """Device code and vector backend take the same correctly rounded
+        square root, so the annotated distances agree bit for bit (a
+        libm ``pow``-based ``d2 ** 0.5`` differs in ~0.1% of values, which
+        moves sub-ε filtering of a boundary pair)."""
+        rng = np.random.default_rng(3)
+        pts = rng.random((500, 2)) * 4.0
+        grid = GridIndex.build(pts, 0.4)
+
+        def triples(backend):
+            table, _ = build_neighbor_table(
+                grid, Device(), with_distances=True, backend=backend,
+                block_dim=64,
+            )
+            src, dst, pos = table.edges_with_positions()
+            order = np.lexsort((dst, src))
+            return src[order], dst[order], table.distances[pos[order]]
+
+        sv, dv, xv = triples("vector")
+        si, di, xi = triples("interpreter")
+        assert len(xv) > 5000
+        assert np.array_equal(sv, si) and np.array_equal(dv, di)
+        assert np.array_equal(xv, xi)
 
 
 class TestSortPairsWithDistances:

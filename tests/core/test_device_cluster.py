@@ -7,6 +7,8 @@ the sharded out-of-core path — and do so sanitizer-clean with no leaked
 device buffers.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,10 @@ from repro.core import (
 )
 from repro.core.batching import build_neighbor_table
 from repro.core.table_dbscan import core_mask
-from repro.gpusim import Device
+from repro.data.synthetic import make_sw
+from repro.gpusim import Device, launch
 from repro.index import GridIndex
+from repro.kernels import BorderAttachKernel, ClusterUnionFindKernel
 
 
 def build_table(points, eps):
@@ -42,6 +46,41 @@ def random_points(seed):
     ]
     parts.append(rng.random((30, 2)) * 10)
     return np.vstack(parts)
+
+
+def eligible_mask(seed, n):
+    """A random ``eligible`` mask keeping a random 30–100% of points."""
+    rng = np.random.default_rng(seed)
+    return rng.random(n) < rng.uniform(0.3, 1.0)
+
+
+def clustered_with_duplicates(seed, minpts):
+    """A table over random points with 20 duplicated, clustered on the
+    device under a random ``eligible`` mask."""
+    rng = np.random.default_rng(seed)
+    pts = random_points(seed)
+    pts = np.vstack([pts, pts[rng.integers(0, len(pts), 20)]])
+    _, table = build_table(pts, 0.4)
+    res = device_cluster_table(
+        table, minpts, eligible=eligible_mask(seed, table.n_points)
+    )
+    return table, res
+
+
+def launch_both(kernel, table, core, **state):
+    """One launch on each backend from copies of the ``state`` arrays;
+    returns ``{backend: (arrays after the launch, counters)}``."""
+    cfg = kernel.launch_config(table.n_points, block_dim=64)
+    out = {}
+    for backend in ("vector", "interpreter"):
+        arrays = {name: a.copy() for name, a in state.items()}
+        run = launch(
+            kernel, cfg, Device(), backend=backend,
+            t_min=table.t_min, t_max=table.t_max, B=table.values,
+            core=core.astype(np.int8), **arrays,
+        )
+        out[backend] = (arrays, dataclasses.asdict(run.counters))
+    return out
 
 
 # ======================================================================
@@ -94,6 +133,87 @@ class TestDeviceEqualsHost:
         labels = dbscan_from_table_device(table, 1)
         assert (labels != NOISE).all()
         assert np.array_equal(labels, dbscan_from_table(table, 1))
+
+
+# ======================================================================
+# union-find rounds and backend parity
+# ======================================================================
+class TestUnionFindRounds:
+    def test_hooking_cuts_rounds_at_shard_density(self):
+        """Hooking the old root joins a whole label tree per round.  At
+        the shard benchmark's density (SW1's 37,292-point pool spans a
+        269.05 side, so 3,000 points span 269.05·√(3000/37292) = 76.31)
+        the vector backend converges in 6 launches; without the hook it
+        took 11."""
+        _, table = build_table(make_sw(3000, seed=0) * 76.31, 0.3)
+        res = device_cluster_table(table, 4)
+        assert res.iterations <= 7
+        assert np.array_equal(res.labels, dbscan_from_table(table, 4))
+
+
+class TestBackendParity:
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([1, 3, 5]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_property_interpreter_equals_vector(self, seed, minpts):
+        """The Gauss–Seidel interpreter and the Jacobi vector backend
+        need different round counts but reach one fixpoint, whatever
+        the ``eligible`` mask."""
+        _, table = build_table(random_points(seed), 0.4)
+        eligible = eligible_mask(seed, table.n_points)
+        vec = device_cluster_table(table, minpts, eligible=eligible)
+        sim = device_cluster_table(
+            table, minpts, eligible=eligible, backend="interpreter"
+        )
+        assert np.array_equal(vec.raw_labels, sim.raw_labels)
+        assert np.array_equal(vec.core, sim.core)
+        assert np.array_equal(vec.attach, sim.attach)
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([2, 4, 6]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_property_border_attach_backends_identical(self, seed, minpts):
+        """BorderAttach is one launch that never writes a core label, so
+        its output and every counter are schedule-free."""
+        table, res = clustered_with_duplicates(seed, minpts)
+        out = launch_both(
+            BorderAttachKernel(), table, res.core,
+            labels=np.where(res.core, res.raw_labels, NOISE),
+            attach=np.full(table.n_points, -7, dtype=np.int64),
+        )
+        (vec, cv), (sim, ci) = out["vector"], out["interpreter"]
+        assert np.array_equal(vec["attach"], sim["attach"])
+        assert np.array_equal(vec["labels"], sim["labels"])
+        assert cv == ci
+        # and device_cluster_table's own attach pass agrees
+        assert np.array_equal(vec["attach"][~res.core], res.attach[~res.core])
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([2, 4, 6]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_property_union_find_loads_match(self, seed, minpts):
+        """A union-find round's loads and divergence depend on the table
+        alone — the vector backend counts core entries of core rows
+        without expanding them, also when ``eligible`` leaves long
+        non-core rows — and each hook costs 3 atomics and no store."""
+        table, res = clustered_with_duplicates(seed, minpts)
+        out = launch_both(
+            ClusterUnionFindKernel(), table, res.core,
+            labels=np.where(res.core, np.arange(table.n_points), NOISE),
+            changed=np.zeros(1, dtype=np.int64),
+        )
+        (vec, cv), (sim, ci) = out["vector"], out["interpreter"]
+        for key in ("global_loads", "divergent_threads", "threads", "blocks"):
+            assert cv[key] == ci[key], key
+        for arrays, counters in out.values():
+            assert counters["global_stores"] == 0
+            assert counters["atomics"] == 3 * arrays["changed"][0]
 
 
 # ======================================================================

@@ -210,6 +210,36 @@ class TestAtomics:
         run(code, block=8, out=out, olds=olds)
         assert sorted(olds.tolist()) == list(range(8))
 
+    def test_atomic_min_counts_all_threads(self):
+        def code(ctx, out):
+            ctx.atomic_min(out, 0, 100 - ctx.global_id)
+
+        out = np.full(1, 1000, dtype=np.int64)
+        c = run(code, grid=4, block=8, out=out)
+        assert out[0] == 100 - 31
+        assert c.atomics == 32
+
+    def test_atomic_min_returns_old(self):
+        def code(ctx, out, olds):
+            olds[ctx.global_id] = ctx.atomic_min(out, 0, 10 - ctx.global_id)
+
+        out = np.full(1, 1000, dtype=np.int64)
+        olds = np.zeros(8, dtype=np.int64)
+        run(code, block=8, out=out, olds=olds)
+        # threads run in id order here: each sees its predecessor's value
+        assert olds.tolist() == [1000, 10, 9, 8, 7, 6, 5, 4]
+        assert out[0] == 3
+
+    def test_atomic_min_never_raises_a_slot(self):
+        def code(ctx, out):
+            ctx.atomic_min(out, ctx.global_id, 5)
+
+        out = np.array([3, 5, 7, 9], dtype=np.int64)
+        c = run(code, block=4, out=out)
+        assert out.tolist() == [3, 5, 5, 5]
+        # a call that leaves the slot unchanged still counts
+        assert c.atomics == 4
+
     def test_result_append(self, device):
         rbuf = device.allocate_result_buffer(100, np.int64)
 
