@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["multi_arange", "expand_ranges", "run_boundaries"]
+__all__ = ["NO_CORE", "multi_arange", "expand_ranges", "row_minima", "run_boundaries"]
+
+#: "no core point here" in the row minima of core ids or labels — above
+#: every id
+NO_CORE = np.iinfo(np.int64).max
 
 
 def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -65,3 +69,24 @@ def run_boundaries(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change, [len(v)]))
     return v[starts], starts, ends
+
+
+def row_minima(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row ``r``, ``vals[lo[r]:hi[r] + 1].min()``.
+
+    The rows are non-empty, disjoint and ascending in ``vals``, with or
+    without gaps between them (rows of ``T`` taken by ascending id, in
+    ``B`` or packed back to back).  One ``np.minimum.reduceat`` over the
+    interleaved ``(lo, hi + 1)`` bounds computes every row: its even
+    outputs are the row minima, its odd outputs reduce the gaps between
+    rows and are dropped.
+    """
+    if len(lo) == 0:
+        return np.empty(0, dtype=vals.dtype)
+    bounds = np.empty(2 * len(lo), dtype=np.int64)
+    bounds[0::2] = lo
+    bounds[1::2] = hi + 1
+    if bounds[-1] == len(vals):
+        # reduceat's last segment runs to the end of ``vals`` anyway
+        bounds = bounds[:-1]
+    return np.minimum.reduceat(vals, bounds)[0::2]

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.hybrid_dbscan import HybridDBSCAN
-from repro.core.table_dbscan import NOISE, dbscan_from_annotated_edges
+from repro.core.table_dbscan import NOISE, dbscan_from_annotated_table
 from repro.hostsim import schedule_parallel
 
 __all__ = ["EpsSweepOutcome", "EpsSweepResult", "cluster_eps_sweep"]
@@ -66,12 +66,13 @@ def cluster_eps_sweep(
 ) -> EpsSweepResult:
     """Cluster ``points`` at every ε in ``eps_values`` from ONE table.
 
-    Builds an annotated table at ``max(eps_values)`` and expands its
-    edges once (both timed as the build), then runs the filtered DBSCAN
-    per ε (results identical to per-ε HYBRID-DBSCAN;
-    property-tested).  Like S3, the per-ε clusterings are independent,
-    so the clustering phase's concurrent makespan over ``n_threads``
-    simulated cores is reported alongside.
+    Builds an annotated table at ``max(eps_values)`` once, then runs
+    the filtered DBSCAN per ε over its row-ordered ``B`` and distances
+    (:func:`~repro.core.table_dbscan.dbscan_from_annotated_table`;
+    results identical to per-ε HYBRID-DBSCAN, property-tested).  Like
+    S3, the per-ε clusterings are independent, so the clustering
+    phase's concurrent makespan over ``n_threads`` simulated cores is
+    reported alongside.
     """
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
@@ -92,17 +93,12 @@ def cluster_eps_sweep(
 
     t0 = time.perf_counter()
     grid, table, _ = h.build_table(points, eps_max, with_distances=True)
-    # expand the table's edges once; every ε filters the same arrays
-    src, dst, pos = table.edges_with_positions()
-    dist = table.distances[pos]
     build_s = time.perf_counter() - t0
 
     outcomes: list[EpsSweepOutcome] = []
     for eps in eps_values:
         t1 = time.perf_counter()
-        labels_sorted = dbscan_from_annotated_edges(
-            table.n_points, src, dst, dist, minpts, eps
-        )
+        labels_sorted = dbscan_from_annotated_table(table, minpts, eps)
         labels = np.empty_like(labels_sorted)
         labels[grid.sort_order] = labels_sorted
         dt = time.perf_counter() - t1

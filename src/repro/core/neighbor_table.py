@@ -6,10 +6,15 @@ within ε of ``p_i`` then ``j ∈ {B[T_min_i], ..., B[T_max_i]}``.
 
 The table is built incrementally from batches: each batch's result set
 arrives key-sorted in a pinned staging buffer, its *values* are copied
-into ``B`` (the keys are consumed as run boundaries only — the paper's
-"we only copy the values" optimization), and the ranges of the keys in
+out (the keys are consumed as run boundaries only — the paper's "we
+only copy the values" optimization), and the ranges of the keys in
 that batch are set.  Every point's whole neighborhood is produced by a
-single batch, so ranges never straddle batches.
+single batch, so ranges never straddle batches.  :meth:`finalize`
+scatters each batch's rows to their place in ``B``, which therefore
+lists the rows in point-id order: ``T`` is a CSR matrix whose row
+offsets :attr:`~NeighborTable.indptr` are the running sum of the row
+widths, and host cluster formation runs on it without re-expanding
+rows (:mod:`repro.core.table_dbscan`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro._nputil import expand_ranges, run_boundaries
+from repro._nputil import expand_ranges, multi_arange, run_boundaries
 
 __all__ = ["NeighborTable"]
 
@@ -36,10 +41,13 @@ class NeighborTable:
         #: annotated tables also carry dist(p_i, B[j]) for every entry,
         #: enabling reuse at any ε' ≤ ε and OPTICS (extension)
         self.with_distances = bool(with_distances)
-        self.t_min = np.full(n_points, -1, dtype=np.int64)
-        self.t_max = np.full(n_points, -1, dtype=np.int64)
-        self._chunks: list[np.ndarray] = []
-        self._dist_chunks: list[np.ndarray] = []
+        #: the row ranges; provisional (batch arrival order) until
+        #: finalize, so they are read through :attr:`t_min`/:attr:`t_max`
+        self._t_min = np.full(n_points, -1, dtype=np.int64)
+        self._t_max = np.full(n_points, -1, dtype=np.int64)
+        #: per batch: (its keys ascending, their rows' values back to back,
+        #: the matching distances or None)
+        self._chunks: list[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = []
         self._cursor = 0
         self._values: Optional[np.ndarray] = None
         self._dist: Optional[np.ndarray] = None
@@ -77,39 +85,77 @@ class NeighborTable:
             raise ValueError("key out of range for this table")
         # the copy out of pinned memory the paper describes (values only)
         chunk = np.array(values, dtype=np.int64, copy=True)
+        dist = (
+            np.array(distances, dtype=np.float64, copy=True)
+            if self.with_distances
+            else None
+        )
         with self._lock:
             if self._values is not None:
                 raise RuntimeError("table already finalized")
-            if np.any(self.t_min[keys] >= 0):
+            if np.any(self._t_min[keys] >= 0):
                 raise ValueError("a key appeared in two batches")
             offset = self._cursor
             self._cursor += len(chunk)
-            self._chunks.append(chunk)
-            if self.with_distances:
-                self._dist_chunks.append(
-                    np.array(distances, dtype=np.float64, copy=True)
-                )
-            self.t_min[keys] = offset + starts
-            self.t_max[keys] = offset + ends - 1  # inclusive
+            self._chunks.append((keys, chunk, dist))
+            self._t_min[keys] = offset + starts
+            self._t_max[keys] = offset + ends - 1  # inclusive
 
     def finalize(self) -> "NeighborTable":
-        """Assemble ``B`` from the batch chunks; idempotent."""
+        """Assemble ``B`` in point order from the batch chunks; idempotent."""
         with self._lock:
             if self._values is None:
-                self._values = (
-                    np.concatenate(self._chunks)
-                    if self._chunks
-                    else np.empty(0, dtype=np.int64)
-                )
-                self._chunks = []
-                if self.with_distances:
-                    self._dist = (
-                        np.concatenate(self._dist_chunks)
-                        if self._dist_chunks
-                        else np.empty(0, dtype=np.float64)
-                    )
-                    self._dist_chunks = []
+                self._lay_out(self._chunks)
         return self
+
+    def _lay_out(
+        self, chunks: list[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+    ) -> None:
+        """Install ``B`` (and the distances) in point order.
+
+        Each chunk holds the whole rows of its ascending ``keys`` back to
+        back, widths taken from the current ranges.  Chunks are scattered
+        to their rows one at a time and released as they go, so peak
+        memory is what one concatenation of them would need.  A lone
+        chunk with ascending keys is already in point order and is kept
+        as it is.
+        """
+        counts = self.neighbor_counts()
+        indptr = np.zeros(self.n_points + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        m = int(indptr[-1])
+        if len(chunks) == 1 and bool(np.all(np.diff(chunks[0][0]) > 0)):
+            _, values, dist = chunks.pop()
+        else:
+            values = np.empty(m, dtype=np.int64)
+            dist = np.empty(m, dtype=np.float64) if self.with_distances else None
+            while chunks:
+                keys, chunk, chunk_dist = chunks.pop()
+                dest = multi_arange(indptr[keys], counts[keys])
+                values[dest] = chunk
+                if dist is not None:
+                    dist[dest] = chunk_dist
+        assigned = counts > 0
+        self._t_min = np.where(assigned, indptr[:-1], -1)
+        self._t_max = np.where(assigned, indptr[1:] - 1, -1)
+        self._values = values
+        if self.with_distances:
+            self._dist = dist
+
+    @property
+    def t_min(self) -> np.ndarray:
+        """``T_min``: where each row starts in ``B``, ``-1`` for an empty
+        row (finalizes on first access, like :attr:`values`)."""
+        if self._values is None:
+            self.finalize()
+        return self._t_min
+
+    @property
+    def t_max(self) -> np.ndarray:
+        """``T_max``: where each row ends in ``B``, inclusive."""
+        if self._values is None:
+            self.finalize()
+        return self._t_max
 
     @property
     def values(self) -> np.ndarray:
@@ -128,6 +174,14 @@ class NeighborTable:
             self.finalize()
         assert self._dist is not None
         return self._dist
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR row offsets of ``B``: row ``i`` is
+        ``values[indptr[i]:indptr[i + 1]]`` (rows are in point order)."""
+        indptr = np.zeros(self.n_points + 1, dtype=np.int64)
+        np.cumsum(self.neighbor_counts(), out=indptr[1:])
+        return indptr
 
     @property
     def total_pairs(self) -> int:
@@ -152,26 +206,19 @@ class NeighborTable:
         return self.distances[lo : self.t_max[i] + 1]
 
     def neighbor_counts(self) -> np.ndarray:
-        """|N_ε(p_i)| for all points, vectorized."""
-        counts = self.t_max - self.t_min + 1
-        counts[self.t_min < 0] = 0
+        """|N_ε(p_i)| for all points, vectorized (the row widths, which
+        finalize leaves as they are)."""
+        counts = self._t_max - self._t_min + 1
+        counts[self._t_min < 0] = 0
         return counts
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """All (source, neighbor) pairs as two flat arrays."""
-        src, dst, _ = self.edges_with_positions()
-        return src, dst
-
-    def edges_with_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All (source, neighbor, B-position) triples.
-
-        The positions index ``B`` (and the ``distances`` column of an
-        annotated table), letting callers filter edges by distance.
-        """
-        src, flat = expand_ranges(
-            np.arange(self.n_points, dtype=np.int64), self.t_min, self.t_max
+        """All (source, neighbor) pairs as two flat arrays, in ``B``
+        order (aligned with the ``distances`` column)."""
+        src = np.repeat(
+            np.arange(self.n_points, dtype=np.int64), self.neighbor_counts()
         )
-        return src, self.values[flat], flat
+        return src, self.values
 
     def edges_for(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(source, neighbor) pairs restricted to source ids ``ids``."""
@@ -257,13 +304,16 @@ class NeighborTable:
                     )
                 )
             table = cls(n_points, float(eps), with_distances=with_d)
-            table.t_min = data["t_min"].astype(np.int64)
-            table.t_max = data["t_max"].astype(np.int64)
-            table._values = data["values"].astype(np.int64)
-            table._cursor = len(table._values)
-            if table.with_distances:
-                table._dist = data["distances"].astype(np.float64)
+            table._t_min = data["t_min"].astype(np.int64)
+            table._t_max = data["t_max"].astype(np.int64)
+            values = data["values"].astype(np.int64)
+            dist = data["distances"].astype(np.float64) if with_d else None
+        table._cursor = len(values)
         try:
+            # files written before B was kept in point order hold it in
+            # batch order: lay the rows out again before validating
+            rows = table._rows_in_b_order(values, dist)
+            table._lay_out([(rows, values, dist)])
             table.validate()
         except AssertionError as exc:
             raise ValueError(
@@ -274,30 +324,60 @@ class NeighborTable:
     # ------------------------------------------------------------------
     # invariants (tests)
     # ------------------------------------------------------------------
+    def _rows_in_b_order(
+        self, values: np.ndarray, dist: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """The assigned rows, sorted by where they start in ``values``;
+        raises :class:`AssertionError` unless they tile it exactly."""
+        rows = np.flatnonzero(self._t_min >= 0)
+        rows = rows[np.argsort(self._t_min[rows], kind="stable")]
+        widths = self._t_max[rows] - self._t_min[rows] + 1
+        if np.any(widths < 1):
+            raise AssertionError("t_max < t_min for an assigned point")
+        if widths.sum() != len(values) or np.any(
+            self._t_min[rows] != np.cumsum(widths) - widths
+        ):
+            raise AssertionError("ranges overlap or leave gaps in B")
+        if dist is not None and len(dist) != len(values):
+            raise AssertionError("distance column misaligned with B")
+        return rows
+
     def validate(self) -> None:
-        """Check structural invariants; raises on violation."""
+        """Check structural invariants; raises on violation.
+
+        Besides the layout, ``T`` must be an ε-neighborhood table: each
+        row lists a neighbor once, and ``(i, j)`` is listed iff ``(j,
+        i)`` is, at the same distance.  Host cluster formation relies on
+        both (:mod:`repro.core.table_dbscan`).
+        """
         counts = self.neighbor_counts()
         assigned = self.t_min >= 0
         if np.any(self.t_max[assigned] < self.t_min[assigned]):
             raise AssertionError("t_max < t_min for an assigned point")
         if counts.sum() != len(self.values):
             raise AssertionError("range lengths do not cover B exactly")
-        if np.any(assigned):
-            # ranges must tile B without overlap
-            order = np.argsort(self.t_min[assigned])
-            mins = self.t_min[assigned][order]
-            maxs = self.t_max[assigned][order]
-            if mins[0] != 0 or maxs[-1] != len(self.values) - 1:
-                raise AssertionError("ranges do not span B")
-            if np.any(mins[1:] != maxs[:-1] + 1):
-                raise AssertionError("ranges overlap or leave gaps in B")
-        if len(self.values) and (
-            self.values.min() < 0 or self.values.max() >= self.n_points
-        ):
+        # with the lengths covering B, rows starting at the running sum
+        # of the widths tile it without gaps or overlap, in point order
+        if np.any(self.t_min[assigned] != self.indptr[:-1][assigned]):
+            raise AssertionError("rows of B are not laid out in point order")
+        n, values = self.n_points, self.values
+        if len(values) and (values.min() < 0 or values.max() >= n):
             raise AssertionError("neighbor id out of range")
         if self.with_distances:
             d = self.distances
-            if len(d) != len(self.values):
+            if len(d) != len(values):
                 raise AssertionError("distance column misaligned with B")
             if len(d) and (d.min() < 0 or d.max() > self.eps + 1e-12):
                 raise AssertionError("distance outside [0, eps]")
+        # one (source, neighbor) key per entry, sorted, against the
+        # same keys with source and neighbor swapped
+        src = np.repeat(np.arange(n, dtype=np.int64), counts)
+        fwd = np.argsort(src * n + values, kind="stable")
+        rev = np.argsort(values * n + src, kind="stable")
+        key = (src * n + values)[fwd]
+        if np.any(key[1:] == key[:-1]):
+            raise AssertionError("a row of B lists a neighbor twice")
+        if not np.array_equal(key, (values * n + src)[rev]):
+            raise AssertionError("T is not symmetric")
+        if self.with_distances and not np.array_equal(d[fwd], d[rev]):
+            raise AssertionError("distances are not symmetric")

@@ -88,15 +88,13 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from repro.core.batching import (
     BatchConfig,
     RecoveryStats,
     build_neighbor_table,
 )
-from repro.core.table_dbscan import NOISE, first_per_key
+from repro.core.table_dbscan import NOISE, cluster_csr
 from repro.gpusim.device import Device, DeviceSpec
 from repro.gpusim.faults import (
     FaultInjector,
@@ -582,11 +580,13 @@ def run_shard(
     local_core = counts >= minpts
     interior_core = local_core & is_interior
 
-    dres = None
+    # shard-local labeling under the interior mask: halo points (clipped
+    # neighborhoods) never become core.  ``raw`` gives each interior
+    # core the minimum *local* core id of its component; local ids are
+    # sorted global ids, so mapping through ``ids`` yields the exact
+    # lowest-global-id representative.  ``attach`` gives each interior
+    # border point its lowest-id interior-core neighbor.
     if cluster_on == "device":
-        # shard-local labeling on the shard's own bounded device: the
-        # eligibility mask keeps halo points (clipped neighborhoods)
-        # out of core status, exactly like ``interior_core`` above
         from repro.core.device_cluster import device_cluster_table
 
         dres = device_cluster_table(
@@ -597,45 +597,20 @@ def run_shard(
             block_dim=block_dim,
             eligible=is_interior,
         )
+        raw, attach = dres.raw_labels, dres.attach
+    else:
+        raw, attach = cluster_csr(interior_core, table.indptr, table.values)
 
     core_local = np.flatnonzero(interior_core)
     comp_edges = np.empty((0, 2), dtype=np.int64)
     cross_edges = np.empty((0, 2), dtype=np.int64)
     if len(core_local):
+        # one (member, representative) edge per interior core point
+        comp_edges = np.column_stack([ids[core_local], ids[raw[core_local]]])
+        # interior-core -> halo: candidate core–core merge edges; the
+        # halo endpoint may or may not be globally core (merge
+        # bookkeeping)
         src, dst = table.edges_for(core_local)
-        gids_core = ids[core_local]
-        if dres is not None:
-            # the converged union-find label of an interior core is the
-            # minimum *local* core id of its component; local ids are
-            # sorted global ids, so mapping through ``ids`` yields the
-            # exact lowest-global-id representative the host computes
-            comp_edges = np.column_stack(
-                [gids_core, ids[dres.raw_labels[core_local]]]
-            )
-        else:
-            # (a) interior-core -> interior-core: the local component graph
-            cc = interior_core[dst]
-            csrc, cdst = src[cc], dst[cc]
-            lindex = np.full(n_local, -1, dtype=np.int64)
-            lindex[core_local] = np.arange(len(core_local))
-            g = sparse.csr_matrix(
-                (
-                    np.ones(len(csrc), dtype=np.int8),
-                    (lindex[csrc], lindex[cdst]),
-                ),
-                shape=(len(core_local), len(core_local)),
-            )
-            _, comp = csgraph.connected_components(g, directed=False)
-            # shard-local labels compress to one (member, representative)
-            # edge per interior core point; representative = lowest global id
-            rep = np.full(
-                comp.max() + 1, np.iinfo(np.int64).max, dtype=np.int64
-            )
-            np.minimum.at(rep, comp, gids_core)
-            comp_edges = np.column_stack([gids_core, rep[comp]])
-        # (b) interior-core -> halo: candidate core–core merge edges;
-        # the halo endpoint may or may not be globally core (merge
-        # bookkeeping — host-computed on either cluster_on path)
         xc = ~is_interior[dst]
         cross_edges = np.column_stack([ids[src[xc]], ids[dst[xc]]])
 
@@ -643,23 +618,11 @@ def run_shard(
     border_interior = np.empty((0, 2), dtype=np.int64)
     border_halo_edges = np.empty((0, 2), dtype=np.int64)
     if len(border_local):
-        bsrc, bdst = table.edges_for(border_local)
-        if dres is not None:
-            # the BorderAttach kernel already found each interior border
-            # point's lowest-id (interior-)core neighbor
-            amask = dres.attach[border_local] >= 0
-            if amask.any():
-                bl = border_local[amask]
-                border_interior = np.column_stack(
-                    [ids[bl], ids[dres.attach[bl]]]
-                )
-        else:
-            # exact candidates among interior neighbors (core status known)
-            bi = interior_core[bdst]
-            if bi.any():
-                u, v = first_per_key(ids[bsrc[bi]], ids[bdst[bi]])
-                border_interior = np.column_stack([u, v])
+        # the exact candidate among interior neighbors (core status known)
+        bl = border_local[attach[border_local] >= 0]
+        border_interior = np.column_stack([ids[bl], ids[attach[bl]]])
         # halo neighbors: core status resolved at merge
+        bsrc, bdst = table.edges_for(border_local)
         bh = ~is_interior[bdst]
         border_halo_edges = np.column_stack([ids[bsrc[bh]], ids[bdst[bh]]])
     stats.reduce_s = time.perf_counter() - t1

@@ -1,13 +1,37 @@
 """DBSCAN over a precomputed neighbor table ``T``.
 
 Algorithm 4 replaces the ``NeighborSearch(p, ε, I)`` calls of Algorithm 1
-with lookups into ``T``.  :func:`dbscan_from_table` computes the
-clustering as the connected components of the core-point graph (core
-points adjacent iff within ε) plus border attachment, in vectorized
-NumPy + SciPy sparse CSR.  That pass, :func:`components_labels`, also
-serves the sub-ε path (:func:`dbscan_from_annotated_table`) and the
-sharded halo merge (:class:`repro.core.placement.IncrementalMerger`),
-which differ only in how they collect edges.
+with lookups into ``T``.  ``B`` lists the rows of ``T`` in point order,
+so ``T`` is a CSR matrix over the points, and host cluster formation is
+one pass over it (:func:`cluster_csr`):
+
+* non-core rows are emptied — a non-core point keeps its in-edges but
+  has no out-edges, so no directed path runs *through* it and it can
+  never join two clusters;
+* the strongly connected components of what is left are the clusters.
+  Every kernel computes a pair's squared distance the same way in both
+  directions, so ``T`` is symmetric; among core points a directed path
+  then exists iff its reverse does, and strong components are exactly
+  the connected components of the core graph.  SciPy finds them on the
+  CSR as it is, without the transpose its undirected search builds;
+* a border point joins its lowest-id core neighbor.  By symmetry the
+  non-core points with a core neighbor are those that sit in a core
+  row; one segmented minimum over their own rows
+  (:func:`repro._nputil.row_minima`) finds every lowest core id.
+
+Both steps need ``T`` to list each neighbor once per row, which it does:
+SciPy's strong-components search does not return on a row that repeats
+an entry.  :meth:`NeighborTable.validate
+<repro.core.neighbor_table.NeighborTable.validate>`, which a loaded
+table passes, checks both preconditions.
+
+:func:`dbscan_from_table` runs the pass on ``T`` itself, the sub-ε path
+(:func:`dbscan_from_annotated_table`) on ``T`` filtered by distance, and
+the sharded run (:func:`repro.core.sharding.run_shard`) on a shard's
+``T`` under its interior-core mask.  The halo merge
+(:class:`repro.core.placement.IncrementalMerger`) runs the same strong
+components search on its core edges, symmetrized and each once, over
+core-only ids (:func:`components_labels`).
 
 The same clustering is computed by union-find label kernels on the
 simulated device (:mod:`repro.core.device_cluster`), and by a faithful
@@ -30,17 +54,17 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from repro._nputil import NO_CORE, multi_arange, row_minima
 from repro.core.neighbor_table import NeighborTable
 
 __all__ = [
     "NOISE",
     "dbscan_from_table",
     "dbscan_from_annotated_table",
-    "dbscan_from_annotated_edges",
     "core_mask",
     "canonicalize_labels",
+    "cluster_csr",
     "components_labels",
-    "first_per_key",
 ]
 
 NOISE = -1
@@ -61,58 +85,103 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber clusters by their lowest member point id (noise stays -1).
 
     Vectorized (this sits on the thread-scaling hot path of scenario S3,
-    so it must not hold the GIL in a Python loop).
+    so it must not hold the GIL in a Python loop).  Labels in ``[0, n)``
+    — the raw labels of every clustering path are point ids — are ranked
+    without a sort over the points; any others are compressed first.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    out = np.full_like(labels, NOISE)
-    mask = labels != NOISE
-    vals = labels[mask]
-    if len(vals) == 0:
-        return out
-    uniq, first_idx = np.unique(vals, return_index=True)
-    # rank unique labels by their first occurrence (lowest member id)
-    order = np.argsort(first_idx, kind="stable")
-    new_of = np.empty(len(uniq), dtype=np.int64)
-    new_of[order] = np.arange(len(uniq))
-    # map each label through uniq -> new id
-    pos = np.searchsorted(uniq, vals)
-    out[mask] = new_of[pos]
+    n = len(labels)
+    members = np.flatnonzero(labels != NOISE)
+    if len(members) == 0:
+        return np.full(n, NOISE, dtype=np.int64)
+    vals = labels[members]
+    if vals.min() < 0 or vals.max() >= n:
+        _, vals = np.unique(vals, return_inverse=True)
+    # ``out`` first ranks the labels, each by its lowest member id
+    out = np.full(n, n, dtype=np.int64)
+    np.minimum.at(out, vals, members)
+    used = np.flatnonzero(out < n)
+    out[used[np.argsort(out[used])]] = np.arange(len(used))
+    ranks = out[vals]
+    out.fill(NOISE)
+    out[members] = ranks
     return out
 
 
-def first_per_key(
-    keys: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each unique key, the minimum value (vectorized)."""
-    order = np.lexsort((values, keys))
-    keys, values = keys[order], values[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    return keys[first], values[first]
+def _strong_components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Per vertex of a directed graph in CSR form, the label of its
+    strongly connected component — the one components pass of host
+    cluster formation.  No row may repeat an entry: SciPy's search does
+    not return on one.
 
-
-def _core_graph(
-    core_ids: np.ndarray, n: int, core_src: np.ndarray, core_dst: np.ndarray
-) -> sparse.csr_matrix:
-    """The core graph as a CSR over core-only vertex ids, built directly:
-    no COO conversion, no duplicate summing, no index sort.  Its
-    temporaries die on return, before the components pass runs."""
-    m = len(core_ids)
-    idx = np.int32 if max(m, len(core_src)) < 2**31 else np.int64
-    core_index = np.full(n, -1, dtype=idx)
-    core_index[core_ids] = np.arange(m, dtype=idx)
-    rows = core_index[core_src]
-    cols = core_index[core_dst]
-    if len(rows) and not (rows[1:] >= rows[:-1]).all():
-        # group by row (the merger's edges arrive unordered)
-        order = np.argsort(rows, kind="stable")
-        rows, cols = rows[order], cols[order]
-    indptr = np.zeros(m + 1, dtype=idx)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    # float64 weights: any other dtype makes SciPy's astype sum
-    # duplicates and sort the indices
-    return sparse.csr_matrix(
-        (np.ones(len(cols), dtype=np.float64), cols, indptr), shape=(m, m)
+    csgraph reads the structure only: one broadcast 1.0 stands in for
+    the weights, and int32 ids spare SciPy a checked down-cast.
+    """
+    n = len(indptr) - 1
+    idx = np.int32 if max(n, len(indices)) < 2**31 else np.int64
+    indices = indices.astype(idx, copy=False)
+    graph = sparse.csr_matrix(
+        (
+            np.broadcast_to(1.0, indices.shape),
+            indices,
+            indptr.astype(idx, copy=False),
+        ),
+        shape=(n, n),
     )
+    _, comp = csgraph.connected_components(
+        graph, directed=True, connection="strong"
+    )
+    return comp
+
+
+def cluster_csr(
+    is_core: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Host cluster formation over a symmetric ε-graph in CSR form.
+
+    Row ``p`` of ``(indptr, indices)`` lists ``p``'s neighbors, each
+    once, and the graph must be symmetric (``q`` in row ``p`` iff ``p``
+    in row ``q``) at least on the edges with a core endpoint (module
+    docstring).  Returns ``(raw, attach)`` in the convention of
+    :class:`~repro.core.device_cluster.DeviceClusterResult`: ``raw[p]``
+    is the minimum core id of ``p``'s cluster for cores and attached
+    border points (``-1`` for noise), ``attach[p]`` the lowest-id core
+    neighbor of a non-core point (``-1`` for cores and noise).
+    """
+    n = len(is_core)
+    raw = np.full(n, NOISE, dtype=np.int64)
+    attach = np.full(n, NOISE, dtype=np.int64)
+    core_ids = np.flatnonzero(is_core)
+    if len(core_ids) == 0:
+        return raw, attach
+    # non-core rows emptied, core rows kept as they are
+    widths = np.diff(indptr)
+    g_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.where(is_core, widths, 0), out=g_indptr[1:])
+    g_indices = indices[np.repeat(is_core, widths)]
+    core_comp = _strong_components(g_indptr, g_indices)[core_ids]
+    lowest = np.full(n, NO_CORE, dtype=np.int64)
+    np.minimum.at(lowest, core_comp, core_ids)
+    raw[core_ids] = lowest[core_comp]
+
+    # border attachment: by symmetry the non-core points with a core
+    # neighbor are those that sit in a core row; each joins the lowest
+    # core id in its own row
+    in_reach = np.zeros(n, dtype=bool)
+    in_reach[g_indices] = True
+    rows = np.flatnonzero(in_reach & ~is_core)
+    if len(rows):
+        row_widths = widths[rows]
+        entries = indices[multi_arange(indptr[rows], row_widths)]
+        ends = np.cumsum(row_widths)
+        nearest = row_minima(
+            np.where(is_core[entries], entries, NO_CORE),
+            ends - row_widths,
+            ends - 1,
+        )
+        attach[rows] = nearest
+        raw[rows] = raw[nearest]
+    return raw, attach
 
 
 def components_labels(
@@ -124,43 +193,57 @@ def components_labels(
 ) -> np.ndarray:
     """Labels from the core mask and its filtered ε-edges.
 
-    ``(core_src, core_dst)`` are the core–core edges and ``(border_src,
-    border_dst)`` the (non-core, core) edges.  Clusters are the
-    connected components of the core graph; a border point joins the
-    cluster of its lowest-id core neighbor (deterministic).
+    ``(core_src, core_dst)`` are core–core edges and ``(border_src,
+    border_dst)`` (non-core, core) edges, each in any order, with
+    duplicates, and possibly in one direction only.  Clusters are the
+    connected components of the core graph: the strong components of
+    that graph over core-only ids, symmetrized and with each edge once.
+    A border point joins the cluster of its lowest-id core neighbor
+    (deterministic).
     """
     n = len(is_core)
     labels = np.full(n, NOISE, dtype=np.int64)
     core_ids = np.flatnonzero(is_core)
-    if len(core_ids) == 0:
+    m = len(core_ids)
+    if m == 0:
         return labels
-    _, comp = csgraph.connected_components(
-        _core_graph(core_ids, n, core_src, core_dst), directed=False
-    )
-    labels[core_ids] = comp
+    # one sorted (source, neighbor) key per core edge and direction,
+    # each once: the rows of the core graph, grouped
+    shift = max(1, (m - 1).bit_length())
+    key = np.int32 if 2 * shift < 31 else np.int64
+    core_index = np.empty(n, dtype=key)
+    core_index[core_ids] = np.arange(m, dtype=key)
+    a = core_index[core_src]
+    b = core_index[core_dst]
+    e = len(a)
+    edge = np.empty(2 * e, dtype=key)
+    np.left_shift(a, shift, out=edge[:e])
+    np.left_shift(b, shift, out=edge[e:])
+    edge[:e] |= b
+    edge[e:] |= a
+    edge.sort()
+    first = np.empty(len(edge), dtype=bool)
+    first[:1] = True
+    np.not_equal(edge[1:], edge[:-1], out=first[1:])
+    edge = edge[first]
+    indptr = np.zeros(m + 1, dtype=key)
+    np.cumsum(np.bincount(edge >> shift, minlength=m), out=indptr[1:])
+    edge &= (1 << shift) - 1
+    labels[core_ids] = _strong_components(indptr, edge)
     if len(border_src):
-        u, v = first_per_key(border_src, border_dst)
-        labels[u] = labels[v]
+        # each border point's lowest-id core neighbor
+        border, pos = np.unique(border_src, return_inverse=True)
+        nearest = np.full(len(border), NO_CORE, dtype=np.int64)
+        np.minimum.at(nearest, pos, border_dst)
+        labels[border] = labels[nearest]
     return canonicalize_labels(labels)
 
 
 def dbscan_from_table(table: NeighborTable, minpts: int) -> np.ndarray:
     """Connected-components DBSCAN over ``T`` (vectorized, GIL-releasing)."""
     is_core = core_mask(table, minpts)
-    if not is_core.any():
-        # all noise: skip both table expansions
-        return np.full(table.n_points, NOISE, dtype=np.int64)
-
-    def edges_to_core(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # filtered before the next expansion is built, so two unfiltered
-        # edge lists never coexist (they dominate peak memory)
-        src, dst = table.edges_for(ids)
-        keep = is_core[dst]
-        return src[keep], dst[keep]
-
-    core_edges = edges_to_core(np.flatnonzero(is_core))
-    border_edges = edges_to_core(np.flatnonzero(~is_core))
-    return components_labels(is_core, *core_edges, *border_edges)
+    raw, _ = cluster_csr(is_core, table.indptr, table.values)
+    return canonicalize_labels(raw)
 
 
 def dbscan_from_annotated_table(
@@ -171,7 +254,8 @@ def dbscan_from_annotated_table(
     Because every entry of an annotated ``T`` carries its distance, the
     ε'-neighborhood for any ε' ≤ ε is a filtered view — one table built
     at the sweep's largest ε serves the whole S2 sweep (the multi-ε
-    extension of the paper's S3 reuse idea).
+    extension of the paper's S3 reuse idea).  Distances are symmetric
+    like the table, so the filtered table is too.
     """
     if not table.with_distances:
         raise ValueError("requires a table built with_distances=True")
@@ -181,27 +265,10 @@ def dbscan_from_annotated_table(
         )
     if minpts < 1:
         raise ValueError("minpts must be >= 1")
-    src, dst, pos = table.edges_with_positions()
-    return dbscan_from_annotated_edges(
-        table.n_points, src, dst, table.distances[pos], minpts, eps
-    )
-
-
-def dbscan_from_annotated_edges(
-    n_points: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    dist: np.ndarray,
-    minpts: int,
-    eps: float,
-) -> np.ndarray:
-    """:func:`dbscan_from_annotated_table` over an annotated table's
-    expanded ``(source, neighbor, distance)`` edges, sources ascending —
-    an ε sweep expands them once and filters them per ε."""
-    keep = dist <= eps
-    src, dst = src[keep], dst[keep]
-    is_core = np.bincount(src, minlength=n_points) >= minpts
-    from_core, to_core = is_core[src], is_core[dst]
-    cc = from_core & to_core
-    bc = ~from_core & to_core
-    return components_labels(is_core, src[cc], dst[cc], src[bc], dst[bc])
+    keep = table.distances <= eps
+    kept = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    indptr = kept[table.indptr]
+    is_core = np.diff(indptr) >= minpts
+    raw, _ = cluster_csr(is_core, indptr, table.values[keep])
+    return canonicalize_labels(raw)

@@ -31,7 +31,8 @@ edge — so the fixpoint is the per-component minimum core id for both
 the Jacobi-style vector backend and the sequential-per-block interpreter
 (Gauss–Seidel) backend, even though the two need different iteration
 counts.  Both vector backends find their per-row minima as one
-segmented ``np.minimum.reduceat`` over ``B`` (:func:`_row_minima`).
+segmented ``np.minimum.reduceat`` over ``B``
+(:func:`repro._nputil.row_minima`).
 Per-launch load counters are structure-only (row lengths) and match
 across backends; the union-find atomic counter (3 per hooking thread)
 depends on the propagation schedule and legitimately differs.
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._nputil import multi_arange
+from repro._nputil import NO_CORE, multi_arange, row_minima
 from repro.gpusim.costmodel import KernelCounters
 from repro.gpusim.kernelapi import KernelContext, device_array
 from repro.gpusim.launch import Kernel, LaunchConfig
@@ -54,34 +55,6 @@ __all__ = ["BorderAttachKernel", "ClusterUnionFindKernel", "CoreFlagKernel"]
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.absint import KernelInvariants
     from repro.analysis.costmodel import CostContract
-
-#: "no core point here" in the row minima — above every label and id
-_NO_CORE = np.iinfo(np.int64).max
-
-
-def _row_minima(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per row ``r``, ``vals[lo[r]:hi[r] + 1].min()``.
-
-    ``vals`` is a per-entry gather over ``B``; the rows are non-empty
-    and, like all rows of ``T``, disjoint.  One ``np.minimum.reduceat``
-    over the interleaved ``(lo, hi + 1)`` bounds computes every row:
-    its even outputs are the row minima, its odd outputs reduce the gaps
-    between rows and are dropped.  The bounds are sorted by ``lo`` first
-    — the strided batches interleave rows in ``B``, and an unsorted gap
-    can span most of it.
-    """
-    mins = np.empty(len(lo), dtype=vals.dtype)
-    if len(lo) == 0:
-        return mins
-    order = np.argsort(lo)
-    bounds = np.empty(2 * len(lo), dtype=np.int64)
-    bounds[0::2] = lo[order]
-    bounds[1::2] = hi[order] + 1
-    if bounds[-1] == len(vals):
-        # reduceat's last segment runs to the end of ``vals`` anyway
-        bounds = bounds[:-1]
-    mins[order] = np.minimum.reduceat(vals, bounds)[0::2]
-    return mins
 
 
 class CoreFlagKernel(Kernel):
@@ -312,11 +285,11 @@ class ClusterUnionFindKernel(Kernel):
         if n_core == 0:
             return 0
         snapshot = lab.copy()
-        vals = np.where(is_core, snapshot, _NO_CORE)[b]
+        vals = np.where(is_core, snapshot, NO_CORE)[b]
         lo = tmin[core_ids]
         hi = tmax[core_ids]
         old = snapshot[core_ids]
-        best = np.minimum(old, _row_minima(vals, lo, hi))
+        best = np.minimum(old, row_minima(vals, lo, hi))
         # pointer jump through the hooked label
         best = np.minimum(best, snapshot[best])
         hooks = best < old
@@ -332,8 +305,8 @@ class ClusterUnionFindKernel(Kernel):
         # (those rows are short: under minpts unless ``eligible`` cut them)
         noncore = np.flatnonzero(~is_core & (tmin >= 0))
         in_noncore = multi_arange(tmin[noncore], tmax[noncore] - tmin[noncore] + 1)
-        core_entries = np.count_nonzero(vals != _NO_CORE) - np.count_nonzero(
-            vals[in_noncore] != _NO_CORE
+        core_entries = np.count_nonzero(vals != NO_CORE) - np.count_nonzero(
+            vals[in_noncore] != NO_CORE
         )
         counters.global_loads += (
             3 * n_core + 2 * int((hi - lo + 1).sum()) + core_entries + n_core
@@ -458,9 +431,9 @@ class BorderAttachKernel(Kernel):
         valid = noncore[tmin[noncore] >= 0]
         lo = tmin[valid]
         hi = tmax[valid]
-        core_id = np.where(is_core, np.arange(n, dtype=np.int64), _NO_CORE)
-        nearest = _row_minima(core_id[b], lo, hi)
-        found = nearest != _NO_CORE
+        core_id = np.where(is_core, np.arange(n, dtype=np.int64), NO_CORE)
+        nearest = row_minima(core_id[b], lo, hi)
+        found = nearest != NO_CORE
         attached = valid[found]
         att[noncore] = -1
         att[attached] = nearest[found]

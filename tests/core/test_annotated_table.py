@@ -232,9 +232,9 @@ class TestAnnotatedInterpreterPath:
                 grid, Device(), with_distances=True, backend=backend,
                 block_dim=64,
             )
-            src, dst, pos = table.edges_with_positions()
+            src, dst = table.edges()
             order = np.lexsort((dst, src))
-            return src[order], dst[order], table.distances[pos[order]]
+            return src[order], dst[order], table.distances[order]
 
         sv, dv, xv = triples("vector")
         si, di, xi = triples("interpreter")

@@ -8,6 +8,13 @@ from hypothesis import strategies as st
 from repro.core import NeighborTable
 
 
+def symmetric(pairs):
+    """The ε-table a pair list stands for: every pair in both
+    directions, each once (``validate`` requires both)."""
+    pairs = list(pairs)
+    return sorted({(a, b) for a, b in pairs} | {(b, a) for a, b in pairs})
+
+
 def table_from_pairs(n, pairs):
     """Build a table from a full (key, value) list in one batch."""
     t = NeighborTable(n, eps=1.0)
@@ -19,21 +26,21 @@ def table_from_pairs(n, pairs):
 
 class TestConstruction:
     def test_single_batch(self):
-        t = table_from_pairs(3, [(0, 0), (0, 1), (1, 1), (2, 2)])
+        t = table_from_pairs(3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
         assert t.neighbors(0).tolist() == [0, 1]
-        assert t.neighbors(1).tolist() == [1]
+        assert t.neighbors(1).tolist() == [0, 1]
         assert t.neighbors(2).tolist() == [2]
         t.validate()
 
     def test_multi_batch_interleaved(self):
         t = NeighborTable(4, eps=1.0)
         # batch for even keys, then odd keys (strided style)
-        t.add_batch(np.array([0, 0, 2]), np.array([0, 1, 2]))
-        t.add_batch(np.array([1, 3, 3]), np.array([1, 2, 3]))
+        t.add_batch(np.array([0, 0, 2, 2]), np.array([0, 1, 2, 3]))
+        t.add_batch(np.array([1, 1, 3, 3]), np.array([0, 1, 2, 3]))
         t.finalize()
         assert t.neighbors(0).tolist() == [0, 1]
-        assert t.neighbors(1).tolist() == [1]
-        assert t.neighbors(2).tolist() == [2]
+        assert t.neighbors(1).tolist() == [0, 1]
+        assert t.neighbors(2).tolist() == [2, 3]
         assert t.neighbors(3).tolist() == [2, 3]
         t.validate()
 
@@ -100,6 +107,60 @@ class TestQueries:
         t = table_from_pairs(3, [(0, 0), (1, 1), (1, 2)])
         assert t.total_pairs == 3
 
+    @pytest.mark.parametrize("with_distances", [False, True])
+    def test_queries_finalize_a_multi_batch_table(
+        self, blobs_points, with_distances
+    ):
+        """Row ranges read before an explicit finalize are the final,
+        point-ordered ones, not the batch-order ranges of the build."""
+        from repro.core.batching import build_neighbor_table
+        from repro.core.device_cluster import device_cluster_table
+        from repro.gpusim import Device
+        from repro.index import GridIndex
+
+        grid = GridIndex.build(blobs_points, 0.5)
+        built, _ = build_neighbor_table(
+            grid, Device(), with_distances=with_distances
+        )
+        n = built.n_points
+
+        def batched():
+            # three strided batches, rows arriving out of point order
+            t = NeighborTable(n, eps=built.eps, with_distances=with_distances)
+            for l in (2, 0, 1):
+                keys = np.arange(l, n, 3)
+                keys = keys[built.neighbor_counts()[keys] > 0]
+                rows = [built.neighbors(k) for k in keys]
+                dist = (
+                    np.concatenate([built.neighbor_distances(k) for k in keys])
+                    if with_distances
+                    else None
+                )
+                t.add_batch(
+                    np.repeat(keys, [len(r) for r in rows]),
+                    np.concatenate(rows),
+                    dist,
+                )
+            return t
+
+        t = batched()
+        for i in range(0, n, 7):
+            assert np.array_equal(t.neighbors(i), built.neighbors(i))
+            if with_distances:
+                assert np.array_equal(
+                    t.neighbor_distances(i), built.neighbor_distances(i)
+                )
+        ids = np.arange(1, n, 5)
+        for a, b in zip(
+            batched().edges_for(ids), built.edges_for(ids), strict=True
+        ):
+            assert np.array_equal(a, b)
+        for name in ("t_min", "t_max"):
+            assert np.array_equal(getattr(batched(), name), getattr(built, name))
+        got = device_cluster_table(batched(), 5)
+        want = device_cluster_table(built, 5)
+        assert np.array_equal(got.labels, want.labels)
+
 
 class TestPersistence:
     @given(
@@ -119,7 +180,7 @@ class TestPersistence:
     def test_property_save_load_roundtrip(self, tmp_path_factory, spec):
         """Any table survives the .npz round trip exactly."""
         n, pairs = spec
-        t = table_from_pairs(n, pairs)
+        t = table_from_pairs(n, symmetric(pairs))
         path = t.save(tmp_path_factory.mktemp("nt") / "t.npz")
         back = NeighborTable.load(path)
         assert back.n_points == t.n_points
@@ -131,9 +192,9 @@ class TestPersistence:
 
     def test_annotated_roundtrip(self, tmp_path):
         t = NeighborTable(3, eps=0.5, with_distances=True)
-        keys = np.array([0, 0, 2])
-        vals = np.array([0, 1, 2])
-        dist = np.array([0.0, 0.25, 0.1])
+        keys = np.array([0, 0, 1, 2])
+        vals = np.array([0, 1, 0, 2])
+        dist = np.array([0.0, 0.25, 0.25, 0.1])
         t.add_batch(keys, vals, distances=dist)
         path = t.save(tmp_path / "annotated.npz")
         back = NeighborTable.load(path)
@@ -158,7 +219,7 @@ class TestPersistence:
 
     def test_legacy_meta_layout_accepted(self, tmp_path):
         """Tables written by the old float64-meta format still load."""
-        t = table_from_pairs(3, [(0, 0), (0, 1), (2, 2)])
+        t = table_from_pairs(3, [(0, 0), (0, 1), (1, 0), (2, 2)])
         path = tmp_path / "legacy.npz"
         np.savez_compressed(
             path,
@@ -173,6 +234,87 @@ class TestPersistence:
         assert not back.with_distances
         assert back.neighbors(0).tolist() == [0, 1]
         assert back.neighbors(2).tolist() == [2]
+
+
+class TestBatchOrderedFile:
+    """Files saved while ``B`` was kept in batch arrival order load in
+    point order."""
+
+    @staticmethod
+    def _batch_ordered_arrays(table, n_batches):
+        """``table``'s arrays laid out the way strided batches wrote
+        them: batch ``l`` holds the rows ``l, l + n_batches, ...`` back
+        to back, and the batches follow one another."""
+        keys = np.concatenate(
+            [np.arange(l, table.n_points, n_batches) for l in range(n_batches)]
+        )
+        keys = keys[table.neighbor_counts()[keys] > 0]
+        t_min = np.full(table.n_points, -1, dtype=np.int64)
+        t_max = np.full(table.n_points, -1, dtype=np.int64)
+        parts, dparts, cursor = [], [], 0
+        for k in keys:
+            row = table.neighbors(k)
+            t_min[k], t_max[k] = cursor, cursor + len(row) - 1
+            cursor += len(row)
+            parts.append(row)
+            if table.with_distances:
+                dparts.append(table.neighbor_distances(k))
+        arrays = {
+            "t_min": t_min,
+            "t_max": t_max,
+            "values": np.concatenate(parts),
+            "n_points": np.int64(table.n_points),
+            "eps": np.float64(table.eps),
+            "with_distances": np.bool_(table.with_distances),
+        }
+        if table.with_distances:
+            arrays["distances"] = np.concatenate(dparts)
+        return arrays
+
+    @pytest.mark.parametrize("with_distances", [False, True])
+    def test_batch_ordered_file_loads_in_point_order(
+        self, tmp_path, blobs_points, with_distances
+    ):
+        from repro.baseline import dbscan_from_table_expand
+        from repro.core.batching import build_neighbor_table
+        from repro.core.table_dbscan import dbscan_from_table
+        from repro.gpusim import Device
+        from repro.index import GridIndex
+
+        grid = GridIndex.build(blobs_points, 0.5)
+        table, _ = build_neighbor_table(
+            grid, Device(), with_distances=with_distances
+        )
+        arrays = self._batch_ordered_arrays(table, n_batches=3)
+        # the hand-written layout really interleaves the rows
+        assert np.any(np.diff(arrays["t_min"][arrays["t_min"] >= 0]) < 0)
+        path = tmp_path / "batch_ordered.npz"
+        np.savez_compressed(path, **arrays)
+
+        back = NeighborTable.load(path)
+        back.validate()
+        assert np.array_equal(back.t_min, table.t_min)
+        assert np.array_equal(back.t_max, table.t_max)
+        assert np.array_equal(back.values, table.values)
+        if with_distances:
+            assert np.array_equal(back.distances, table.distances)
+        for minpts in (3, 5, 12):
+            assert np.array_equal(
+                dbscan_from_table(back, minpts),
+                dbscan_from_table_expand(table, minpts),
+            )
+
+    def test_overlapping_rows_rejected(self, tmp_path):
+        """A file whose rows overlap in ``B`` cannot be laid out."""
+        t = table_from_pairs(3, [(0, 0), (0, 1), (1, 1), (2, 2)])
+        path = t.save(tmp_path / "overlap.npz")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["t_min"] = np.array([0, 0, 2])
+        arrays["t_max"] = np.array([1, 0, 2])
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="overlap.npz"):
+            NeighborTable.load(path)
 
 
 class TestLoadCorruption:
@@ -219,6 +361,48 @@ class TestLoadCorruption:
         with pytest.raises(ValueError, match="meta"):
             NeighborTable.load(path)
 
+    @staticmethod
+    def _write(path, t_min, t_max, values, distances=None):
+        arrays = {
+            "t_min": np.array(t_min),
+            "t_max": np.array(t_max),
+            "values": np.array(values),
+            "n_points": np.int64(len(t_min)),
+            "eps": np.float64(0.5),
+            "with_distances": np.bool_(distances is not None),
+        }
+        if distances is not None:
+            arrays["distances"] = np.array(distances)
+        np.savez_compressed(path, **arrays)
+        return path
+
+    def test_repeated_neighbor_rejected(self, tmp_path):
+        """Row 0 = [1, 1]: the strong-components pass never returns on
+        a row that repeats an entry, so such a file must not load."""
+        path = self._write(tmp_path / "twice.npz", [0, 2], [1, 2], [1, 1, 0])
+        with pytest.raises(ValueError, match="twice.npz") as ei:
+            NeighborTable.load(path)
+        assert "twice" in str(ei.value.__cause__)
+
+    def test_edge_without_reverse_rejected(self, tmp_path):
+        """Row 0 lists 1 but row 1 does not list 0."""
+        path = self._write(tmp_path / "oneway.npz", [0, 2], [1, 2], [0, 1, 1])
+        with pytest.raises(ValueError, match="oneway.npz") as ei:
+            NeighborTable.load(path)
+        assert "not symmetric" in str(ei.value.__cause__)
+
+    def test_asymmetric_distances_rejected(self, tmp_path):
+        path = self._write(
+            tmp_path / "dist.npz",
+            [0, 2],
+            [1, 3],
+            [0, 1, 0, 1],
+            distances=[0.0, 0.25, 0.3, 0.0],
+        )
+        with pytest.raises(ValueError, match="dist.npz") as ei:
+            NeighborTable.load(path)
+        assert "distances are not symmetric" in str(ei.value.__cause__)
+
     def test_invalid_structure_wrapped(self, tmp_path):
         """Structural validation failures surface as ValueError naming
         the file, with the AssertionError chained as the cause."""
@@ -243,6 +427,15 @@ class TestValidation:
         with pytest.raises(AssertionError):
             t.validate()
 
+    def test_validate_requires_point_order(self):
+        """Rows that tile ``B`` out of point order fail validation."""
+        t = table_from_pairs(3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+        t.validate()
+        # swap rows 1 (width 2) and 2 (width 1): still a tiling of B
+        t.t_min[1:], t.t_max[1:] = [3, 2], [4, 2]
+        with pytest.raises(AssertionError, match="point order"):
+            t.validate()
+
     def test_validate_catches_bad_value(self):
         t = table_from_pairs(2, [(0, 0), (1, 1)])
         t.values[0] = 99
@@ -264,8 +457,9 @@ class TestValidation:
     )
     @settings(max_examples=60)
     def test_property_roundtrip(self, spec):
-        """Any key/value multiset survives the table round trip."""
+        """Any ε-table's pairs survive the table round trip."""
         n, pairs = spec
+        pairs = symmetric(pairs)
         t = table_from_pairs(n, pairs)
         t.validate()
         rebuilt = []
@@ -281,10 +475,10 @@ class TestValidation:
     def test_property_batched_equals_single(self, n, nb):
         """Strided multi-batch ingestion builds the same table."""
         rng = np.random.default_rng(n * 31 + nb)
-        pairs = [
+        pairs = symmetric(
             (int(k), int(rng.integers(0, n)))
             for k in rng.integers(0, n, 40)
-        ]
+        )
         whole = table_from_pairs(n, pairs)
         t = NeighborTable(n, eps=1.0)
         for l in range(nb):

@@ -112,8 +112,8 @@ class TestExtractDBSCAN:
         for eps in (0.25, 0.4, 0.6):
             a = extract_dbscan(res, eps)
             b = dbscan_from_annotated_table(table, 5, eps)
-            src, dst, pos = table.edges_with_positions()
-            keep = table.distances[pos] <= eps
+            src, _ = table.edges()
+            keep = table.distances <= eps
             counts = np.bincount(src[keep], minlength=table.n_points)
             core = counts >= 5
             assert np.array_equal(
@@ -149,8 +149,8 @@ class TestExtractDBSCAN:
         for eps in (0.2, 0.45):
             a = extract_dbscan(res, eps)
             b = dbscan_from_annotated_table(table, 4, eps)
-            src, dst, pos = table.edges_with_positions()
-            keep = table.distances[pos] <= eps
+            src, _ = table.edges()
+            keep = table.distances <= eps
             counts = np.bincount(src[keep], minlength=table.n_points)
             core = counts >= 4
             assert np.array_equal(

@@ -189,6 +189,67 @@ class TestComponentsLabels:
         assert np.array_equal(labels, networkx_labels(is_core, src, dst, bsrc, bdst))
 
 
+def two_blobs_and_a_bridge():
+    """Two 5-point core blobs, ``(0, 0)`` and ``(2, 0)`` their facing
+    members, and a bridge point at ``(1, 0)``: exactly ε = 1 from both,
+    farther from everything else, so it has 3 neighbors (itself
+    included) and is not core at minpts 4."""
+    blob = np.array([[0.0, 0.0], [-0.1, 0.0], [-0.2, 0.0], [0.0, 0.1], [-0.1, 0.1]])
+    mirrored = blob * [-1.0, 1.0] + [2.0, 0.0]
+    return np.vstack([blob, mirrored, [[1.0, 0.0]]]), 1.0, 4
+
+
+class TestNonCoreBridge:
+    """A non-core point within ε of two clusters joins one of them as a
+    border point; it must never merge them (the directed pass empties
+    non-core rows for exactly this reason)."""
+
+    @staticmethod
+    def assert_two_clusters(labels, bridge):
+        blob_a, blob_b = labels[:5], labels[5:10]
+        assert (blob_a == blob_a[0]).all() and (blob_b == blob_b[0]).all()
+        assert blob_a[0] != blob_b[0] and NOISE not in (blob_a[0], blob_b[0])
+        assert labels[bridge] in (blob_a[0], blob_b[0])
+        assert labels.max() == 1
+
+    def test_noncore_bridge_keeps_two_clusters(self):
+        from repro.core import HybridDBSCAN, ShardConfig
+        from repro.core.table_dbscan import dbscan_from_annotated_table
+
+        pts, eps, minpts = two_blobs_and_a_bridge()
+        grid = GridIndex.build(pts, eps)
+        table, _ = build_neighbor_table(grid, Device(), with_distances=True)
+        bridge = int(np.flatnonzero(grid.sort_order == 10)[0])
+        assert table.neighbor_counts()[bridge] == 3
+
+        expected = dbscan_from_table_expand(table, minpts)
+        original = np.empty_like(expected)
+        original[grid.sort_order] = expected
+        self.assert_two_clusters(original, 10)
+        assert np.array_equal(dbscan_from_table(table, minpts), expected)
+        assert np.array_equal(
+            dbscan_from_annotated_table(table, minpts, eps), expected
+        )
+        fit = HybridDBSCAN().fit(pts, eps, minpts).labels
+        sharded = HybridDBSCAN(cluster_on="host").fit_sharded(
+            pts, eps, minpts, shard_config=ShardConfig(shards_x=2, shards_y=1)
+        )
+        assert np.array_equal(sharded.labels, fit)
+        self.assert_two_clusters(sharded.labels, 10)
+
+    def test_noncore_bridge_in_components_labels(self):
+        is_core = np.ones(11, dtype=bool)
+        is_core[10] = False
+        blob_a = [(i, j) for i in range(5) for j in range(5) if i != j]
+        blob_b = [(i + 5, j + 5) for i, j in blob_a]
+        core = np.array(blob_a + blob_b)
+        labels = components_labels(
+            is_core, core[:, 0], core[:, 1], np.array([10, 10]), np.array([7, 2])
+        )
+        self.assert_two_clusters(labels, 10)
+        assert labels[10] == labels[2]
+
+
 class TestCanonicalize:
     def test_noise_only(self):
         labels = np.full(5, NOISE)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batching import build_neighbor_table
 from repro.gpusim import Device, launch
 from repro.index import GridIndex
 from repro.kernels import NeighborCountKernel
@@ -128,3 +129,23 @@ def test_pair_exactly_eps_apart_where_pow_rounds_up(kernel):
     run = run_global if kernel == "global" else run_shared
     assert run(device, grid)[0] == truth
     assert run(device, grid, backend="interpreter", block_dim=32)[0] == truth
+
+
+@pytest.mark.parametrize("kernel", ["global", "shared"])
+@pytest.mark.parametrize("backend", ["vector", "interpreter"])
+@given(inp=boundary_inputs())
+@settings(max_examples=25, deadline=None)
+def test_table_symmetric_without_repeats(kernel, backend, inp):
+    """Every kernel squares ``(px - qx)`` and ``(py - qy)`` the same way
+    in both directions, so the built ``T`` holds ``(j, i)`` for every
+    ``(i, j)``, and no row lists a neighbor twice: the two
+    preconditions of the host's directed-components pass."""
+    pts, eps = inp
+    grid = GridIndex.build(pts, eps)
+    table, _ = build_neighbor_table(
+        grid, Device(), kernel=kernel, backend=backend, block_dim=32
+    )
+    src, dst = table.edges()
+    forward = np.sort(src * len(grid) + dst)
+    assert np.all(forward[1:] != forward[:-1])
+    assert np.array_equal(forward, np.sort(dst * len(grid) + src))
