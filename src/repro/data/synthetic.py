@@ -110,9 +110,9 @@ def _sample_neighbor_counts(
     n = len(grid)
     stride = max(1, int(round(1 / max(sample_fraction, 1e-9))))
     ids = np.arange(0, n, stride, dtype=np.int64)
-    rep, _, d2, _ = grid.candidate_pairs(ids)
-    # ids are multiples of stride, so rep // stride is the sample position
-    return np.bincount(rep[d2 <= eps * eps] // stride, minlength=len(ids))
+    keys = np.concatenate(grid.neighbor_pairs(ids).keys)
+    # ids are multiples of stride, so keys // stride is the sample position
+    return np.bincount(keys // stride, minlength=len(ids))
 
 
 def mean_neighbors(

@@ -23,17 +23,23 @@ from typing import Optional
 
 import numpy as np
 
-from repro._nputil import expand_ranges, run_boundaries
+from repro._nputil import run_boundaries
 from repro.index.base import as_points
 
-__all__ = ["GridIndex", "GridStats"]
+__all__ = ["GridIndex", "GridStats", "NeighborPairs"]
 
 #: refuse to build grids with more cells than this (degenerate ε)
 DEFAULT_MAX_CELLS = 200_000_000
 
+#: candidates per block of :meth:`GridIndex.neighbor_pairs`: each block's
+#: temporaries (about 40 B per candidate) stay cache-sized; 2^14 to 2^18
+#: timed alike on whole sweep-sw cycles
+NEIGHBOR_BLOCK = 1 << 16
+
 _NEIGHBOR_OFFSETS = np.array(
     [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)], dtype=np.int64
 )
+_ROW_OFFSETS = np.array([-1, 0, 1], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,26 @@ class GridStats:
     mean_points_per_nonempty_cell: float
 
 
+@dataclass(frozen=True)
+class NeighborPairs:
+    """The ε-hits of :meth:`GridIndex.neighbor_pairs`, one array per block.
+
+    Concatenated, ``keys`` and ``values`` are the ``(point, neighbor)``
+    hits grouped by point in the order the points were given, each
+    point's neighbors in the device code's scan order; ``d2`` holds their
+    squared distances when they were asked for and is empty otherwise.
+    ``n_candidates`` counts the distances evaluated and ``n_cells`` the
+    in-grid neighbor cells whose ranges were read.
+    """
+
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
+    d2: list[np.ndarray]
+    n_hits: int
+    n_candidates: int
+    n_cells: int
+
+
 @dataclass
 class GridIndex:
     """ε-cell grid over 2-D points (the paper's ``G`` and ``A``)."""
@@ -58,9 +84,10 @@ class GridIndex:
     ny: int
     #: points sorted into spatial (unit-bin) order — the device's ``D``
     points: np.ndarray
-    #: contiguous x and y columns of ``points`` (fast candidate gathers)
-    xs: np.ndarray
-    ys: np.ndarray
+    #: x and y of ``points[lookup]``: a range of ``A`` is a contiguous
+    #: slice of candidate coordinates
+    lookup_x: np.ndarray
+    lookup_y: np.ndarray
     #: permutation such that ``points == original_points[sort_order]``
     sort_order: np.ndarray
     #: linear cell id of each (sorted) point
@@ -135,8 +162,8 @@ class GridIndex:
             nx=nx,
             ny=ny,
             points=pts,
-            xs=np.ascontiguousarray(pts[:, 0]),
-            ys=np.ascontiguousarray(pts[:, 1]),
+            lookup_x=pts[lookup, 0],
+            lookup_y=pts[lookup, 1],
             sort_order=order,
             cell_of_point=cell_ids,
             lookup=lookup,
@@ -176,45 +203,103 @@ class GridIndex:
         ok = (nbr_x >= 0) & (nbr_x < self.nx) & (nbr_y >= 0) & (nbr_y < self.ny)
         return (nbr_y[ok] * self.nx + nbr_x[ok]).astype(np.int64)
 
-    def neighbor_cells_of_points(self, cell_ids: np.ndarray) -> np.ndarray:
-        """Vectorized 9-neighborhood: returns ``(len(cell_ids), 9)`` linear
-        ids with ``-1`` for out-of-grid positions."""
-        cell_ids = np.asarray(cell_ids, dtype=np.int64)
-        cx = cell_ids % self.nx
-        cy = cell_ids // self.nx
-        nbr_x = cx[:, None] + _NEIGHBOR_OFFSETS[None, :, 0]
-        nbr_y = cy[:, None] + _NEIGHBOR_OFFSETS[None, :, 1]
-        ok = (nbr_x >= 0) & (nbr_x < self.nx) & (nbr_y >= 0) & (nbr_y < self.ny)
-        out = nbr_y * self.nx + nbr_x
-        out[~ok] = -1
-        return out
-
-    def candidate_pairs(
+    def _row_ranges(
         self, ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Every (point, candidate) pair of the points ``ids``: each point
-        against all points of its ≤9 in-grid neighbor cells.
+        """The ranges of ``A`` that hold the candidates of the points
+        ``ids``: ``(point, start, count, n_cells)``.
 
-        Returns ``(point_ids, candidate_ids, squared_distances,
-        n_cells)``; ``n_cells`` counts the in-grid neighbor cells whose
-        ranges were read.  Pairs come grouped by ``ids`` in their given
-        order.  Distances are ``(px - qx)**2 + (py - qy)**2`` with the
-        squares taken as products, as in the device code, so the ε
-        boundary is the same on every backend.
+        The cells ``cx-1..cx+1`` of a grid row have consecutive linear
+        ids and ``A`` is grouped by ascending cell id, so each in-grid
+        row of a point's 9 cells is one range of ``A``, read in the
+        device code's cell order.  Non-empty ranges come grouped by point
+        in the order of ``ids``, rows ascending; ``n_cells`` counts the
+        in-grid neighbor cells, empty ones included.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        nbr = self.neighbor_cells_of_points(self.cell_of_point[ids])
-        valid = nbr >= 0
-        safe = np.where(valid, nbr, 0)
-        starts = np.where(valid, self.cell_min[safe], -1)
-        ends = np.where(valid, self.cell_max[safe], -1)
-        rep, flat = expand_ranges(
-            np.repeat(ids, nbr.shape[1]), starts.ravel(), ends.ravel()
+        nx = self.nx
+        cy, cx = np.divmod(self.cell_of_point[ids], nx)
+        x_lo = np.maximum(cx - 1, 0)[:, None]
+        x_hi = np.minimum(cx + 1, nx - 1)[:, None]
+        rows = cy[:, None] + _ROW_OFFSETS
+        in_grid = (rows >= 0) & (rows < self.ny)
+        n_cells = int(np.sum(in_grid * (x_hi - x_lo + 1)))
+        row0 = np.clip(rows, 0, self.ny - 1) * nx
+        cells = (row0 + x_lo, row0 + (x_lo + x_hi) // 2, row0 + x_hi)
+        # a row's range runs from its first non-empty cell's first entry
+        # to its last non-empty cell's last; an empty cell's -1 is the
+        # largest uint64, so it never wins the minimum
+        cell_min = self.cell_min.view(np.uint64)
+        first = np.minimum(np.minimum(cell_min[cells[0]], cell_min[cells[1]]), cell_min[cells[2]])
+        last = np.maximum(
+            np.maximum(self.cell_max[cells[0]], self.cell_max[cells[1]]), self.cell_max[cells[2]]
         )
-        cand = self.lookup[flat]
-        del flat
-        d2 = (self.xs[rep] - self.xs[cand]) ** 2 + (self.ys[rep] - self.ys[cand]) ** 2
-        return rep, cand, d2, int(valid.sum())
+        keep = np.flatnonzero(in_grid & (last >= 0))
+        start = first.view(np.int64).ravel()[keep]
+        return ids[keep // 3], start, last.ravel()[keep] - start + 1, n_cells
+
+    def neighbor_pairs(
+        self, ids: np.ndarray, *, distances: bool = False
+    ) -> NeighborPairs:
+        """The ε-hits of each point of ``ids`` against every point of its
+        ≤9 in-grid neighbor cells (3 ranges of ``A``, see :meth:`_row_ranges`).
+
+        The candidates of all ranges are walked in blocks of
+        :data:`NEIGHBOR_BLOCK`, so no temporary grows with the candidate
+        count; only the hits outlive their block.  Distances are
+        ``(px - qx) * (px - qx) + (py - qy) * (py - qy)``, as in the
+        device code, so the ε boundary is the same on every backend.
+        """
+        point, start, count, n_cells = self._row_ranges(ids)
+        end = np.cumsum(count)
+        n_candidates = int(end[-1]) if len(end) else 0
+        px, py = self.points[point, 0], self.points[point, 1]
+        eps2 = self.eps * self.eps
+        keys: list[np.ndarray] = []
+        values: list[np.ndarray] = []
+        d2s: list[np.ndarray] = []
+        bounds = np.append(np.arange(0, n_candidates, NEIGHBOR_BLOCK), n_candidates)
+        ramp = np.arange(min(NEIGHBOR_BLOCK, n_candidates))
+        firsts = np.searchsorted(end, bounds[:-1], side="right")
+        lasts = np.searchsorted(end, bounds[1:], side="left") + 1
+        for lo, hi, r0, r1 in zip(
+            bounds[:-1].tolist(),
+            bounds[1:].tolist(),
+            firsts.tolist(),
+            lasts.tolist(),
+            strict=True,
+        ):
+            # ranges r0..r1-1 meet the block; it may cut the first and last
+            part = count[r0:r1].copy()
+            skip = lo - int(end[r0] - part[0])
+            part[0] -= skip
+            part[-1] -= int(end[r1 - 1]) - hi
+            at = np.cumsum(part) - part  # each range's first slot in the block
+            offset = start[r0:r1] - at
+            offset[0] += skip
+            a = np.repeat(offset, part)
+            a += ramp[: hi - lo]  # the A index of every candidate
+            d2 = np.repeat(px[r0:r1], part)
+            d2 -= self.lookup_x[a]
+            d2 *= d2
+            dy = np.repeat(py[r0:r1], part)
+            dy -= self.lookup_y[a]
+            dy *= dy
+            d2 += dy
+            within = d2 <= eps2
+            hit = np.flatnonzero(within)
+            keys.append(np.repeat(point[r0:r1], np.add.reduceat(within, at, dtype=np.int64)))
+            values.append(self.lookup[a[hit]])
+            if distances:
+                d2s.append(d2[hit])
+        return NeighborPairs(
+            keys=keys,
+            values=values,
+            d2=d2s,
+            n_hits=sum(len(k) for k in keys),
+            n_candidates=n_candidates,
+            n_cells=n_cells,
+        )
 
     def cell_point_ids(self, h: int) -> np.ndarray:
         """Point ids (into the sorted ``points``) inside cell ``h``."""

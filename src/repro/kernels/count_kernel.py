@@ -152,13 +152,15 @@ class NeighborCountKernel(Kernel):
     ) -> int:
         """Returns ``e_b`` — neighbors within ε over the sample."""
         ids = np.asarray(sample_ids, dtype=np.int64)
-        rep_ids, _, d2, n_cells = grid.candidate_pairs(ids)
-        hits = int(np.count_nonzero(d2 <= grid.eps * grid.eps))
-        counters.distance_calcs += len(rep_ids)
+        pairs = grid.neighbor_pairs(ids)
+        hits = pairs.n_hits
+        counters.distance_calcs += pairs.n_candidates
         # cell-range loads are charged per *in-grid* neighbor cell only —
         # the SIMT path never touches G for out-of-grid cells, and the
         # Table-2 efficiency metrics compare these counters across backends
-        counters.global_loads += 2 * len(ids) + 2 * n_cells + 3 * len(rep_ids)
+        counters.global_loads += (
+            2 * len(ids) + 2 * pairs.n_cells + 3 * pairs.n_candidates
+        )
         counters.atomics += len(ids)
         counters.divergent_threads += config.total_threads - len(ids)
         if counter is not None:

@@ -195,28 +195,30 @@ class GPUCalcGlobal(Kernel):
         if len(ids) == 0:
             return 0
 
-        rep_ids, cand, d2, n_cells = grid.candidate_pairs(ids)
-        hit = d2 <= grid.eps * grid.eps
-        n_hits = int(np.count_nonzero(hit))
-
-        n_cand = len(rep_ids)
+        pairs = grid.neighbor_pairs(ids, distances=emit_distance)
+        n_hits = pairs.n_hits
+        n_cand = pairs.n_candidates
         counters.distance_calcs += n_cand
         counters.global_loads += 2 * len(ids)  # own coords
         # cell range lookups: only in-grid neighbor cells are ever read
         # (the SIMT path bounds-checks before touching G)
-        counters.global_loads += 2 * n_cells
+        counters.global_loads += 2 * pairs.n_cells
         counters.global_loads += 3 * n_cand  # A[a] + candidate coords
         width = 3 if emit_distance else 2
         counters.atomics += n_hits
         counters.global_stores += width * n_hits
 
         if n_hits:
-            rows = np.empty((n_hits, width), dtype=result.dtype)
-            rows[:, 0] = rep_ids[hit]
-            rows[:, 1] = cand[hit]
-            if emit_distance:
-                rows[:, 2] = np.sqrt(d2[hit])
-            result.append_block(rows)
+            # one reservation for the whole launch, so an overflow raises
+            # before any hit is written; each block then lands in place
+            at = result.reserve(n_hits)
+            for b, keys in enumerate(pairs.keys):
+                rows = result.data[at : at + len(keys)]
+                rows[:, 0] = keys
+                rows[:, 1] = pairs.values[b]
+                if emit_distance:
+                    np.sqrt(pairs.d2[b], out=rows[:, 2])
+                at += len(keys)
         return n_hits
 
     # ------------------------------------------------------------------

@@ -175,20 +175,20 @@ class HybridSelectKernel(Kernel):
             if n_batches > 1:
                 sp_ids = sp_ids[sp_ids % n_batches == batch]
             if len(sp_ids):
-                rep, cand, d2, n_cells = grid.candidate_pairs(sp_ids)
-                hit = d2 <= eps2
-                keys, values = rep[hit], cand[hit]
-                counters.distance_calcs += len(rep)
+                pairs = grid.neighbor_pairs(sp_ids)
+                counters.distance_calcs += pairs.n_candidates
                 # GPUCalcGlobal's charges: own coords, in-grid cell
                 # ranges, A[a] + candidate coords
                 counters.global_loads += (
-                    2 * len(sp_ids) + 2 * n_cells + 3 * len(rep)
+                    2 * len(sp_ids) + 2 * pairs.n_cells + 3 * pairs.n_candidates
                 )
-                counters.atomics += len(keys)
-                counters.global_stores += 2 * len(keys)
-                if len(keys):
-                    out.append(np.column_stack([keys, values]))
-                    total += len(keys)
+                counters.atomics += pairs.n_hits
+                counters.global_stores += 2 * pairs.n_hits
+                out.extend(
+                    np.column_stack(kv)
+                    for kv in zip(pairs.keys, pairs.values, strict=True)
+                )
+                total += pairs.n_hits
 
         if out:
             result.append_block(np.concatenate(out, axis=0))

@@ -11,6 +11,7 @@ from repro.core.batching import build_neighbor_table
 from repro.core.table_dbscan import dbscan_from_annotated_table
 from repro.gpusim import Device
 from repro.index import GridIndex
+from repro.index import grid as grid_module
 
 
 def annotated_table(points, eps, device=None):
@@ -218,11 +219,12 @@ class TestAnnotatedInterpreterPath:
                 t_sim.neighbor_distances(i)[order_s],
             )
 
-    def test_interpreter_distances_bit_identical(self):
+    def test_interpreter_distances_bit_identical(self, monkeypatch):
         """Device code and vector backend take the same correctly rounded
         square root, so the annotated distances agree bit for bit (a
         libm ``pow``-based ``d2 ** 0.5`` differs in ~0.1% of values, which
-        moves sub-ε filtering of a boundary pair)."""
+        moves sub-ε filtering of a boundary pair), also when the vector
+        side's ``NEIGHBOR_BLOCK`` is cut down to 1 and 7 candidates."""
         rng = np.random.default_rng(3)
         pts = rng.random((500, 2)) * 4.0
         grid = GridIndex.build(pts, 0.4)
@@ -236,11 +238,14 @@ class TestAnnotatedInterpreterPath:
             order = np.lexsort((dst, src))
             return src[order], dst[order], table.distances[order]
 
-        sv, dv, xv = triples("vector")
         si, di, xi = triples("interpreter")
-        assert len(xv) > 5000
-        assert np.array_equal(sv, si) and np.array_equal(dv, di)
-        assert np.array_equal(xv, xi)
+        for block in (None, 1, 7):
+            if block is not None:
+                monkeypatch.setattr(grid_module, "NEIGHBOR_BLOCK", block)
+            sv, dv, xv = triples("vector")
+            assert len(xv) > 5000
+            assert np.array_equal(sv, si) and np.array_equal(dv, di)
+            assert np.array_equal(xv, xi)
 
 
 class TestSortPairsWithDistances:

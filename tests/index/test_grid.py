@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.synthetic import make_sw
 from repro.index import BruteForceIndex, GridIndex
+from repro.index import grid as grid_module
 
 points_strategy = st.lists(
     st.tuples(
@@ -121,12 +123,16 @@ class TestNeighborCells:
         assert len(g.neighbor_cells(0)) == 4
 
     def test_vectorized_matches_scalar(self, uniform_points):
+        """The 3 row ranges of ``neighbor_pairs`` read exactly the scalar
+        ``neighbor_cells`` of a point: the same in-grid cells, the same
+        candidates, and ``range_query``'s hits in the same scan order."""
         g = GridIndex.build(uniform_points, 0.4)
-        cells = g.nonempty_cells[:30]
-        mat = g.neighbor_cells_of_points(cells)
-        for row, h in zip(mat, cells, strict=True):
-            got = sorted(row[row >= 0].tolist())
-            assert got == sorted(g.neighbor_cells(int(h)).tolist())
+        for pid in range(0, len(g), 7):
+            pairs = g.neighbor_pairs(np.array([pid]))
+            cells = g.neighbor_cells(int(g.cell_of_point[pid]))
+            assert pairs.n_cells == len(cells)
+            assert pairs.n_candidates == len(g.candidate_ids(pid))
+            assert np.concatenate(pairs.values).tolist() == g.range_query(pid).tolist()
 
     def test_single_cell_grid(self):
         pts = np.array([[0.1, 0.1], [0.2, 0.2]])
@@ -171,6 +177,40 @@ class TestRangeQuery:
             for q in g.range_query(pid):
                 got.add((pid, int(q)))
         assert got == truth
+
+
+class TestNeighborPairs:
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_clumpy_input_matches_brute_force(self, block, monkeypatch):
+        """On clumpy SW data, with blocks that cut through many cell
+        ranges, ``neighbor_pairs`` returns exactly the brute-force
+        ε-pairs and their squared distances, grouped by point in the
+        order the ids are given."""
+        if block is not None:
+            monkeypatch.setattr(grid_module, "NEIGHBOR_BLOCK", block)
+        eps = 0.5
+        g = GridIndex.build(make_sw(3000, seed=11, domain=30.0), eps)
+        assert g.stats().max_points_per_cell >= 100
+        ids = np.random.default_rng(2).permutation(len(g))[:1500]
+        pairs = g.neighbor_pairs(ids, distances=True)
+        keys = np.concatenate(pairs.keys)
+        values = np.concatenate(pairs.values)
+        d2 = np.concatenate(pairs.d2)
+        bf = BruteForceIndex(g.points)
+        want = [bf.range_query(int(i), eps) for i in ids]
+        assert pairs.n_hits == len(keys) == sum(len(w) for w in want)
+        assert np.array_equal(keys, np.repeat(ids, [len(w) for w in want]))
+        at = 0
+        for w in want:
+            assert np.array_equal(np.sort(values[at : at + len(w)]), w)
+            at += len(w)
+        diff = g.points[keys] - g.points[values]
+        assert np.array_equal(d2, diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1])
+        assert pairs.n_candidates > 50 * len(ids)
+
+    def test_empty_ids(self, uniform_points):
+        pairs = GridIndex.build(uniform_points, 0.4).neighbor_pairs(np.array([], dtype=np.int64))
+        assert (pairs.keys, pairs.n_hits, pairs.n_candidates, pairs.n_cells) == ([], 0, 0, 0)
 
 
 class TestStatsAndExport:

@@ -1,11 +1,13 @@
 """The vector and interpreter backends agree exactly — pairs, counts and
 every ``KernelCounters`` field — on inputs that sit on the ε boundary:
 pairs exactly ε apart, points on cell edges, duplicates and coordinates
-offset by 1e6."""
+offset by 1e6.  The vector side also runs with ``NEIGHBOR_BLOCK`` cut
+down to 1 and 7 candidates, so its blocks split cell ranges and points."""
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,9 +17,22 @@ from hypothesis import strategies as st
 from repro.core.batching import build_neighbor_table
 from repro.gpusim import Device, launch
 from repro.index import GridIndex
+from repro.index import grid as grid_module
 from repro.kernels import NeighborCountKernel
 
 from .conftest import run_global, run_shared, truth_pairs
+
+#: ``NEIGHBOR_BLOCK`` values drawn by the properties (None keeps the
+#: module's own)
+blocks = st.sampled_from([None, 1, 7])
+
+
+@contextmanager
+def neighbor_block(block: int | None):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(grid_module, "NEIGHBOR_BLOCK", block)
+        yield
 
 
 @st.composite
@@ -77,16 +92,17 @@ def run_count(device: Device, grid: GridIndex, ids: np.ndarray, backend: str):
     return int(counter.data[0]), res
 
 
-@given(boundary_inputs(), st.integers(1, 3), st.data())
-@settings(max_examples=40, deadline=None)
-def test_global_kernel_backends_identical(inp, n_batches, data):
+@given(boundary_inputs(), st.integers(1, 3), blocks, st.data())
+@settings(max_examples=60, deadline=None)
+def test_global_kernel_backends_identical(inp, n_batches, block, data):
     pts, eps = inp
     grid = GridIndex.build(pts, eps)
     batch = data.draw(st.integers(0, n_batches - 1))
     device = Device()
-    pv, rv, bv = run_global(
-        device, grid, batch=batch, n_batches=n_batches, block_dim=32
-    )
+    with neighbor_block(block):
+        pv, rv, bv = run_global(
+            device, grid, batch=batch, n_batches=n_batches, block_dim=32
+        )
     pi, ri, bi = run_global(
         device, grid, backend="interpreter",
         batch=batch, n_batches=n_batches, block_dim=32,
@@ -96,16 +112,17 @@ def test_global_kernel_backends_identical(inp, n_batches, data):
     assert counters_dict(rv) == counters_dict(ri)
 
 
-@given(boundary_inputs(), st.floats(0.05, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_count_kernel_backends_identical(inp, fraction):
+@given(boundary_inputs(), st.floats(0.05, 1.0), blocks)
+@settings(max_examples=60, deadline=None)
+def test_count_kernel_backends_identical(inp, fraction, block):
     pts, eps = inp
     grid = GridIndex.build(pts, eps)
     ids = np.unique(
         np.floor(np.linspace(0, len(grid) - 1, max(1, int(fraction * len(grid)))))
     ).astype(np.int64)
     device = Device()
-    ev, rv = run_count(device, grid, ids, "vector")
+    with neighbor_block(block):
+        ev, rv = run_count(device, grid, ids, "vector")
     ei, ri = run_count(device, grid, ids, "interpreter")
     assert ev == ei
     assert counters_dict(rv) == counters_dict(ri)
@@ -133,18 +150,19 @@ def test_pair_exactly_eps_apart_where_pow_rounds_up(kernel):
 
 @pytest.mark.parametrize("kernel", ["global", "shared"])
 @pytest.mark.parametrize("backend", ["vector", "interpreter"])
-@given(inp=boundary_inputs())
+@given(inp=boundary_inputs(), block=blocks)
 @settings(max_examples=25, deadline=None)
-def test_table_symmetric_without_repeats(kernel, backend, inp):
+def test_table_symmetric_without_repeats(kernel, backend, inp, block):
     """Every kernel squares ``(px - qx)`` and ``(py - qy)`` the same way
     in both directions, so the built ``T`` holds ``(j, i)`` for every
     ``(i, j)``, and no row lists a neighbor twice: the two
     preconditions of the host's directed-components pass."""
     pts, eps = inp
     grid = GridIndex.build(pts, eps)
-    table, _ = build_neighbor_table(
-        grid, Device(), kernel=kernel, backend=backend, block_dim=32
-    )
+    with neighbor_block(block):
+        table, _ = build_neighbor_table(
+            grid, Device(), kernel=kernel, backend=backend, block_dim=32
+        )
     src, dst = table.edges()
     forward = np.sort(src * len(grid) + dst)
     assert np.all(forward[1:] != forward[:-1])

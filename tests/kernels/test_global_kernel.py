@@ -1,12 +1,16 @@
 """Tests for GPUCalcGlobal (Algorithm 2)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import Device
+from repro.data.synthetic import make_sw
+from repro.gpusim import Device, ResultBufferOverflow, launch
 from repro.index import GridIndex
+from repro.index import grid as grid_module
 from repro.kernels import GPUCalcGlobal, batch_point_ids
 
 from .conftest import run_global, truth_pairs
@@ -189,3 +193,37 @@ class TestLaunchConfigAndCounters:
         assert rec.name == "GPUCalcGlobal"
         # nGPU ≈ |D| rounded up to blocks (Table II's global-kernel row)
         assert rec.n_gpu == GPUCalcGlobal.launch_config(len(grid)).total_threads
+
+
+class TestBoundedTemporaries:
+    def test_overflow_raises_before_any_write(self, device, uniform_points, monkeypatch):
+        """The launch reserves its whole hit count before the first block
+        lands, so a launch that overflows leaves the buffer untouched."""
+        monkeypatch.setattr(grid_module, "NEIGHBOR_BLOCK", 7)
+        grid = GridIndex.build(uniform_points, 0.4)
+        result = device.allocate_result_buffer((100, 2), np.int64, name="R")
+        result.data[:] = -1
+        cfg = GPUCalcGlobal.launch_config(len(grid))
+        with pytest.raises(ResultBufferOverflow):
+            launch(GPUCalcGlobal(), cfg, device, grid=grid, result=result)
+        assert result.count == 0
+        assert np.all(result.data == -1)
+
+    def test_launch_peak_is_hits_plus_a_constant(self):
+        """One vector launch over 8.5M candidates of clumpy SW data holds
+        its 3.7M hits and a few blocks of temporaries, never every
+        candidate at once (enumerating them all at once peaked at
+        347 MB here, against 69 MB for the hits and the blocks)."""
+        grid = GridIndex.build(make_sw(20_000, seed=0, domain=197.0), 1.5)
+        device = Device()
+        result = device.allocate_result_buffer((4_000_000, 2), np.int64, name="R")
+        cfg = GPUCalcGlobal.launch_config(len(grid))
+        tracemalloc.start()
+        try:
+            res = launch(GPUCalcGlobal(), cfg, device, grid=grid, result=result)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.counters.distance_calcs > 8_000_000
+        hit_bytes = result.count * 2 * 8
+        assert peak <= hit_bytes + 32 * 2**20
