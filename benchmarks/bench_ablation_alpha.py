@@ -8,6 +8,8 @@ allocation cost, and how many per-batch recovery actions fired.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.bench import format_table, save_json
 from repro.core import BatchConfig
 from repro.core.batching import build_neighbor_table
@@ -33,6 +35,14 @@ def test_ablation_alpha(benchmark):
         table, stats = build_neighbor_table(grid, device, config=cfg)
         table.validate()
         pinned_ms = device.profiler.pinned_alloc_ms
+        # a fresh device's first build pins every worker's b_b pairs:
+        # the cold over-allocation α trades, which staging leaked from
+        # another device would hide
+        n_workers = min(cfg.n_streams, stats.plan.n_batches)
+        staged = n_workers * stats.plan.buffer_size * 2 * 8
+        assert pinned_ms == pytest.approx(
+            device.cost.pinned_alloc_time_ms(staged), rel=1e-12
+        )
         rows.append(
             [
                 alpha,

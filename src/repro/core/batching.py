@@ -14,7 +14,12 @@ built in ``n_b`` batches:
    i.e. ``a_b ≥ 3·10⁸`` in this module's naming) and *variable*
    otherwise (``b_b = a_b (1 + 2α) / 3`` — α doubled because small
    estimates are noisier), so small workloads don't pay
-   pinned-allocation time for huge buffers;
+   pinned-allocation time for huge buffers.  Each worker's pinned
+   staging comes from the device's
+   :class:`~repro.gpusim.memory.PinnedMemoryPool`: a device's first
+   build allocates it fresh, as the paper does, and later builds on the
+   same device reuse the staging the pool keeps, paying only when a
+   larger ``b_b`` makes the pool grow;
 4. batch ``l`` processes points ``{g·n_b + l}`` — strided, which is
    spatially uniform because points are stored in spatial sort order —
    keeping every batch's result size ``|R_l| ≲ b_b``;
@@ -458,9 +463,12 @@ def _run_batches(
             return False
         # retire the old staging buffer before replacing it — pinned
         # pages are a scarce host resource and the residency accounting
-        # (and sanitizer leak-at-close) must stay truthful
-        pinned_bufs[worker].free()
-        pinned_bufs[worker] = device.alloc_pinned((new_cap, width), dtype)
+        # (and sanitizer leak-at-close) must stay truthful; returned
+        # first, its held mapping is the one a warm pool grows, and
+        # replacing() keeps the swap inside this build's busy period
+        with device.pinned.replacing():
+            pinned_bufs[worker].free()
+            pinned_bufs[worker] = device.alloc_pinned((new_cap, width), dtype)
         return True
 
     def run_batch(l: int, worker: int) -> None:

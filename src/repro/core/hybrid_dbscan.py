@@ -60,7 +60,8 @@ class TimingBreakdown:
     total_s: float = 0.0
     #: wall-clock seconds to build T (index + batched kernels + table)
     build_wall_s: float = 0.0
-    #: simulated device milliseconds (profiler; not wall clock)
+    #: simulated device milliseconds this run recorded (profiler; not
+    #: wall clock)
     device_ms: float = 0.0
     #: overflow/transfer recovery accounting of the build
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
@@ -162,6 +163,7 @@ class HybridDBSCAN:
         only) usable at any ε' ≤ ε and by OPTICS.
         """
         t0 = time.perf_counter()
+        mark = self.device.profiler.mark()
         grid = GridIndex.build(points, eps)
         t1 = time.perf_counter()
         table, stats = build_neighbor_table(
@@ -179,7 +181,7 @@ class HybridDBSCAN:
             sort_s=stats.sort_s,
             transfer_s=stats.transfer_s,
             table_s=stats.host_copy_s,
-            device_ms=self.device.profiler.total_device_ms(),
+            device_ms=self.device.profiler.device_ms_since(mark),
             recovery=stats.recovery,
         )
         timings.build_wall_s = time.perf_counter() - t0
@@ -231,14 +233,15 @@ class HybridDBSCAN:
     def fit(self, points: np.ndarray, eps: float, minpts: int) -> DBSCANResult:
         """Cluster ``points`` for one variant ``(ε, minpts)``."""
         t0 = time.perf_counter()
+        mark = self.device.profiler.mark()
         grid, table, timings = self.build_table(points, eps)
         t1 = time.perf_counter()
         labels = self.cluster_table(grid, table, minpts)
         t2 = time.perf_counter()
         timings.dbscan_s = t2 - t1
         timings.total_s = t2 - t0
-        # the device cluster path adds launches after the build snapshot
-        timings.device_ms = self.device.profiler.total_device_ms()
+        # the device cluster path adds launches after the build's figure
+        timings.device_ms = self.device.profiler.device_ms_since(mark)
         return DBSCANResult(
             labels=labels,
             eps=float(eps),

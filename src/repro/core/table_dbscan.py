@@ -108,6 +108,16 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+#: entries per block of the core-row mask in :func:`cluster_csr`
+CORE_ROW_BLOCK = 1 << 16
+
+
+def _index_dtype(n: int, nnz: int) -> type:
+    """int32 ids when every vertex and entry offset fits, as SciPy
+    wants them; int64 otherwise."""
+    return np.int32 if max(n, nnz) < 2**31 else np.int64
+
+
 def _strong_components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Per vertex of a directed graph in CSR form, the label of its
     strongly connected component — the one components pass of host
@@ -118,7 +128,7 @@ def _strong_components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     the weights, and int32 ids spare SciPy a checked down-cast.
     """
     n = len(indptr) - 1
-    idx = np.int32 if max(n, len(indices)) < 2**31 else np.int64
+    idx = _index_dtype(n, len(indices))
     indices = indices.astype(idx, copy=False)
     graph = sparse.csr_matrix(
         (
@@ -154,11 +164,18 @@ def cluster_csr(
     core_ids = np.flatnonzero(is_core)
     if len(core_ids) == 0:
         return raw, attach
-    # non-core rows emptied, core rows kept as they are
+    # non-core rows emptied, core rows kept as they are, copied in row
+    # blocks straight into the ids SciPy reads: no mask or int64 copy of
+    # the whole table
     widths = np.diff(indptr)
     g_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.where(is_core, widths, 0), out=g_indptr[1:])
-    g_indices = indices[np.repeat(is_core, widths)]
+    kept = int(g_indptr[-1])
+    g_indices = np.empty(kept, dtype=_index_dtype(n, kept))
+    cuts = np.searchsorted(indptr, np.arange(0, int(indptr[-1]), CORE_ROW_BLOCK))
+    for r0, r1 in zip(cuts.tolist(), [*cuts[1:].tolist(), n], strict=True):
+        keep = np.repeat(is_core[r0:r1], widths[r0:r1])
+        g_indices[g_indptr[r0] : g_indptr[r1]] = indices[indptr[r0] : indptr[r1]][keep]
     core_comp = _strong_components(g_indptr, g_indices)[core_ids]
     lowest = np.full(n, NO_CORE, dtype=np.int64)
     np.minimum.at(lowest, core_comp, core_ids)
@@ -169,6 +186,7 @@ def cluster_csr(
     # core id in its own row
     in_reach = np.zeros(n, dtype=bool)
     in_reach[g_indices] = True
+    del g_indices  # not held through the border pass's allocations
     rows = np.flatnonzero(in_reach & ~is_core)
     if len(rows):
         row_widths = widths[rows]

@@ -2,9 +2,10 @@
 
 :class:`DeviceSpec` describes the hardware; the default values approximate
 the NVIDIA Tesla K20c used in the paper (13 SMs, 5 GB global memory, PCIe
-2.0-era host link).  :class:`Device` owns the global memory pool, the cost
-model, the profiler, and the stream timeline, and provides the host-side
-API (`to_device`, `from_device`, `alloc_pinned`).
+2.0-era host link).  :class:`Device` owns the global memory pool, the
+pinned staging pool, the cost model, the profiler, and the stream
+timeline, and provides the host-side API (`to_device`, `from_device`,
+`alloc_pinned`).
 
 ``Device(sanitize=True)`` (or the ``GPUSAN=1`` environment variable, or
 the CLI's ``--sanitize``) attaches a
@@ -82,7 +83,7 @@ class Device:
         self.spec = spec or DeviceSpec()
         self.cost = cost_model or self.spec.cost_model()
         self.memory = GlobalMemoryPool(self.spec.global_mem_bytes)
-        self.pinned = PinnedMemoryPool()
+        self.pinned = PinnedMemoryPool(self.cost.pinned_alloc_time_ms)
         self.profiler = Profiler()
         self.timeline = Timeline()
         self.default_stream = Stream(self.timeline, name="default")
@@ -153,19 +154,19 @@ class Device:
         *,
         name: str = "pinned",
     ) -> PinnedHostBuffer:
-        """Allocate page-locked host memory (charged by the cost model).
+        """Check page-locked host staging out of the device's
+        :class:`~repro.gpusim.memory.PinnedMemoryPool`.
 
-        The buffer is registered with the device's
-        :class:`~repro.gpusim.memory.PinnedMemoryPool`; call its
-        ``free()`` when the staging buffer is retired so pinned
-        residency accounting (and the sanitizer's leak-at-close check)
-        stays truthful.
+        The cost model's pinned-allocation time is recorded only when
+        the pool has to allocate: always on the device's first build,
+        which stages from the heap, and afterwards for each new mapping,
+        in full, when none the pool holds is big enough.  Call the
+        buffer's ``free()`` to return it, so pinned residency accounting
+        (and the sanitizer's leak-at-close check) stays truthful.
         """
-        arr = np.empty(shape, dtype=dtype)
-        ms = self.cost.pinned_alloc_time_ms(arr.nbytes)
-        self.profiler.record_pinned_alloc(ms)
-        buf = PinnedHostBuffer(data=arr, alloc_time_ms=ms, name=name)
-        self.pinned.register(buf)
+        buf = self.pinned.checkout(shape, dtype, name=name)
+        if buf.alloc_time_ms:
+            self.profiler.record_pinned_alloc(buf.alloc_time_ms)
         return buf
 
     # ------------------------------------------------------------------
@@ -295,13 +296,15 @@ class Device:
         return self.pinned.leaked_buffers()
 
     def close(self) -> Optional[SanitizerReport]:
-        """Teardown check: report leaked device *and* pinned allocations
-        to the sanitizer.
+        """Teardown: release the pinned staging the pool holds, then
+        report leaked device *and* pinned allocations (buffers still
+        checked out) to the sanitizer.
 
         Returns the sanitizer report (``None`` on unsanitized devices).
         Leaks are reported, never raised — teardown must not mask the
         run's real outcome.
         """
+        self.pinned.release_held()
         if self.sanitizer is None:
             return None
         self.sanitizer.check_leaks(self.memory)

@@ -5,15 +5,19 @@ raise :class:`DeviceMemoryError`, which is exactly the constraint the
 paper's batching scheme (Section VI) exists to avoid.  Result buffers are
 append-only regions fed by an atomic cursor; writing past their capacity
 raises :class:`ResultBufferOverflow` — the failure mode the overestimation
-factor ``alpha`` guards against.
+factor ``alpha`` guards against.  Page-locked host staging comes from a
+grow-only :class:`PinnedMemoryPool` that each device owns, so a device
+that builds many tables pays the pinned-allocation cost once.
 """
 
 from __future__ import annotations
 
 import itertools
+import mmap
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -156,17 +160,16 @@ class PinnedHostBuffer:
 
     Pinned memory transfers at the fast PCIe rate but is expensive to
     allocate — the model charges
-    :meth:`repro.gpusim.costmodel.CostModel.pinned_alloc_time_ms` at
-    construction, which the batching scheme's variable buffer sizing
-    exists to minimize.  Pinned buffers share the device-buffer id space
-    so the sanitizer can track staging-buffer accesses (two streams
-    staging through one pinned buffer is the canonical Section VI race).
-
-    Buffers handed out by :meth:`Device.alloc_pinned
-    <repro.gpusim.device.Device.alloc_pinned>` are registered with the
-    device's :class:`PinnedMemoryPool`; call :meth:`free` when the
-    staging buffer is retired (regrow, build teardown) so pinned
-    residency accounting stays truthful.
+    :meth:`repro.gpusim.costmodel.CostModel.pinned_alloc_time_ms` for
+    the staging the device's :class:`PinnedMemoryPool` newly allocated
+    to hand the buffer out (``alloc_time_ms``; 0 when held staging was
+    reused), which the batching scheme's variable buffer sizing exists
+    to minimize.  Pinned buffers share the device-buffer id space, a fresh
+    id per checkout, so the sanitizer can track staging-buffer accesses
+    (two streams staging through one pinned buffer is the canonical
+    Section VI race) without mixing up two builds that reuse one
+    mapping.  Call :meth:`free` when the staging buffer is retired
+    (regrow, build teardown) to return it to the pool.
     """
 
     data: np.ndarray
@@ -175,6 +178,9 @@ class PinnedHostBuffer:
     pool: Optional["PinnedMemoryPool"] = None
     buffer_id: int = field(default_factory=lambda: next(_buffer_ids))
     freed: bool = False
+    #: the pool's mapping ``data`` is carved from; ``None`` for staging
+    #: from the ordinary heap, which is dropped on return
+    staging: Optional[mmap.mmap] = field(default=None, repr=False)
 
     @property
     def nbytes(self) -> int:
@@ -184,7 +190,7 @@ class PinnedHostBuffer:
         return len(self.data)
 
     def free(self) -> None:
-        """Release the page-locked allocation.
+        """Return the staging buffer to its pool.
 
         Mirrors :meth:`DeviceBuffer.free`: a second ``free()`` is a
         silent no-op on plain devices but a ``double-free`` memcheck
@@ -207,21 +213,49 @@ class PinnedHostBuffer:
 
 
 class PinnedMemoryPool:
-    """Residency accounting for page-locked host memory.
+    """A device's page-locked staging: a grow-only pool.
 
-    Unlike device global memory, pinned host memory is not
-    capacity-bounded here — but page-locked pages are a scarce host
-    resource, so the pool tracks every live :class:`PinnedHostBuffer`
-    (:meth:`leaked_buffers` is the teardown leak report) and the
-    used/peak byte counters the batching and sharding layers account
-    against.
+    :meth:`checkout` hands out a :class:`PinnedHostBuffer` and its
+    ``free()`` hands it back.  What the pool keeps depends on the
+    *busy period*, the stretch from a checkout with nothing checked
+    out to the return of the last buffer — one table build (a regrow
+    swaps its buffer inside :meth:`replacing`, which keeps the period
+    open even when that buffer was the only one checked out):
+
+    * the first busy period stages from the ordinary heap and keeps nothing,
+      so a device that builds once (a shard or service attempt) holds no
+      staging through the rest of its life;
+    * from the second busy period on, buffers are carved from page-granular
+      anonymous mappings outside the malloc heap, and a returned buffer's
+      mapping stays held.  A request takes the smallest held mapping
+      that fits; when none fits, the pool grows: it replaces its largest
+      free mapping with one of the requested size (or adds one when all
+      are checked out), so it never holds more mappings than were
+      checked out at once.
+
+    Each checkout is charged ``alloc_cost`` of the staging it newly
+    allocates — a whole heap buffer or a whole new mapping, nothing for
+    reused staging.
+    :meth:`release_held` (device teardown) drops the free mappings.
+    Pinned memory is not capacity-bounded here, but page-locked pages
+    are a scarce host resource, so the pool tracks every checked-out
+    buffer (:meth:`leaked_buffers` is the teardown leak report) and the
+    byte counters the batching and sharding layers account against:
+    ``used_bytes`` (checked out), ``held_bytes`` (heap buffers checked
+    out plus every held mapping) and ``peak_bytes``, the high-water mark
+    of ``held_bytes``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, alloc_cost: Callable[[int], float]) -> None:
+        self._alloc_cost = alloc_cost
         self._used = 0
         self._lock = threading.Lock()
         self.peak_bytes = 0
         self._live: dict[int, "PinnedHostBuffer"] = {}
+        #: held mappings that no buffer is carved from right now
+        self._free: list[mmap.mmap] = []
+        self._busy_periods = 0
+        self._replacing = 0
         #: optional sanitizer (set by the owning Device; duck-typed)
         self.sanitizer = None
 
@@ -229,18 +263,69 @@ class PinnedMemoryPool:
     def used_bytes(self) -> int:
         return self._used
 
+    def _held(self) -> int:
+        """Free mappings plus what checked-out buffers hold (lock held)."""
+        return sum(len(m) for m in self._free) + sum(
+            b.nbytes if b.staging is None else len(b.staging) for b in self._live.values()
+        )
+
+    @property
+    def held_bytes(self) -> int:
+        with self._lock:
+            return self._held()
+
+    @property
+    def held_count(self) -> int:
+        """Mappings the pool holds, checked out or not."""
+        with self._lock:
+            return len(self._free) + sum(b.staging is not None for b in self._live.values())
+
     @property
     def live_count(self) -> int:
         with self._lock:
             return len(self._live)
 
-    def register(self, buf: "PinnedHostBuffer") -> None:
-        """Adopt a freshly allocated pinned buffer into the accounting."""
-        buf.pool = self
+    def checkout(
+        self,
+        shape: tuple[int, ...] | int,
+        dtype: np.dtype | str,
+        *,
+        name: str = "pinned",
+    ) -> "PinnedHostBuffer":
+        """Hand out a buffer of ``shape`` and ``dtype`` (class docstring)."""
+        dtype = np.dtype(dtype)
+        count = int(np.prod(shape))
+        nbytes = count * dtype.itemsize
         with self._lock:
-            self._used += buf.nbytes
-            self.peak_bytes = max(self.peak_bytes, self._used)
+            if not self._live and not self._replacing:
+                self._busy_periods += 1
+            staging: Optional[mmap.mmap] = None
+            allocated = nbytes
+            if self._busy_periods == 1:
+                data = np.empty(shape, dtype=dtype)
+            else:
+                fits = [m for m in self._free if len(m) >= nbytes]
+                if fits:
+                    staging = min(fits, key=len)
+                    self._free.remove(staging)
+                    allocated = 0
+                else:
+                    if self._free:
+                        self._free.remove(max(self._free, key=len))
+                    allocated = max(1, -(-nbytes // mmap.PAGESIZE)) * mmap.PAGESIZE
+                    staging = mmap.mmap(-1, allocated, flags=mmap.MAP_PRIVATE)
+                data = np.frombuffer(staging, dtype=dtype, count=count).reshape(shape)
+            buf = PinnedHostBuffer(
+                data=data,
+                alloc_time_ms=self._alloc_cost(allocated) if allocated else 0.0,
+                name=name,
+                pool=self,
+                staging=staging,
+            )
+            self._used += nbytes
             self._live[buf.buffer_id] = buf
+            self.peak_bytes = max(self.peak_bytes, self._held())
+        return buf
 
     def release_buffer(self, buf: "PinnedHostBuffer") -> None:
         with self._lock:
@@ -248,11 +333,33 @@ class PinnedMemoryPool:
             if self._used < 0:  # pragma: no cover - defensive
                 raise RuntimeError("pinned memory pool underflow")
             self._live.pop(buf.buffer_id, None)
+            if buf.staging is not None:
+                self._free.append(buf.staging)
         if self.sanitizer is not None:
             self.sanitizer.on_free(buf)
 
+    @contextmanager
+    def replacing(self) -> Iterator[None]:
+        """Keep the busy period open while a buffer is returned and its
+        replacement checked out, so a regrow stays part of its build
+        even when the returned buffer was the only one checked out."""
+        with self._lock:
+            self._replacing += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._replacing -= 1
+
+    def release_held(self) -> None:
+        """Drop every free mapping (device teardown).  A mapping is
+        unmapped once no array views it; checked-out buffers stay live,
+        so the leak report still names them."""
+        with self._lock:
+            self._free.clear()
+
     def leaked_buffers(self) -> list["PinnedHostBuffer"]:
-        """Live (never-freed) pinned allocations."""
+        """Checked-out (never-returned) pinned buffers."""
         with self._lock:
             return list(self._live.values())
 

@@ -7,6 +7,7 @@ same quantities for every kernel launch, transfer, and device sort.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -123,6 +124,32 @@ class Profiler:
             + self.pinned_alloc_ms
             + self.stall_ms
         )
+
+    def mark(self) -> tuple[int, int, int, float, float]:
+        """Where the records stand now, for :meth:`device_ms_since`."""
+        with self._lock:
+            return (
+                len(self.kernels),
+                len(self.transfers),
+                len(self.sorts),
+                self.pinned_alloc_ms,
+                self.stall_ms,
+            )
+
+    def device_ms_since(self, mark: tuple[int, int, int, float, float]) -> float:
+        """The :meth:`total_device_ms` terms recorded since ``mark``.
+
+        Stream workers append records in a thread-dependent order, so
+        they are summed with :func:`math.fsum`, whose result does not
+        depend on that order.
+        """
+        nk, nt, ns, pinned, stall = mark
+        with self._lock:
+            terms = [k.modeled_ms for k in self.kernels[nk:]]
+            terms += [t.modeled_ms for t in self.transfers[nt:]]
+            terms += [s.modeled_ms for s in self.sorts[ns:]]
+            terms += [self.pinned_alloc_ms - pinned, self.stall_ms - stall]
+        return math.fsum(terms)
 
     def counters(self, name: Optional[str] = None) -> KernelCounters:
         total = KernelCounters()

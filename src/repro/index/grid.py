@@ -94,7 +94,8 @@ class GridIndex:
     cell_of_point: np.ndarray
     #: the lookup array ``A``: point ids grouped by cell (|A| = |D|)
     lookup: np.ndarray
-    #: per-cell inclusive range into ``A`` (−1 marks an empty cell)
+    #: per-cell inclusive range into ``A`` (−1 marks an empty cell);
+    #: int32 below 2**31 points, else int64
     cell_min: np.ndarray
     cell_max: np.ndarray
     #: sorted ids of non-empty cells (schedule ``S`` for GPUCalcShared)
@@ -150,8 +151,11 @@ class GridIndex:
         sorted_cells = cell_ids[lookup]
         uniq, starts, ends = run_boundaries(sorted_cells)
 
-        cell_min = np.full(nx * ny, -1, dtype=np.int64)
-        cell_max = np.full(nx * ny, -1, dtype=np.int64)
+        # ranges into A fit int32 below 2**31 points: half the bytes of
+        # the nx·ny arrays, which at a small ε outweigh the points
+        range_dtype = np.int32 if len(pts) < 2**31 else np.int64
+        cell_min = np.full(nx * ny, -1, dtype=range_dtype)
+        cell_max = np.full(nx * ny, -1, dtype=range_dtype)
         cell_min[uniq] = starts
         cell_max[uniq] = ends - 1  # inclusive, as in the paper's Figure 1
 
@@ -228,14 +232,15 @@ class GridIndex:
         cells = (row0 + x_lo, row0 + (x_lo + x_hi) // 2, row0 + x_hi)
         # a row's range runs from its first non-empty cell's first entry
         # to its last non-empty cell's last; an empty cell's -1 is the
-        # largest uint64, so it never wins the minimum
-        cell_min = self.cell_min.view(np.uint64)
+        # largest unsigned value of its width, so it never wins the minimum
+        signed = self.cell_min.dtype
+        cell_min = self.cell_min.view(f"u{signed.itemsize}")
         first = np.minimum(np.minimum(cell_min[cells[0]], cell_min[cells[1]]), cell_min[cells[2]])
         last = np.maximum(
             np.maximum(self.cell_max[cells[0]], self.cell_max[cells[1]]), self.cell_max[cells[2]]
         )
         keep = np.flatnonzero(in_grid & (last >= 0))
-        start = first.view(np.int64).ravel()[keep]
+        start = first.view(signed).ravel()[keep]
         return ids[keep // 3], start, last.ravel()[keep] - start + 1, n_cells
 
     def neighbor_pairs(

@@ -1,6 +1,7 @@
 """Tests for HYBRID-DBSCAN (Algorithm 4) end to end."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,21 @@ class TestResultObject:
         assert t.dbscan_s > 0
         assert t.total_s >= t.dbscan_s
         assert t.device_ms > 0
+
+    def test_device_ms_is_the_fits_own(self, blobs_points):
+        """Each fit reports the modeled ms it recorded, not the device's
+        lifetime total.  Fit 2 pays for the staging the pinned pool keeps
+        from then on; fits 3 and 4 reuse it."""
+        h = HybridDBSCAN()
+        fits, pinned = [], []
+        for _ in range(4):
+            ms = h.device.profiler.pinned_alloc_ms
+            fits.append(h.fit(blobs_points, 0.5, 5).timings.device_ms)
+            pinned.append(h.device.profiler.pinned_alloc_ms - ms)
+        assert fits[2] == fits[3]
+        assert pinned[1] > 0
+        assert fits[1] - fits[2] == pytest.approx(pinned[1], rel=1e-9)
+        assert sum(fits) == pytest.approx(h.device.profiler.total_device_ms(), rel=1e-12)
 
     def test_total_pairs_matches_table(self, uniform_points):
         res = HybridDBSCAN().fit(uniform_points, 0.3, 4)

@@ -1,5 +1,7 @@
 """Per-batch overflow recovery: acceptance, accounting, and properties."""
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,11 @@ def _plan(cfg, n_batches=N_BATCHES):
 
 def _neighbors(table):
     return [sorted(table.neighbors(i).tolist()) for i in range(table.n_points)]
+
+
+def _paged(nbytes):
+    """Bytes of the whole pages a pooled mapping of ``nbytes`` takes."""
+    return -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +188,98 @@ class TestPinnedAccounting:
         device = Device(sanitize=True)
         build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
         assert device.pinned.live_count == 0
+        # a device's first build keeps no staging
+        assert device.pinned.held_bytes == 0
         assert device.close().clean
+
+    def test_warm_builds_allocate_no_pinned_memory(self, reference):
+        cfg = _cfg()
+        device = Device(sanitize=True)
+        charges = []
+        for _ in range(4):
+            ms = device.profiler.pinned_alloc_ms
+            table, _ = build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
+            assert _neighbors(table) == reference
+            charges.append(device.profiler.pinned_alloc_ms - ms)
+        staging = cfg.n_streams * BUFFER * 2 * 8
+        assert charges[0] == pytest.approx(device.cost.pinned_alloc_time_ms(staging), rel=1e-12)
+        # the second build maps the staging the pool keeps from then on
+        assert charges[1] == pytest.approx(
+            device.cost.pinned_alloc_time_ms(device.pinned.held_bytes), rel=1e-12
+        )
+        assert charges[2:] == [0.0, 0.0]
+        assert device.pinned.held_count == cfg.n_streams
+        report = device.close()
+        assert report.clean, report.render()
+        assert device.pinned.held_bytes == 0
+
+    def test_larger_plan_charges_the_new_staging(self, reference):
+        cfg = _cfg()
+        device = Device()
+        for _ in range(2):
+            build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
+        held, ms = device.pinned.held_bytes, device.profiler.pinned_alloc_ms
+        big = _cfg(static_buffer_size=4 * BUFFER)
+        plan = BatchPlanner(big).plan_from_estimate(eb=1, ab=N_BATCHES * 4 * BUFFER)
+        table, _ = build_neighbor_table(_grid(), device, config=big, plan=plan)
+        assert _neighbors(table) == reference
+        # each worker's mapping is replaced by a larger one, charged whole
+        assert device.pinned.held_bytes - held == cfg.n_streams * (
+            _paged(4 * BUFFER * 16) - _paged(BUFFER * 16)
+        )
+        assert device.profiler.pinned_alloc_ms - ms == pytest.approx(
+            cfg.n_streams * device.cost.pinned_alloc_time_ms(_paged(4 * BUFFER * 16)),
+            rel=1e-12,
+        )
+        assert device.pinned.held_count == cfg.n_streams
+        # the smaller plan is carved from the grown staging
+        ms = device.profiler.pinned_alloc_ms
+        build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
+        assert device.profiler.pinned_alloc_ms == ms
+
+    def test_regrow_in_a_warm_build_grows_held_staging(self, reference):
+        cfg = _cfg(recovery="regrow")
+        device = Device(sanitize=True)
+        for _ in range(2):
+            build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
+        held, ms = device.pinned.held_bytes, device.profiler.pinned_alloc_ms
+        table, stats = build_neighbor_table(
+            _grid(), device, config=cfg, plan=_plan(cfg),
+            faults=FaultInjector.overflow_at(3),
+        )
+        assert stats.recovery.regrows == 1
+        assert _neighbors(table) == reference
+        assert device.pinned.live_count == 0
+        # the regrown worker's mapping was replaced, not added to
+        assert device.pinned.held_count == cfg.n_streams
+        assert device.pinned.held_bytes - held == _paged(2 * BUFFER * 16) - _paged(BUFFER * 16)
+        assert device.profiler.pinned_alloc_ms - ms == pytest.approx(
+            device.cost.pinned_alloc_time_ms(_paged(2 * BUFFER * 16)), rel=1e-12
+        )
+        report = device.close()
+        assert report.clean, report.render()
+
+    def test_one_worker_regrow_stays_in_the_first_build(self, reference):
+        """A regrow returns a one-worker build's only staging buffer
+        before checking out the larger one; the build still stages from
+        the heap, is charged for both buffers, and keeps nothing."""
+        cfg = _cfg(recovery="regrow", n_streams=1)
+        device = Device(sanitize=True)
+        table, stats = build_neighbor_table(
+            _grid(), device, config=cfg, plan=_plan(cfg),
+            faults=FaultInjector.overflow_at(3),
+        )
+        assert stats.recovery.regrows == 1
+        assert _neighbors(table) == reference
+        cost = device.cost.pinned_alloc_time_ms
+        assert device.profiler.pinned_alloc_ms == cost(BUFFER * 16) + cost(2 * BUFFER * 16)
+        assert device.pinned.peak_bytes == 2 * BUFFER * 16
+        assert (device.pinned.held_count, device.pinned.held_bytes) == (0, 0)
+        # the next build is the device's second: its staging is mapped
+        build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
+        assert device.pinned.held_count == 1
+        report = device.close()
+        assert report.clean, report.render()
 
 
 FAULT_KINDS = st.sampled_from(["overflow", "transfer"])

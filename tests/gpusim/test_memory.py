@@ -1,10 +1,16 @@
 """Tests for device global memory, result buffers and pinned memory."""
 
+import mmap
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.gpusim import Device, DeviceMemoryError, DeviceSpec, ResultBufferOverflow
 from repro.gpusim.memory import GlobalMemoryPool
+from repro.gpusim.sanitizer import DoubleFreeError
 
 
 class TestGlobalMemoryPool:
@@ -187,6 +193,131 @@ class TestTransfers:
         s = device.new_stream("io")
         device.to_device(np.arange(10.0), stream=s)
         assert device.profiler.transfers[-1].stream == "io"
+
+
+def _build(device, n, shape=(100, 2)):
+    """Check ``n`` buffers out at once and return them all: one build's
+    worth of staging."""
+    bufs = [device.alloc_pinned(shape, np.int64) for _ in range(n)]
+    for b in bufs:
+        b.free()
+    return bufs
+
+
+class TestPinnedStagingPool:
+    def test_first_build_stages_from_the_heap_and_keeps_nothing(self, device):
+        bufs = _build(device, 3)
+        assert all(b.staging is None for b in bufs)
+        assert all(b.alloc_time_ms == device.cost.pinned_alloc_time_ms(1600) for b in bufs)
+        assert device.pinned.held_bytes == 0
+        assert device.pinned.held_count == 0
+        assert device.pinned.peak_bytes == 3 * 1600
+
+    def test_warm_builds_reuse_staging_free_of_charge(self, device):
+        _build(device, 3)
+        second = _build(device, 3)
+        charged = device.profiler.pinned_alloc_ms
+        third = _build(device, 3)
+        assert device.profiler.pinned_alloc_ms == charged
+        assert [b.alloc_time_ms for b in third] == [0.0] * 3
+        assert {id(b.staging) for b in third} == {id(b.staging) for b in second}
+        # staging is held in whole pages
+        assert device.pinned.held_bytes == device.pinned.peak_bytes == 3 * mmap.PAGESIZE
+        assert (device.pinned.live_count, device.pinned.used_bytes) == (0, 0)
+
+    def test_growth_charges_the_whole_new_mapping(self, device):
+        _build(device, 1)
+        _build(device, 1)
+        charged = device.profiler.pinned_alloc_ms
+        (big,) = _build(device, 1, shape=(1000, 2))
+        assert len(big.staging) == 4 * mmap.PAGESIZE
+        assert big.alloc_time_ms == device.cost.pinned_alloc_time_ms(4 * mmap.PAGESIZE)
+        assert device.profiler.pinned_alloc_ms == charged + big.alloc_time_ms
+        # the smaller mapping it replaced is dropped
+        assert device.pinned.held_bytes == 4 * mmap.PAGESIZE
+
+    def test_replacing_keeps_the_busy_period_open(self, device):
+        only = device.alloc_pinned((100, 2), np.int64)
+        with device.pinned.replacing():
+            only.free()
+            larger = device.alloc_pinned((200, 2), np.int64)
+        # still the first build: heap staging, charged in full, not kept
+        assert larger.staging is None
+        assert larger.alloc_time_ms == device.cost.pinned_alloc_time_ms(3200)
+        larger.free()
+        assert device.pinned.held_bytes == 0
+        (second,) = _build(device, 1)
+        assert second.staging is not None
+
+    def test_holds_no_more_buffers_than_were_checked_out_at_once(self, device):
+        _build(device, 1)
+        _build(device, 2)
+        _build(device, 1, shape=(10_000, 2))
+        for _ in range(4):
+            _build(device, 1)
+        assert device.pinned.held_count == 2
+
+    def test_views_of_one_mapping_never_overlap_in_time(self, device):
+        _build(device, 1)
+        a = device.alloc_pinned(64, np.int64)
+        b = device.alloc_pinned(64, np.int64)
+        assert a.staging is not b.staging
+        a.free()
+        c = device.alloc_pinned(32, np.int64)
+        assert c.staging is a.staging
+        assert c.buffer_id != a.buffer_id
+
+    def test_concurrent_checkouts_never_share_staging(self, device):
+        """Stress: 8 threads check staging of three sizes in and out of
+        one warm pool under a tiny switch interval; a mapping handed to
+        two threads at once would show another thread's stamp."""
+        _build(device, 1)
+        stomped = []
+
+        def worker(k):
+            for _ in range(200):
+                buf = device.alloc_pinned(64 * (1 + k % 3), np.int64)
+                buf.data.fill(k)
+                time.sleep(0)
+                if not (buf.data == k).all():
+                    stomped.append(k)
+                buf.free()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert stomped == []
+        assert (device.pinned.live_count, device.pinned.used_bytes) == (0, 0)
+        assert 1 <= device.pinned.held_count <= 8
+
+    def test_unreturned_pooled_buffer_is_a_leak_at_close(self):
+        device = Device(sanitize=True)
+        _build(device, 1)
+        kept = device.alloc_pinned(64, np.int64, name="kept")
+        report = device.close()
+        assert report.count("leak") == 1
+        assert "kept" in report.violations[-1].message
+        # the leaked buffer's mapping stays with it
+        assert device.pinned.held_bytes == len(kept.staging)
+
+    def test_second_free_of_pooled_buffer_is_a_double_free(self):
+        device = Device(sanitize=True)
+        _build(device, 1)
+        buf = device.alloc_pinned(64, np.int64)
+        buf.free()
+        with pytest.raises(DoubleFreeError):
+            buf.free()
+        # returned once: the next two checkouts get distinct mappings
+        x, y = device.alloc_pinned(64, np.int64), device.alloc_pinned(64, np.int64)
+        assert x.staging is not y.staging
 
 
 class TestDeviceSpec:

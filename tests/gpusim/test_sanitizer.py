@@ -108,6 +108,22 @@ class TestRacecheck:
         with pytest.raises(RaceError):
             sdevice.from_device(b, out=pinned, stream=s2)
 
+    def test_pooled_pinned_staging_race(self, sdevice):
+        """The same misuse through staging the device's pinned pool
+        hands out again: reuse does not hide the race."""
+        for _ in range(2):
+            sdevice.alloc_pinned(32, np.int64).free()
+        pinned = sdevice.alloc_pinned(32, np.int64)
+        assert pinned.staging is not None and pinned.alloc_time_ms == 0
+        a = sdevice.to_device(np.arange(32, dtype=np.int64), name="a")
+        b = sdevice.to_device(np.arange(32, dtype=np.int64), name="b")
+        s1 = sdevice.new_stream("w1")
+        s2 = sdevice.new_stream("w2")
+        sdevice.synchronize()
+        sdevice.from_device(a, out=pinned, stream=s1)
+        with pytest.raises(RaceError):
+            sdevice.from_device(b, out=pinned, stream=s2)
+
     def test_record_mode_accumulates(self):
         device = Device(sanitize=True, sanitize_mode="record")
         buf = device.allocate_result_buffer((64, 2), np.int64)

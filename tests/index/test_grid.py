@@ -1,5 +1,7 @@
 """Tests for the grid index (Section IV / Figure 1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,29 @@ class TestConstruction:
                 x, y = g.points[pid]
                 assert cx == min(int((x - g.xmin) / g.eps), g.nx - 1)
                 assert cy == min(int((y - g.ymin) / g.eps), g.ny - 1)
+
+    def test_cell_ranges_are_int32(self, uniform_points):
+        """The nx·ny range arrays dominate the index at small ε, so they
+        hold int32 below 2**31 points."""
+        g = GridIndex.build(uniform_points, 0.05)
+        assert g.cell_min.dtype == g.cell_max.dtype == np.int32
+        assert g.n_cells > len(uniform_points)
+
+    def test_row_ranges_alike_at_either_width(self, uniform_points):
+        """``_row_ranges`` skips empty cells through the unsigned view of
+        the ranges; int64 ranges (2**31 points or more) give the same
+        hits."""
+        g = GridIndex.build(uniform_points, 0.3)
+        wide = dataclasses.replace(
+            g, cell_min=g.cell_min.astype(np.int64), cell_max=g.cell_max.astype(np.int64)
+        )
+        ids = np.arange(len(g))
+        for got, want in zip(
+            wide._row_ranges(ids), g._row_ranges(ids), strict=True
+        ):
+            assert np.array_equal(got, want)
+        a, b = wide.neighbor_pairs(ids), g.neighbor_pairs(ids)
+        assert np.array_equal(np.concatenate(a.values), np.concatenate(b.values))
 
     def test_empty_cells_marked(self, uniform_points):
         g = GridIndex.build(uniform_points, 0.5)
