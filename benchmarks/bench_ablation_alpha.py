@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench import format_table, save_json
 from repro.core import BatchConfig
-from repro.core.batching import build_neighbor_table
+from repro.core.batching import build_neighbor_table, result_layout
 from repro.gpusim import Device
 from repro.index import GridIndex
 
@@ -39,7 +39,8 @@ def test_ablation_alpha(benchmark):
         # the cold over-allocation α trades, which staging leaked from
         # another device would hide
         n_workers = min(cfg.n_streams, stats.plan.n_batches)
-        staged = n_workers * stats.plan.buffer_size * 2 * 8
+        width, dtype = result_layout(len(grid))
+        staged = n_workers * stats.plan.buffer_size * width * dtype.itemsize
         assert pinned_ms == pytest.approx(
             device.cost.pinned_alloc_time_ms(staged), rel=1e-12
         )

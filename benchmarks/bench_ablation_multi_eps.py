@@ -33,7 +33,15 @@ def test_ablation_multi_eps(benchmark):
         per_eps = pipe.run(
             pts, VariantSet.eps_sweep(eps_grid, MINPTS), pipelined=False
         )
-        sweep = cluster_eps_sweep(pts, eps_grid, MINPTS, n_threads=1)
+        device = Device()
+        sweep = cluster_eps_sweep(
+            pts, eps_grid, MINPTS, n_threads=1, hybrid=HybridDBSCAN(device)
+        )
+        # the annotated build's modeled calc-kernel ms (each append is
+        # charged its float64 row's six 4-byte stores)
+        kernel_ms = sum(
+            r.modeled_ms for r in device.profiler.kernels if r.name == "GPUCalcGlobal"
+        )
 
         # identical clustering structure per eps
         for a, b in zip(per_eps.outcomes, sweep.outcomes, strict=True):
@@ -48,6 +56,7 @@ def test_ablation_multi_eps(benchmark):
                 round(sweep.build_s, 3),
                 round(sweep.total_s, 3),
                 round(per_eps.total_s / sweep.total_s, 2),
+                round(kernel_ms, 4),
             ]
         )
         payload.append(
@@ -59,6 +68,7 @@ def test_ablation_multi_eps(benchmark):
                 "annotated_total_s": sweep.total_s,
                 "speedup": per_eps.total_s / sweep.total_s,
                 "annotated_pairs": sweep.table_pairs,
+                "annotated_kernel_device_ms": kernel_ms,
             }
         )
         # one annotated build beats rebuilding per eps across the sweep
@@ -76,7 +86,7 @@ def test_ablation_multi_eps(benchmark):
     report(
         format_table(
             ["Dataset", "#eps", "per-eps tables s", "annotated build s",
-             "annotated total s", "speedup"],
+             "annotated total s", "speedup", "annotated kernel ms (modeled)"],
             rows,
             title="Ablation (extension): one annotated table at eps_max "
             "vs a table per eps over the S2 grid",

@@ -234,7 +234,12 @@ def ablations() -> str:
         ("ablation_hybrid_kernel", "density-adaptive kernel (extension)",
          "beats pure shared everywhere, tracks global, fewer blocks"),
         ("ablation_multi_eps", "multi-ε reuse (extension)",
-         "one annotated table beats per-ε rebuilds across the S2 sweep"),
+         "one annotated table beats per-ε rebuilds across the S2 sweep. "
+         "An annotated append is charged its float64 row's six 4-byte "
+         "stores on both backends (the vector backend charged 3, the "
+         "interpreter 2): the annotated build's modeled GPUCalcGlobal ms "
+         "at scale 0.005 went 0.520 → 0.641 (SW1) and 0.468 → 0.560 "
+         "(SDSS1)"),
         ("BENCH_shards", "sharded out-of-core clustering (extension)",
          "per-shard peak residency stays under the cap (below the "
          "single-device peak); labels bit-identical at every shard grid"),

@@ -4,11 +4,30 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["NO_CORE", "multi_arange", "expand_ranges", "row_minima", "run_boundaries"]
+__all__ = ["expand_ranges", "id_dtype", "multi_arange", "no_core", "row_minima", "run_boundaries"]
 
-#: "no core point here" in the row minima of core ids or labels — above
-#: every id
-NO_CORE = np.iinfo(np.int64).max
+
+def id_dtype(*extents: int) -> np.dtype:
+    """The width of an array of point ids or offsets into ``B``.
+
+    ``extents`` are the counts its values index (points, entries of
+    ``B``): int32 while every one is below 2**31, so that each value,
+    ``-1`` and one past the last index all fit, and int64 otherwise.
+    Result pairs, ``B``, its row ranges, the device tables and the grid's
+    cell ranges all take their width from here; int32 halves their bytes
+    on every transfer, staging buffer and device allocation.  NumPy
+    widens an int32 index before it gathers, so a host temporary used
+    only as an index stays int64.
+    """
+    return np.dtype(np.int32 if max(extents, default=0) < 2**31 else np.int64)
+
+
+def no_core(dtype: np.dtype | type) -> int:
+    """"No core point here" in the row minima of core ids or labels of
+    ``dtype``: its largest value, above every id.  Taken per dtype:
+    ``np.where`` silently wraps a Python int too large for an int32
+    array (int64's maximum becomes -1, below every id)."""
+    return int(np.iinfo(dtype).max)
 
 
 def multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

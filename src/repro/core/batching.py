@@ -26,6 +26,12 @@ built in ``n_b`` batches:
 5. batches round-robin over 3 streams, overlapping kernel, device sort,
    transfer to pinned staging, and host-side table construction.
 
+``b_b`` counts pairs.  A pair is two point ids at the id width
+(:func:`repro._nputil.id_dtype`): 8 B below 2**31 points, as the
+paper's kernels store them, so the result buffers, their pinned
+staging and every staging transfer take 8 B per pair, and the ids land
+in ``B`` as staged (:func:`result_layout`).
+
 When a batch still overflows its buffer (the estimate lost to an
 adversarial density), recovery is **per batch**: the failed batch is
 split in two, and a unit that cannot split further regrows its worker's
@@ -51,6 +57,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from repro._nputil import id_dtype
 from repro.gpusim.device import Device
 from repro.gpusim.faults import FaultInjector, TransferError
 from repro.gpusim.launch import launch
@@ -69,9 +76,20 @@ __all__ = [
     "RecoveryStats",
     "TableBuildStats",
     "build_neighbor_table",
+    "result_layout",
 ]
 
-PAIR_DTYPE = np.int64
+
+def result_layout(n_points: int, with_distances: bool = False) -> tuple[int, np.dtype]:
+    """``(width, dtype)`` of one result record of a build over ``n_points``.
+
+    A pair is ``(key, value)`` at the id width; an annotated record is a
+    float64 ``(key, value, dist)`` row, exact for ids below 2**53, whose
+    ids take the id width as the table ingests them.
+    """
+    if with_distances:
+        return 3, np.dtype(np.float64)
+    return 2, id_dtype(n_points)
 
 
 @dataclass(frozen=True)
@@ -341,11 +359,8 @@ def _run_batches(
     n_batches = plan.n_batches
     n_workers = min(cfg.n_streams, n_batches)
 
-    # per-stream resources: device result buffer + pinned staging buffer;
-    # annotated results carry a float distance column (rows are float64,
-    # exact for ids below 2**53)
-    width = 3 if with_distances else 2
-    dtype = np.float64 if with_distances else PAIR_DTYPE
+    # per-stream resources: device result buffer + pinned staging buffer
+    width, dtype = result_layout(len(grid), with_distances)
     streams = [device.new_stream(f"batch-stream{i}") for i in range(n_workers)]
     result_bufs: list = []
     pinned_bufs: list = []
@@ -423,11 +438,9 @@ def _run_batches(
             raise
         t3 = time.perf_counter()
         if with_distances:
-            table.add_batch(
-                staged[:n, 0].astype(np.int64),
-                staged[:n, 1].astype(np.int64),
-                staged[:n, 2],
-            )
+            # the float64 values column is cast as add_batch copies it out
+            keys = staged[:n, 0].astype(table.id_dtype)
+            table.add_batch(keys, staged[:n, 1], staged[:n, 2])
         else:
             table.add_batch(staged[:n, 0], staged[:n, 1])
         t4 = time.perf_counter()
@@ -445,7 +458,7 @@ def _run_batches(
         rbuf = result_bufs[worker]
         old_cap = rbuf.capacity
         new_cap = old_cap * 2
-        new_bytes = new_cap * width * np.dtype(dtype).itemsize
+        new_bytes = new_cap * width * dtype.itemsize
         # the old buffer is freed first (its content is disposable), so
         # the bound is free bytes plus what the old buffer returns
         if new_bytes > device.memory.free_bytes + rbuf.nbytes:

@@ -47,7 +47,8 @@ class DeviceClusterResult:
     #: canonical labels (clusters numbered by lowest member id, -1 noise)
     labels: np.ndarray
     #: pre-canonicalization labels: per point, the minimum core id of its
-    #: component (cores and attached borders), -1 for noise
+    #: component (cores and attached borders), -1 for noise; these and
+    #: ``attach`` are at the table's id width
     raw_labels: np.ndarray
     #: core flags (respecting ``eligible`` when given)
     core: np.ndarray
@@ -73,7 +74,8 @@ def device_cluster_table(
 ) -> DeviceClusterResult:
     """Cluster a neighbor table on the (simulated) device.
 
-    Uploads ``t_min``/``t_max``/``B``, then:
+    Uploads ``t_min``/``t_max``/``B`` at the widths the table holds
+    them, then:
 
     1. ``CoreFlag`` — core classification + label init;
     2. ``ClusterUnionFind`` — relaunched until a round leaves every
@@ -89,6 +91,7 @@ def device_cluster_table(
     if minpts < 1:
         raise ValueError("minpts must be >= 1")
     n = table.n_points
+    ids = table.id_dtype
     own_device = device is None
     if own_device:
         device = Device()
@@ -100,9 +103,7 @@ def device_cluster_table(
         d_tmax = device.to_device(table.t_max, name="cluster.t_max")
         d_b = device.to_device(table.values, name="cluster.B")
         d_core = device.allocate(n, np.int8, name="cluster.core", fill=0)
-        d_labels = device.allocate(
-            n, np.int64, name="cluster.labels", fill=NOISE
-        )
+        d_labels = device.allocate(n, ids, name="cluster.labels", fill=NOISE)
         d_elig = None
         if eligible is not None:
             d_elig = device.to_device(
@@ -121,7 +122,7 @@ def device_cluster_table(
         res = launch(CoreFlagKernel(), cfg, device, backend=backend, **kwargs)
         device_ms += res.modeled_ms
         core = device.from_device(d_core) != 0
-        attach = np.full(n, -1, dtype=np.int64)
+        attach = np.full(n, -1, dtype=ids)
         if core.any():
             uf = ClusterUnionFindKernel()
             while True:
@@ -146,9 +147,7 @@ def device_cluster_table(
                 d_changed.free()
                 if n_changed == 0:
                     break
-            d_attach = device.allocate(
-                n, np.int64, name="cluster.attach", fill=-1
-            )
+            d_attach = device.allocate(n, ids, name="cluster.attach", fill=-1)
             res = launch(
                 BorderAttachKernel(),
                 cfg,

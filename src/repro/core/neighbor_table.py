@@ -15,6 +15,11 @@ lists the rows in point-id order: ``T`` is a CSR matrix whose row
 offsets :attr:`~NeighborTable.indptr` are the running sum of the row
 widths, and host cluster formation runs on it without re-expanding
 rows (:mod:`repro.core.table_dbscan`).
+
+``B`` holds point ids at the id width of the table's points, and the
+finalized row ranges are offsets at the width of its entries
+(:func:`repro._nputil.id_dtype`): int32 below 2**31 of each, as the
+kernels stage them, so no batch is widened on its way into ``B``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro._nputil import expand_ranges, multi_arange, run_boundaries
+from repro._nputil import expand_ranges, id_dtype, multi_arange, run_boundaries
 
 __all__ = ["NeighborTable"]
 
@@ -41,6 +46,8 @@ class NeighborTable:
         #: annotated tables also carry dist(p_i, B[j]) for every entry,
         #: enabling reuse at any ε' ≤ ε and OPTICS (extension)
         self.with_distances = bool(with_distances)
+        #: the dtype of the point ids in ``B``
+        self.id_dtype = id_dtype(self.n_points)
         #: the row ranges; provisional (batch arrival order) until
         #: finalize, so they are read through :attr:`t_min`/:attr:`t_max`
         self._t_min = np.full(n_points, -1, dtype=np.int64)
@@ -65,9 +72,11 @@ class NeighborTable:
         """Ingest one batch's key-sorted result set.
 
         ``sorted_keys``/``values`` come from the pinned staging buffer
-        (already sorted by key on the device).  Thread-safe: batches from
-        the 3 stream workers may arrive concurrently.  Annotated tables
-        require the matching ``distances`` column.
+        (already sorted by key on the device); the values are copied out
+        at :attr:`id_dtype`, which is the staged width on the pair path.
+        Thread-safe: batches from the 3 stream workers may arrive
+        concurrently.  Annotated tables require the matching
+        ``distances`` column.
         """
         if len(sorted_keys) != len(values):
             raise ValueError("keys and values must have equal length")
@@ -84,7 +93,7 @@ class NeighborTable:
         if keys.min() < 0 or keys.max() >= self.n_points:
             raise ValueError("key out of range for this table")
         # the copy out of pinned memory the paper describes (values only)
-        chunk = np.array(values, dtype=np.int64, copy=True)
+        chunk = np.array(values, dtype=self.id_dtype, copy=True)
         dist = (
             np.array(distances, dtype=np.float64, copy=True)
             if self.with_distances
@@ -127,7 +136,7 @@ class NeighborTable:
         if len(chunks) == 1 and bool(np.all(np.diff(chunks[0][0]) > 0)):
             _, values, dist = chunks.pop()
         else:
-            values = np.empty(m, dtype=np.int64)
+            values = np.empty(m, dtype=self.id_dtype)
             dist = np.empty(m, dtype=np.float64) if self.with_distances else None
             while chunks:
                 keys, chunk, chunk_dist = chunks.pop()
@@ -136,8 +145,9 @@ class NeighborTable:
                 if dist is not None:
                     dist[dest] = chunk_dist
         assigned = counts > 0
-        self._t_min = np.where(assigned, indptr[:-1], -1)
-        self._t_max = np.where(assigned, indptr[1:] - 1, -1)
+        offsets = id_dtype(m)
+        self._t_min = np.where(assigned, indptr[:-1], -1).astype(offsets, copy=False)
+        self._t_max = np.where(assigned, indptr[1:] - 1, -1).astype(offsets, copy=False)
         self._values = values
         if self.with_distances:
             self._dist = dist
@@ -195,7 +205,7 @@ class NeighborTable:
         """ε-neighborhood of point ``i`` (a view into ``B``)."""
         lo = self.t_min[i]
         if lo < 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=self.id_dtype)
         return self.values[lo : self.t_max[i] + 1]
 
     def neighbor_distances(self, i: int) -> np.ndarray:
@@ -306,10 +316,16 @@ class NeighborTable:
             table = cls(n_points, float(eps), with_distances=with_d)
             table._t_min = data["t_min"].astype(np.int64)
             table._t_max = data["t_max"].astype(np.int64)
-            values = data["values"].astype(np.int64)
+            values = data["values"]
             dist = data["distances"].astype(np.float64) if with_d else None
         table._cursor = len(values)
         try:
+            # files written before ids took the id width hold int64 ids:
+            # narrowed only once they are known to fit, so no corrupt id
+            # wraps into range
+            if len(values) and (values.min() < 0 or values.max() >= n_points):
+                raise AssertionError("neighbor id out of range")
+            values = values.astype(table.id_dtype, copy=False)
             # files written before B was kept in point order hold it in
             # batch order: lay the rows out again before validating
             rows = table._rows_in_b_order(values, dist)
@@ -372,12 +388,16 @@ class NeighborTable:
         # one (source, neighbor) key per entry, sorted, against the
         # same keys with source and neighbor swapped
         src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        fwd = np.argsort(src * n + values, kind="stable")
-        rev = np.argsort(values * n + src, kind="stable")
-        key = (src * n + values)[fwd]
+        # widened first: an int32 id times n wraps once n > 46,340
+        nbr = values.astype(np.int64)
+        fwd_key = src * n + nbr
+        rev_key = nbr * n + src
+        fwd = np.argsort(fwd_key, kind="stable")
+        rev = np.argsort(rev_key, kind="stable")
+        key = fwd_key[fwd]
         if np.any(key[1:] == key[:-1]):
             raise AssertionError("a row of B lists a neighbor twice")
-        if not np.array_equal(key, (values * n + src)[rev]):
+        if not np.array_equal(key, rev_key[rev]):
             raise AssertionError("T is not symmetric")
         if self.with_distances and not np.array_equal(d[fwd], d[rev]):
             raise AssertionError("distances are not symmetric")

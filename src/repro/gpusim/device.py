@@ -291,10 +291,6 @@ class Device:
         """Live (never-freed) device allocations."""
         return self.memory.leaked_buffers()
 
-    def leaked_pinned(self) -> list[PinnedHostBuffer]:
-        """Live (never-freed) pinned host allocations."""
-        return self.pinned.leaked_buffers()
-
     def close(self) -> Optional[SanitizerReport]:
         """Teardown: release the pinned staging the pool holds, then
         report leaked device *and* pinned allocations (buffers still

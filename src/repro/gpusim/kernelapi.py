@@ -180,8 +180,7 @@ class KernelContext:
         """Append one record to a result buffer (atomic cursor bump)."""
         start = buf.reserve(1)
         buf.data[start] = record
-        self._counters.atomics += 1
-        self._counters.global_stores += max(1, buf.data.dtype.itemsize // 4)
+        self._counters.count_appends(buf)
         return start
 
     # -- counter hooks ----------------------------------------------------

@@ -204,9 +204,7 @@ class GPUCalcGlobal(Kernel):
         # (the SIMT path bounds-checks before touching G)
         counters.global_loads += 2 * pairs.n_cells
         counters.global_loads += 3 * n_cand  # A[a] + candidate coords
-        width = 3 if emit_distance else 2
-        counters.atomics += n_hits
-        counters.global_stores += width * n_hits
+        counters.count_appends(result, n_hits)
 
         if n_hits:
             # one reservation for the whole launch, so an overflow raises

@@ -163,8 +163,7 @@ class HybridSelectKernel(Kernel):
             counters.shared_loads += 2 * len(origin) * len(comp)
             if len(oi):
                 out.append(np.column_stack([origin[oi], comp[cj]]))
-                counters.atomics += len(oi)
-                counters.global_stores += 2 * len(oi)
+                counters.count_appends(result, len(oi))
                 total += len(oi)
 
         # ---- global-memory side: thread per sparse-cell point ---------
@@ -182,8 +181,7 @@ class HybridSelectKernel(Kernel):
                 counters.global_loads += (
                     2 * len(sp_ids) + 2 * pairs.n_cells + 3 * pairs.n_candidates
                 )
-                counters.atomics += pairs.n_hits
-                counters.global_stores += 2 * pairs.n_hits
+                counters.count_appends(result, pairs.n_hits)
                 out.extend(
                     np.column_stack(kv)
                     for kv in zip(pairs.keys, pairs.values, strict=True)

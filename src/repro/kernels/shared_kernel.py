@@ -259,8 +259,7 @@ class GPUCalcShared(Kernel):
             n_hits = len(oi)
             if n_hits:
                 out_blocks.append(np.column_stack([origin[oi], comp[cj]]))
-                counters.atomics += n_hits
-                counters.global_stores += 2 * n_hits
+                counters.count_appends(result, n_hits)
                 total_hits += n_hits
 
         if out_blocks:

@@ -118,6 +118,22 @@ class TestBuildNeighborTable:
         assert stats.n_batches_run > 3
         assert self._table_pairs(table) == self._truth(grid)
 
+    def test_pairs_staged_and_kept_at_8_bytes(self, device, uniform_points):
+        """int32 ids from the result buffers through pinned staging to
+        ``B``: every staged pair moves 8 B, and ``B`` keeps the width."""
+        grid = GridIndex.build(uniform_points, 0.4)
+        cfg = BatchConfig(
+            static_threshold=1, static_buffer_size=500, min_buffer_size=128
+        )
+        table, stats = build_neighbor_table(grid, device, config=cfg)
+        d2h = [t for t in device.profiler.transfers if t.direction == "d2h"]
+        assert len(d2h) == stats.n_batches_run > 3
+        assert sum(t.nbytes for t in d2h) == 8 * table.total_pairs
+        assert all(t.pinned for t in d2h)
+        assert table.values.dtype == np.int32
+        # three workers' result buffers of b_b pairs each, 8 B a pair
+        assert device.memory.peak_bytes == 3 * stats.plan.buffer_size * 8
+
     def test_batch_sizes_never_exceed_buffer(self, device, blobs_points):
         grid = GridIndex.build(blobs_points, 0.4)
         cfg = BatchConfig(static_threshold=1, static_buffer_size=20_000)

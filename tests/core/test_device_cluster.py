@@ -233,6 +233,17 @@ class TestClusterResult:
             res.labels, dbscan_from_table(table, 5)
         )
 
+    def test_uploads_and_buffers_at_the_id_width(self, blobs_points):
+        """``t_min``, ``t_max`` and ``B`` go up at 4 B an entry, and the
+        label and attach buffers come back at the same width."""
+        _, table = build_table(blobs_points, 0.5)
+        device = Device()
+        res = device_cluster_table(table, 5, device=device)
+        h2d = [t for t in device.profiler.transfers if t.direction == "h2d"]
+        assert sum(t.nbytes for t in h2d) == 4 * (2 * table.n_points + len(table.values))
+        assert res.raw_labels.dtype == res.attach.dtype == np.int32
+        assert res.labels.dtype == np.int64
+
     def test_attach_semantics(self, blobs_points):
         _, table = build_table(blobs_points, 0.5)
         res = device_cluster_table(table, 5)

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NeighborTable
+from repro.core import NeighborTable, dbscan_from_table
+from repro.core.batching import build_neighbor_table
+from repro.core.device_cluster import dbscan_from_table_device
+from repro.gpusim import Device
+from repro.index import GridIndex
 
 
 def symmetric(pairs):
@@ -217,6 +221,32 @@ class TestPersistence:
         assert int(np.int64(big)) == big
         assert int(np.float64(big)) != big
 
+    def test_int64_file_loads_at_the_id_width(self, tmp_path, rng):
+        """Files written while ids were int64 load narrowed to int32,
+        validate, and cluster bit-identically on host and device."""
+        grid = GridIndex.build(rng.random((600, 2)) * 8.0, 0.5)
+        table, _ = build_neighbor_table(grid, Device())
+        path = tmp_path / "int64.npz"
+        np.savez_compressed(
+            path,
+            t_min=table.t_min.astype(np.int64),
+            t_max=table.t_max.astype(np.int64),
+            values=table.values.astype(np.int64),
+            n_points=np.int64(table.n_points),
+            eps=np.float64(table.eps),
+            with_distances=np.bool_(False),
+        )
+        with np.load(path) as data:
+            assert data["values"].dtype == np.int64
+        back = NeighborTable.load(path)
+        assert back.values.dtype == back.t_min.dtype == np.int32
+        back.validate()
+        assert np.array_equal(back.values, table.values)
+        for minpts in (3, 8):
+            ref = dbscan_from_table(table, minpts)
+            assert np.array_equal(dbscan_from_table(back, minpts), ref)
+            assert np.array_equal(dbscan_from_table_device(back, minpts), ref)
+
     def test_legacy_meta_layout_accepted(self, tmp_path):
         """Tables written by the old float64-meta format still load."""
         t = table_from_pairs(3, [(0, 0), (0, 1), (1, 0), (2, 2)])
@@ -403,6 +433,20 @@ class TestLoadCorruption:
             NeighborTable.load(path)
         assert "distances are not symmetric" in str(ei.value.__cause__)
 
+    def test_int64_id_past_int32_rejected_not_wrapped(self, tmp_path):
+        """An int64 id of 2**32 would wrap to 0 when narrowed to the
+        id width, into range: the loader must reject it first."""
+        t = table_from_pairs(3, [(0, 0), (1, 1), (2, 2)])
+        path = t.save(tmp_path / "wraps.npz")
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["values"] = arrays["values"].astype(np.int64)
+        arrays["values"][0] += 2**32
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError, match="wraps.npz") as ei:
+            NeighborTable.load(path)
+        assert "out of range" in str(ei.value.__cause__)
+
     def test_invalid_structure_wrapped(self, tmp_path):
         """Structural validation failures surface as ValueError naming
         the file, with the AssertionError chained as the cause."""
@@ -492,3 +536,33 @@ class TestValidation:
             assert sorted(t.neighbors(i).tolist()) == sorted(
                 whole.neighbors(i).tolist()
             )
+
+
+class TestIdWidth:
+    """``B`` and its row ranges are int32 below 2**31 points and entries.
+    Past 46,340 points an int32 id times ``n`` overflows int32, so
+    ``validate`` widens before it packs (source, neighbor) keys."""
+
+    N = 50_100
+
+    def table(self, extra):
+        """Every point its own neighbor, plus the (key, value) ``extra``."""
+        own = np.arange(self.N)
+        keys = np.concatenate([own, [k for k, _ in extra]])
+        values = np.concatenate([own, [v for _, v in extra]])
+        order = np.lexsort((values, keys))
+        t = NeighborTable(self.N, eps=1.0)
+        t.add_batch(keys[order].astype(np.int32), values[order].astype(np.int32))
+        return t.finalize()
+
+    def test_b_and_ranges_are_int32(self):
+        t = self.table([])
+        assert t.values.dtype == t.t_min.dtype == t.t_max.dtype == np.int32
+        assert t.neighbors(50_050).tolist() == [50_050]
+
+    def test_validate_accepts_symmetric_ids_above_50000(self):
+        self.table([(50_001, 50_099), (50_099, 50_001)]).validate()
+
+    def test_validate_rejects_asymmetric_ids_above_50000(self):
+        with pytest.raises(AssertionError, match="not symmetric"):
+            self.table([(50_001, 50_099)]).validate()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BatchConfig, BatchPlanner
-from repro.core.batching import build_neighbor_table
+from repro.core.batching import build_neighbor_table, result_layout
 from repro.gpusim import Device, FaultInjector, FaultSpec, TransferError
 from repro.gpusim.memory import ResultBufferOverflow
 from repro.index import GridIndex
@@ -24,6 +24,13 @@ def _points():
 
 def _grid():
     return GridIndex.build(_points(), 0.4)
+
+
+def _staging_bytes():
+    """Bytes of one worker's staging: ``BUFFER`` (key, value) pairs at
+    the width the batching module stages these builds' pairs."""
+    width, dtype = result_layout(len(_points()))
+    return BUFFER * width * dtype.itemsize
 
 
 def _cfg(**overrides):
@@ -48,6 +55,9 @@ def _neighbors(table):
 def _paged(nbytes):
     """Bytes of the whole pages a pooled mapping of ``nbytes`` takes."""
     return -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+
+
+STAGING = _staging_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +211,7 @@ class TestPinnedAccounting:
             table, _ = build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
             assert _neighbors(table) == reference
             charges.append(device.profiler.pinned_alloc_ms - ms)
-        staging = cfg.n_streams * BUFFER * 2 * 8
+        staging = cfg.n_streams * STAGING
         assert charges[0] == pytest.approx(device.cost.pinned_alloc_time_ms(staging), rel=1e-12)
         # the second build maps the staging the pool keeps from then on
         assert charges[1] == pytest.approx(
@@ -225,10 +235,10 @@ class TestPinnedAccounting:
         assert _neighbors(table) == reference
         # each worker's mapping is replaced by a larger one, charged whole
         assert device.pinned.held_bytes - held == cfg.n_streams * (
-            _paged(4 * BUFFER * 16) - _paged(BUFFER * 16)
+            _paged(4 * STAGING) - _paged(STAGING)
         )
         assert device.profiler.pinned_alloc_ms - ms == pytest.approx(
-            cfg.n_streams * device.cost.pinned_alloc_time_ms(_paged(4 * BUFFER * 16)),
+            cfg.n_streams * device.cost.pinned_alloc_time_ms(_paged(4 * STAGING)),
             rel=1e-12,
         )
         assert device.pinned.held_count == cfg.n_streams
@@ -252,9 +262,9 @@ class TestPinnedAccounting:
         assert device.pinned.live_count == 0
         # the regrown worker's mapping was replaced, not added to
         assert device.pinned.held_count == cfg.n_streams
-        assert device.pinned.held_bytes - held == _paged(2 * BUFFER * 16) - _paged(BUFFER * 16)
+        assert device.pinned.held_bytes - held == _paged(2 * STAGING) - _paged(STAGING)
         assert device.profiler.pinned_alloc_ms - ms == pytest.approx(
-            device.cost.pinned_alloc_time_ms(_paged(2 * BUFFER * 16)), rel=1e-12
+            device.cost.pinned_alloc_time_ms(_paged(2 * STAGING)), rel=1e-12
         )
         report = device.close()
         assert report.clean, report.render()
@@ -272,8 +282,8 @@ class TestPinnedAccounting:
         assert stats.recovery.regrows == 1
         assert _neighbors(table) == reference
         cost = device.cost.pinned_alloc_time_ms
-        assert device.profiler.pinned_alloc_ms == cost(BUFFER * 16) + cost(2 * BUFFER * 16)
-        assert device.pinned.peak_bytes == 2 * BUFFER * 16
+        assert device.profiler.pinned_alloc_ms == cost(STAGING) + cost(2 * STAGING)
+        assert device.pinned.peak_bytes == 2 * STAGING
         assert (device.pinned.held_count, device.pinned.held_bytes) == (0, 0)
         # the next build is the device's second: its staging is mapped
         build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))

@@ -277,18 +277,20 @@ class TestSupervisor:
 
     def test_genuine_oom_rescued_by_split(self):
         """A real (non-injected) capacity miss — the per-shard cap is
-        too small for a 1x1 plan — is rescued by quad-splitting."""
+        too small for a 1x1 plan — is rescued by quad-splitting.  At
+        8 B pairs the 1x1 plan peaks at 16,384 B of device memory and
+        each quadrant at 8,192 B, so a 12,000 B cap misses once."""
         pts = _pts(31, n=400)
         ref = _reference(pts, self.EPS, self.MINPTS)
         res = cluster_sharded(
             pts, self.EPS, self.MINPTS,
             config=ShardConfig(
-                shards_x=1, shards_y=1, device_mem_bytes=24_000,
+                shards_x=1, shards_y=1, device_mem_bytes=12_000,
             ),
         )
         assert np.array_equal(res.labels, ref)
         assert res.recovery.shard_splits >= 1
-        assert res.max_peak_device_bytes <= 24_000 * 2**4  # grant cap
+        assert res.max_peak_device_bytes <= 12_000 * 2**4  # grant cap
 
 
 # ----------------------------------------------------------------------

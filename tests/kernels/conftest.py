@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.core.batching import result_layout
 from repro.gpusim import Device, launch
 from repro.index import BruteForceIndex, GridIndex
 from repro.kernels import GPUCalcGlobal, GPUCalcShared
@@ -26,10 +25,11 @@ def run_global(
     capacity: int | None = None,
     block_dim: int = 256,
     batch_order: str = "strided",
+    emit_distance: bool = False,
 ):
-    """Launch GPUCalcGlobal; returns (pairs set, LaunchResult, buffer)."""
-    cap = capacity or max(64, 512 * len(grid))
-    result = device.allocate_result_buffer((cap, 2), np.int64, name="R")
+    """Launch GPUCalcGlobal into a result buffer laid out as a build's;
+    returns (records set, LaunchResult, buffer)."""
+    result = result_buffer(device, grid, capacity, emit_distance)
     cfg = GPUCalcGlobal.launch_config(
         len(grid), n_batches=n_batches, block_dim=block_dim
     )
@@ -37,6 +37,7 @@ def run_global(
         res = launch(
             GPUCalcGlobal(), cfg, device, grid=grid, result=result,
             batch=batch, n_batches=n_batches, batch_order=batch_order,
+            emit_distance=emit_distance,
         )
     else:
         ga = grid.device_arrays()
@@ -45,7 +46,7 @@ def run_global(
             D=ga["D"], A=ga["A"], G_min=ga["G_min"], G_max=ga["G_max"],
             eps=grid.eps, xmin=grid.xmin, ymin=grid.ymin,
             nx=grid.nx, ny=grid.ny, result=result,
-            batch=batch, n_batches=n_batches,
+            batch=batch, n_batches=n_batches, emit_distance=emit_distance,
         )
     pairs = set(map(tuple, result.view().tolist()))
     return pairs, res, result
@@ -61,9 +62,9 @@ def run_shared(
     capacity: int | None = None,
     block_dim: int = 256,
 ):
-    """Launch GPUCalcShared; returns (pairs set, LaunchResult, buffer)."""
-    cap = capacity or max(64, 512 * len(grid))
-    result = device.allocate_result_buffer((cap, 2), np.int64, name="R")
+    """Launch GPUCalcShared into a result buffer laid out as a build's;
+    returns (pairs set, LaunchResult, buffer)."""
+    result = result_buffer(device, grid, capacity)
     cfg = GPUCalcShared.launch_config(grid, block_dim=block_dim)
     if backend == "vector":
         res = launch(
@@ -81,3 +82,11 @@ def run_shared(
         )
     pairs = set(map(tuple, result.view().tolist()))
     return pairs, res, result
+
+
+def result_buffer(device: Device, grid: GridIndex, capacity, emit_distance=False):
+    """A result buffer of the width and dtype a table build over ``grid``
+    allocates (int32 pairs, or float64 annotated rows)."""
+    width, dtype = result_layout(len(grid), emit_distance)
+    cap = capacity or max(64, 512 * len(grid))
+    return device.allocate_result_buffer((cap, width), dtype, name="R")

@@ -92,20 +92,24 @@ def run_count(device: Device, grid: GridIndex, ids: np.ndarray, backend: str):
     return int(counter.data[0]), res
 
 
-@given(boundary_inputs(), st.integers(1, 3), blocks, st.data())
+@given(boundary_inputs(), st.integers(1, 3), blocks, st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_global_kernel_backends_identical(inp, n_batches, block, data):
+def test_global_kernel_backends_identical(inp, n_batches, block, emit_distance, data):
+    """Records and counters agree, for int32 pairs and for annotated
+    float64 rows (each append charged its record's bytes / 4 stores)."""
     pts, eps = inp
     grid = GridIndex.build(pts, eps)
     batch = data.draw(st.integers(0, n_batches - 1))
     device = Device()
     with neighbor_block(block):
         pv, rv, bv = run_global(
-            device, grid, batch=batch, n_batches=n_batches, block_dim=32
+            device, grid, batch=batch, n_batches=n_batches, block_dim=32,
+            emit_distance=emit_distance,
         )
     pi, ri, bi = run_global(
         device, grid, backend="interpreter",
         batch=batch, n_batches=n_batches, block_dim=32,
+        emit_distance=emit_distance,
     )
     assert pv == pi
     assert len(bv.view()) == len(bi.view())

@@ -13,14 +13,14 @@ from repro.index import GridIndex
 from repro.kernels import HybridSelectKernel
 from repro.kernels.hybrid_select import partition_cells
 
-from .conftest import run_global, truth_pairs
+from .conftest import result_buffer, run_global, truth_pairs
 
 
 def run_hybrid_select(device, grid, *, batch=0, n_batches=1, block_dim=256,
                       dense_threshold=None):
     kernel = HybridSelectKernel(dense_threshold)
     cfg = kernel.launch_config(grid, block_dim=block_dim)
-    result = device.allocate_result_buffer((max(64, 512 * len(grid)), 2), np.int64)
+    result = result_buffer(device, grid, None)
     res = launch(
         kernel, cfg, device, grid=grid, result=result,
         batch=batch, n_batches=n_batches,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._nputil import expand_ranges, multi_arange, run_boundaries
+from repro._nputil import expand_ranges, id_dtype, multi_arange, no_core, run_boundaries
 
 
 class TestMultiArange:
@@ -124,3 +124,25 @@ class TestRunBoundaries:
         assert np.array_equal(rebuilt, arr)
         # runs are strictly increasing values
         assert np.all(np.diff(vals) > 0) if len(vals) > 1 else True
+
+
+class TestIdDtype:
+    """The one id-width rule, checked on plain integers (nothing of that
+    size is allocated)."""
+
+    def test_int32_while_every_extent_fits(self):
+        assert id_dtype(2**31 - 1) == np.int32
+        assert id_dtype(1, 2**31 - 1) == np.int32
+
+    def test_int64_from_2_31(self):
+        assert id_dtype(2**31) == np.int64
+        assert id_dtype(10, 2**31) == np.int64
+
+    def test_no_core_survives_an_int32_where(self):
+        """``np.where`` wraps a Python int too large for int32 to -1,
+        which would sort below every id; the per-dtype sentinel does not."""
+        ids = np.arange(4, dtype=np.int32)
+        out = np.where(ids % 2 == 0, ids, no_core(ids.dtype))
+        assert out.dtype == np.int32
+        assert out[1] == out[3] == 2**31 - 1
+        assert no_core(np.int64) == np.iinfo(np.int64).max
