@@ -83,7 +83,13 @@ def table2() -> str:
         "non-empty cell (nGPU explodes) and degrades far more on the "
         "near-uniform SDSS regime than on skewed SW (paper: 2.4x on SW4 "
         "vs 21x on SDSS2; our cost model overshoots the ratio at reduced "
-        "scale but preserves the ordering)."
+        "scale but preserves the ordering). Both kernels scan their "
+        "candidates twice — a counting pass, then a writing pass into "
+        "the row one atomic reserved — so no device sort follows them; "
+        "against the append-and-sort kernels (one atomic per pair) the "
+        "modeled kernel ms moved -5% to +34% (global: one atomic per "
+        "row instead of per pair pays for most of the second scan) and "
+        "+67% to +93% (shared)."
     )
     return body
 
@@ -226,13 +232,25 @@ def ablations() -> str:
         ("ablation_batch_order", "strided vs contiguous batches",
          "strided keeps |R_l| near-uniform on skewed SW data"),
         ("ablation_streams", "stream count",
-         "3 streams hide transfers behind kernels; >3 gains ~nothing"),
+         "3 streams hide transfers behind kernels; >3 gains ~nothing. "
+         "With each ε-row written in place and no device sort, the "
+         "modeled makespans at scale 0.005 went 6.39 / 4.92 / 4.68 / "
+         "4.52 / 4.33 → 2.80 / 2.33 / 2.28 / 2.40 / 2.23 ms for 1 / 2 / "
+         "3 / 4 / 6 streams"),
         ("ablation_block_size", "shared-kernel block size",
          "nGPU scales with block size; timing sensitive to density"),
         ("ablation_sample_fraction", "estimator fraction f",
          "f=1% estimates |R| within the α guard band"),
         ("ablation_hybrid_kernel", "density-adaptive kernel (extension)",
-         "beats pure shared everywhere, tracks global, fewer blocks"),
+         "beats pure shared everywhere, tracks global, fewer blocks. "
+         "Its dense side is now charged GPUCalcShared's barriers (one per "
+         "thread for each comparison tile of each of ≤9 cells, both "
+         "passes): at scale 0.005 its barrier count rose 12.1× on SW1 "
+         "and 11.3× on SDSS1 (2× from the second pass, the rest from "
+         "the per-cell tiles the old charge left out), and its modeled "
+         "ms went 0.136 → 0.743 on SW1 against global's 0.103 → 0.130 "
+         "(5.7×: over the bench's 5× bound, so the bench fails) and "
+         "0.099 → 0.353 on SDSS1 against 0.079 → 0.101 (3.5×)"),
         ("ablation_multi_eps", "multi-ε reuse (extension)",
          "one annotated table beats per-ε rebuilds across the S2 sweep. "
          "An annotated append is charged its float64 row's six 4-byte "
@@ -269,7 +287,13 @@ def ablations() -> str:
          "from 18 to 8, and a run at the committed scale fails on more "
          "rounds or changed core/cluster counts"),
         ("bandwidth_model", "bandwidth model (future work)",
-         "device phase accelerates toward NVLink; saturates when compute-bound"),
+         "device phase accelerates toward NVLink; saturates when "
+         "compute-bound. Without the device sort in the compute term, "
+         "the device-phase speedup at 150 GB/s (vs 6 GB/s) reads 3.07 "
+         "on SW1 and 2.88 on SDSS1 at scale 0.005 (SW1 read 1.16 with "
+         "the sort, failing the bench's > 1.2 check), so host–GPU "
+         "transfers are again the device phase's bottleneck, as §VIII "
+         "states"),
     ]
     for name, title, claim in specs:
         d = load(name)

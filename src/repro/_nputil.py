@@ -78,9 +78,10 @@ def expand_ranges(
     return rep, flat
 
 
-def run_boundaries(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For a sorted array, return ``(unique_values, run_start, run_end_exclusive)``."""
-    v = np.asarray(sorted_values)
+def run_boundaries(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of equal values: ``(run_value, run_start,
+    run_end_exclusive)``.  For a sorted array the run values are unique."""
+    v = np.asarray(values)
     if len(v) == 0:
         e = np.empty(0, dtype=np.int64)
         return v[:0], e, e

@@ -15,8 +15,8 @@ interpreter's product domain:
   finding (severity ``error``) unless the kernel's
   :class:`CostContract` covers its variable with a trip estimate.
 * **Counter sites** are the explicit ``ctx.count_*`` /
-  ``ctx.atomic_add`` / ``ctx.atomic_min`` / ``ctx.result_append`` /
-  ``ctx.syncthreads`` calls — exactly what both execution backends
+  ``ctx.atomic_add`` / ``ctx.atomic_min`` / ``ctx.result_reserve`` /
+  ``ctx.result_store`` / ``ctx.syncthreads`` calls — exactly what both execution backends
   increment — weighted by the product of enclosing loop bounds.  Both
   arms of every branch are charged (tainted branches serialize both
   arms, and an untainted worst case is still a worst case).
@@ -611,16 +611,16 @@ def _collect_sites(
                 sites.append(
                     CounterSite(line, _COUNT_CALLS[attr], delta, delta, loops)
                 )
-            elif attr in ("atomic_add", "atomic_min"):
+            elif attr in ("atomic_add", "atomic_min", "result_reserve"):
+                # a row reservation is one atomic cursor bump
                 sites.append(CounterSite(line, "atomics", 1, 1, loops))
-            elif attr == "result_append":
+            elif attr == "result_store":
                 arity = 2
-                if len(call.args) >= 2 and isinstance(call.args[1], ast.Tuple):
-                    arity = max(1, len(call.args[1].elts))
-                sites.append(CounterSite(line, "atomics", 1, 1, loops))
-                # each appended field is one 4-byte word in the common
+                if len(call.args) >= 3 and isinstance(call.args[2], ast.Tuple):
+                    arity = max(1, len(call.args[2].elts))
+                # each stored field is one 4-byte word in the common
                 # layouts; 8-byte fields double it, so 2×arity is the
-                # sound per-append store bound
+                # sound per-record store bound
                 sites.append(
                     CounterSite(line, "global_stores", 2 * arity, arity, loops)
                 )

@@ -594,7 +594,7 @@ class _DeviceFn:
             )
         if self._is_ctx_call(node, "shared") or fname == "syncthreads":
             return Val.uniform_sym()
-        if fname in ("atomic_add", "atomic_min", "result_append"):
+        if fname in ("atomic_add", "atomic_min", "result_reserve"):
             return Val.data()
         uniform = all(a.uniform for a in args)
         return Val(0 if uniform else None, uniform, False, None)

@@ -23,8 +23,13 @@ built in ``n_b`` batches:
 4. batch ``l`` processes points ``{g·n_b + l}`` — strided, which is
    spatially uniform because points are stored in spatial sort order —
    keeping every batch's result size ``|R_l| ≲ b_b``;
-5. batches round-robin over 3 streams, overlapping kernel, device sort,
-   transfer to pinned staging, and host-side table construction.
+5. batches round-robin over 3 streams, overlapping kernel, transfer
+   to pinned staging, and host-side table construction.  Algorithm 4
+   sorts each batch's result set by key on the device (Thrust
+   ``sort_by_key``) only to put each point's neighbors next to each
+   other; here every kernel thread reserves its whole ε-row and writes
+   it in place, so the batch arrives in contiguous rows and no batch is
+   sorted.
 
 ``b_b`` counts pairs.  A pair is two point ids at the id width
 (:func:`repro._nputil.id_dtype`): 8 B below 2**31 points, as the
@@ -62,7 +67,6 @@ from repro.gpusim.device import Device
 from repro.gpusim.faults import FaultInjector, TransferError
 from repro.gpusim.launch import launch
 from repro.gpusim.memory import DeviceMemoryError, ResultBufferOverflow
-from repro.gpusim.thrust import sort_pairs
 from repro.index.grid import GridIndex
 from repro.kernels.count_kernel import NeighborCountKernel, sample_point_ids
 from repro.kernels.global_kernel import GPUCalcGlobal, batch_point_ids
@@ -232,7 +236,7 @@ class RecoveryStats:
     retries: int = 0
     #: failed staging transfers that were re-run
     transfer_retries: int = 0
-    #: kernel/sort/transfer seconds discarded by failed attempts
+    #: kernel/transfer seconds discarded by failed attempts
     wasted_kernel_s: float = 0.0
 
     @property
@@ -263,7 +267,6 @@ class TableBuildStats:
 
     plan: BatchPlan
     kernel_s: float = 0.0
-    sort_s: float = 0.0
     transfer_s: float = 0.0
     host_copy_s: float = 0.0
     total_s: float = 0.0
@@ -294,8 +297,8 @@ def build_neighbor_table(
 
     Runs ``n_b`` batches over ``n_streams`` worker threads, each owning a
     device stream, a device result buffer, and a pinned host staging
-    buffer.  Each worker launches the kernel for its batch, sorts the
-    batch's result set by key on the device, transfers it to pinned
+    buffer.  Each worker launches the kernel for its batch, which writes
+    each point's row contiguously, transfers the result set to pinned
     memory, and ingests it into the (thread-safe) table.
 
     If a batch overflows its device buffer (the estimate was too low
@@ -331,9 +334,7 @@ def build_neighbor_table(
         )
     except Exception as exc:
         # everything the build did is thrown away
-        stats.recovery.wasted_kernel_s += (
-            stats.kernel_s + stats.sort_s + stats.transfer_s
-        )
+        stats.recovery.wasted_kernel_s += stats.kernel_s + stats.transfer_s
         exc.build_stats = stats  # type: ignore[attr-defined]
         raise
     finally:
@@ -368,7 +369,7 @@ def _run_batches(
     ga = grid.device_arrays()
 
     def attempt_unit(l: int, worker: int, mask: Optional[np.ndarray]) -> None:
-        """One kernel→sort→transfer→ingest pass over a batch (or a masked
+        """One kernel→transfer→ingest pass over a batch (or a masked
         sub-unit of it); raises on overflow / injected faults."""
         stream = streams[worker]
         rbuf = result_bufs[worker]
@@ -426,8 +427,6 @@ def _run_batches(
             if faults is not None:
                 faults.check("overflow")
             t1 = time.perf_counter()
-            sort_pairs(rbuf, device, stream=stream)
-            t2 = time.perf_counter()
             n = rbuf.count
             staged = device.from_device(
                 rbuf, out=pinned, stream=stream, pinned=True, count=n
@@ -446,8 +445,7 @@ def _run_batches(
         t4 = time.perf_counter()
         with stats_lock:
             stats.kernel_s += t1 - t0
-            stats.sort_s += t2 - t1
-            stats.transfer_s += t3 - t2
+            stats.transfer_s += t3 - t1
             stats.host_copy_s += t4 - t3
             stats.batch_sizes.append(int(n))
             stats.n_batches_run += 1

@@ -41,7 +41,7 @@ class TimingBreakdown:
     """Timing of one HYBRID-DBSCAN run (seconds).
 
     ``gpu_s`` is the paper's "GPU time": the wall-clock time to produce
-    ``T`` (index construction, kernels, sort, transfers, host table
+    ``T`` (index construction, kernels, transfers, host table
     assembly) — Figure 3's green curve.  ``dbscan_s`` is the host
     clustering over ``T`` — the blue curve.  The per-phase fields
     (``kernel_s`` …) are *summed across the 3 stream workers*, so they
@@ -53,7 +53,6 @@ class TimingBreakdown:
 
     index_s: float = 0.0
     kernel_s: float = 0.0
-    sort_s: float = 0.0
     transfer_s: float = 0.0
     table_s: float = 0.0
     dbscan_s: float = 0.0
@@ -74,10 +73,7 @@ class TimingBreakdown:
     @property
     def worker_phase_sum_s(self) -> float:
         """Cross-worker sum of phase times (≥ gpu_s under overlap)."""
-        return (
-            self.index_s + self.kernel_s + self.sort_s
-            + self.transfer_s + self.table_s
-        )
+        return self.index_s + self.kernel_s + self.transfer_s + self.table_s
 
 
 @dataclass
@@ -178,7 +174,6 @@ class HybridDBSCAN:
         timings = TimingBreakdown(
             index_s=t1 - t0,
             kernel_s=stats.kernel_s,
-            sort_s=stats.sort_s,
             transfer_s=stats.transfer_s,
             table_s=stats.host_copy_s,
             device_ms=self.device.profiler.device_ms_since(mark),

@@ -5,10 +5,12 @@ range ``[T_min_i, T_max_i]`` into a host value array ``B``: if ``p_j`` is
 within ε of ``p_i`` then ``j ∈ {B[T_min_i], ..., B[T_max_i]}``.
 
 The table is built incrementally from batches: each batch's result set
-arrives key-sorted in a pinned staging buffer, its *values* are copied
-out (the keys are consumed as run boundaries only — the paper's "we
-only copy the values" optimization), and the ranges of the keys in
-that batch are set.  Every point's whole neighborhood is produced by a
+arrives in a pinned staging buffer as whole rows, each key's records in
+one run (the kernels reserve and write each row contiguously; rows
+need not come in key order), its *values* are copied out (the keys are
+consumed as run boundaries only — the paper's "we only copy the
+values" optimization), and the ranges of the keys in that batch are
+set.  Every point's whole neighborhood is produced by a
 single batch, so ranges never straddle batches.  :meth:`finalize`
 scatters each batch's rows to their place in ``B``, which therefore
 lists the rows in point-id order: ``T`` is a CSR matrix whose row
@@ -52,8 +54,8 @@ class NeighborTable:
         #: finalize, so they are read through :attr:`t_min`/:attr:`t_max`
         self._t_min = np.full(n_points, -1, dtype=np.int64)
         self._t_max = np.full(n_points, -1, dtype=np.int64)
-        #: per batch: (its keys ascending, their rows' values back to back,
-        #: the matching distances or None)
+        #: per batch: (its keys in row order, their rows' values back to
+        #: back, the matching distances or None)
         self._chunks: list[tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = []
         self._cursor = 0
         self._values: Optional[np.ndarray] = None
@@ -65,20 +67,21 @@ class NeighborTable:
     # ------------------------------------------------------------------
     def add_batch(
         self,
-        sorted_keys: np.ndarray,
+        keys: np.ndarray,
         values: np.ndarray,
         distances: Optional[np.ndarray] = None,
     ) -> None:
-        """Ingest one batch's key-sorted result set.
+        """Ingest one batch's result set, laid out in whole rows.
 
-        ``sorted_keys``/``values`` come from the pinned staging buffer
-        (already sorted by key on the device); the values are copied out
-        at :attr:`id_dtype`, which is the staged width on the pair path.
-        Thread-safe: batches from the 3 stream workers may arrive
-        concurrently.  Annotated tables require the matching
-        ``distances`` column.
+        ``keys``/``values`` come from the pinned staging buffer, where
+        each key's records form one run, in any order of keys; the
+        values are copied out at :attr:`id_dtype`, which is the staged
+        width on the pair path.  A key in two runs raises
+        :class:`ValueError` naming it.  Thread-safe: batches from the 3
+        stream workers may arrive concurrently.  Annotated tables
+        require the matching ``distances`` column.
         """
-        if len(sorted_keys) != len(values):
+        if len(keys) != len(values):
             raise ValueError("keys and values must have equal length")
         if self.with_distances:
             if distances is None or len(distances) != len(values):
@@ -87,11 +90,20 @@ class NeighborTable:
                 )
         elif distances is not None:
             raise ValueError("table was not created with_distances")
-        if len(sorted_keys) == 0:
+        if len(keys) == 0:
             return
-        keys, starts, ends = run_boundaries(np.asarray(sorted_keys))
+        keys, starts, ends = run_boundaries(np.asarray(keys))
         if keys.min() < 0 or keys.max() >= self.n_points:
             raise ValueError("key out of range for this table")
+        # a row split over two runs would overwrite its first range;
+        # ascending runs (the global kernel's) are distinct in O(keys)
+        if not bool(np.all(keys[1:] > keys[:-1])):
+            ordered = np.sort(keys)
+            repeat = np.flatnonzero(ordered[1:] == ordered[:-1])
+            if len(repeat):
+                raise ValueError(
+                    f"key {int(ordered[repeat[0]])} appears in two runs of one batch"
+                )
         # the copy out of pinned memory the paper describes (values only)
         chunk = np.array(values, dtype=self.id_dtype, copy=True)
         dist = (
@@ -122,8 +134,8 @@ class NeighborTable:
     ) -> None:
         """Install ``B`` (and the distances) in point order.
 
-        Each chunk holds the whole rows of its ascending ``keys`` back to
-        back, widths taken from the current ranges.  Chunks are scattered
+        Each chunk holds the whole rows of its ``keys`` back to back, in
+        that order, widths taken from the current ranges.  Chunks are scattered
         to their rows one at a time and released as they go, so peak
         memory is what one concatenation of them would need.  A lone
         chunk with ascending keys is already in point order and is kept

@@ -57,14 +57,14 @@ class KernelCounters:
     #: threads that took a divergent branch within their warp
     divergent_threads: int = 0
 
-    def count_appends(self, result: ResultBuffer, n: int = 1) -> None:
-        """``n`` records appended to ``result``: one atomic cursor bump
-        each, and one store per 4-byte word of the record — 2 for an
-        int32 pair, 6 for a float64 ``(key, value, dist)`` row.  Every
-        backend charges appends here."""
+    def count_appends(self, result: ResultBuffer, records: int, rows: int) -> None:
+        """``records`` written to ``result`` in ``rows`` reserved rows:
+        one atomic cursor bump per row, and one store per 4-byte word of
+        each record — 2 for an int32 pair, 6 for a float64 ``(key,
+        value, dist)`` row.  Every backend charges result rows here."""
         record = result.data.itemsize * math.prod(result.data.shape[1:])
-        self.atomics += n
-        self.global_stores += n * max(1, record // 4)
+        self.atomics += rows
+        self.global_stores += records * max(1, record // 4)
 
     def merge(self, other: "KernelCounters") -> None:
         """Accumulate ``other`` into ``self`` (used across batches)."""

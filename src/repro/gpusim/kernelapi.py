@@ -176,12 +176,22 @@ class KernelContext:
         self._counters.atomics += 1
         return old
 
-    def result_append(self, buf: ResultBuffer, record) -> int:
-        """Append one record to a result buffer (atomic cursor bump)."""
-        start = buf.reserve(1)
-        buf.data[start] = record
-        self._counters.count_appends(buf)
+    def result_reserve(self, buf: ResultBuffer, n: int) -> int:
+        """Reserve a row of ``n`` records with one atomic cursor bump;
+        returns its first slot.  Raises
+        :class:`~repro.gpusim.memory.ResultBufferOverflow` before any
+        record of the row is written."""
+        start = buf.reserve(n)
+        self._counters.count_appends(buf, 0, rows=1)
         return start
+
+    def result_store(
+        self, buf: ResultBuffer, at: int, record: tuple[float, ...]
+    ) -> None:
+        """Write one record — ``(key, value)`` or ``(key, value, dist)``
+        — into slot ``at`` of a reserved row."""
+        buf.data[at] = record
+        self._counters.count_appends(buf, 1, rows=0)
 
     # -- counter hooks ----------------------------------------------------
     def count_distance(self, n: int = 1) -> None:

@@ -4,7 +4,10 @@ Algorithm 4 leaves the kernel's key/value result set on the device and
 sorts it by key (``thrust::sort_by_key``) so identical keys become
 adjacent before the single transfer to the host.  ``sort_by_key`` here is
 stable, operates on device buffers in place, charges the cost model, and
-supports stream placement — the Thrust execution-policy analogue.
+supports stream placement — the Thrust execution-policy analogue.  The
+table build does not call it: each kernel thread reserves its whole row
+and writes it in place, so identical keys are adjacent already
+(:mod:`repro.core.batching`).
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ def sort_pairs(
         )
     n = len(data)
     keys = data[:, 0]
-    # a stable sort of nondecreasing keys is the identity (the global
-    # kernel emits key-ordered batches); the modeled sort is still charged
+    # a stable sort of nondecreasing keys is the identity; the modeled
+    # sort is still charged
     if n and not (keys[1:] >= keys[:-1]).all():
         data[...] = data[np.argsort(keys, kind="stable")]
     ms = device.cost.sort_time_ms(n)

@@ -1,9 +1,12 @@
 """GPUCalcGlobal — Algorithm 2 of the paper.
 
 One thread computes the ε-neighborhood of one point: it derives the ≤9
-candidate cells from the grid index, scans their lookup-array ranges, and
-appends each ``(key=point, value=neighbor)`` hit to the device result set
-with an atomic reservation.
+candidate cells from the grid index and scans their lookup-array ranges
+twice.  The first scan counts the point's hits, one atomic reserves its
+whole row in the device result set, and the second scan writes each
+``(key=point, value=neighbor)`` hit into that row.  Every row is thus
+contiguous, so the result set needs no device sort by key (a deviation
+from Algorithm 4, which appends each hit and sorts afterwards).
 
 The batching extension (Section VI) maps thread ``gid`` of batch ``l`` to
 point ``gid * n_b + l``; because the index stores points in spatial
@@ -22,9 +25,9 @@ from repro.gpusim.costmodel import KernelCounters
 from repro.gpusim.kernelapi import KernelContext
 from repro.gpusim.launch import Kernel, LaunchConfig
 from repro.gpusim.memory import ResultBuffer
-from repro.index.grid import GridIndex
+from repro.index.grid import GridIndex, NeighborPairs
 
-__all__ = ["GPUCalcGlobal", "batch_point_ids"]
+__all__ = ["GPUCalcGlobal", "batch_point_ids", "charge_row_scans"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.absint import KernelInvariants
@@ -56,12 +59,26 @@ def batch_point_ids(
     raise ValueError(f"unknown batch order {order!r}")
 
 
+def charge_row_scans(
+    counters: KernelCounters, n_threads: int, pairs: NeighborPairs
+) -> None:
+    """Charge the two candidate scans of ``n_threads`` point threads
+    whose hits are ``pairs``: each thread loads its own coordinates
+    once, then each scan reads the range of every in-grid neighbor cell
+    (the device code bounds-checks before touching ``G``) and ``A[a]``
+    plus the coordinates of every candidate, and evaluates its distance.
+    """
+    counters.global_loads += 2 * n_threads
+    counters.global_loads += 2 * (2 * pairs.n_cells + 3 * pairs.n_candidates)
+    counters.distance_calcs += 2 * pairs.n_candidates
+
+
 class GPUCalcGlobal(Kernel):
     """Algorithm 2: per-point ε-neighborhood via global memory."""
 
     name = "GPUCalcGlobal"
     #: KC006 live-range estimate (repro analyze kernels)
-    registers_per_thread = 17
+    registers_per_thread = 19
 
     def value_invariants(self) -> "KernelInvariants":
         from repro.analysis.absint import KernelInvariants, RowRange
@@ -89,7 +106,8 @@ class GPUCalcGlobal(Kernel):
         from repro.analysis.costmodel import CostContract
 
         return CostContract(
-            counter_bounds={"divergent_threads": "2", "atomics": "18*n"},
+            # one row reservation per thread
+            counter_bounds={"divergent_threads": "2", "atomics": "1"},
             trip_estimates={"a": "r_cell"},
             stats={"r_cell": "mean points per non-empty grid cell"},
         )
@@ -131,6 +149,8 @@ class GPUCalcGlobal(Kernel):
         eps2 = eps * eps
         cx = min(int((px - xmin) / eps), nx - 1)
         cy = min(int((py - ymin) / eps), ny - 1)
+        # scan 1 counts the hits, so one atomic reserves the whole row
+        n_hit = 0
         for dy in (-1, 0, 1):
             yy = cy + dy
             if yy < 0 or yy >= ny:
@@ -152,10 +172,35 @@ class GPUCalcGlobal(Kernel):
                     ctx.count_distance()
                     d2 = (px - qx) * (px - qx) + (py - qy) * (py - qy)
                     if d2 <= eps2:
+                        n_hit += 1
+        at = ctx.result_reserve(result, n_hit)
+        # scan 2 repeats scan 1 and writes each hit into the row
+        for dy in (-1, 0, 1):
+            yy = cy + dy
+            if yy < 0 or yy >= ny:
+                continue
+            for dx in (-1, 0, 1):
+                xx = cx + dx
+                if xx < 0 or xx >= nx:
+                    continue
+                h = yy * nx + xx
+                lo = G_min[h]
+                ctx.count_global_load(2)
+                if lo < 0:
+                    continue
+                hi = G_max[h]
+                for a in range(lo, hi + 1):
+                    cand = A[a]
+                    qx, qy = D[cand]
+                    ctx.count_global_load(3)
+                    ctx.count_distance()
+                    d2 = (px - qx) * (px - qx) + (py - qy) * (py - qy)
+                    if d2 <= eps2:
                         if emit_distance:
-                            ctx.result_append(result, (pid, cand, math.sqrt(d2)))
+                            ctx.result_store(result, at, (pid, cand, math.sqrt(d2)))
                         else:
-                            ctx.result_append(result, (pid, cand))
+                            ctx.result_store(result, at, (pid, cand))
+                        at += 1
 
     # ------------------------------------------------------------------
     # vector backend
@@ -174,7 +219,7 @@ class GPUCalcGlobal(Kernel):
         point_mask: Optional[np.ndarray] = None,
     ) -> int:
         """Whole-batch NumPy evaluation; returns the number of pairs
-        appended to ``result``.
+        written to ``result``, rows in the order of the batch's points.
 
         With ``emit_distance`` the result rows are ``(key, value,
         dist)`` in a float64 buffer — the annotated-table extension
@@ -197,14 +242,9 @@ class GPUCalcGlobal(Kernel):
 
         pairs = grid.neighbor_pairs(ids, distances=emit_distance)
         n_hits = pairs.n_hits
-        n_cand = pairs.n_candidates
-        counters.distance_calcs += n_cand
-        counters.global_loads += 2 * len(ids)  # own coords
-        # cell range lookups: only in-grid neighbor cells are ever read
-        # (the SIMT path bounds-checks before touching G)
-        counters.global_loads += 2 * pairs.n_cells
-        counters.global_loads += 3 * n_cand  # A[a] + candidate coords
-        counters.count_appends(result, n_hits)
+        charge_row_scans(counters, len(ids), pairs)
+        # every point hits itself: one row per point
+        counters.count_appends(result, n_hits, rows=len(ids))
 
         if n_hits:
             # one reservation for the whole launch, so an overflow raises

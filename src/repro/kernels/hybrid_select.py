@@ -18,6 +18,9 @@ remainder."*  This kernel implements that combination:
 Each point's ε-neighborhood is produced by exactly one side (points are
 partitioned by their *own* cell's density; both sides still scan all ≤9
 candidate cells), so the union equals either kernel's full result set.
+Each side is charged as its kernel's device code counts: two passes,
+one row reservation per point (:func:`charge_cell_blocks`,
+:func:`charge_row_scans`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,13 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import Kernel, LaunchConfig
 from repro.gpusim.memory import ResultBuffer
 from repro.index.grid import GridIndex
+from repro.kernels.global_kernel import charge_row_scans
+from repro.kernels.shared_kernel import (
+    batch_members,
+    cell_block_rows,
+    charge_cell_blocks,
+    write_rows,
+)
 
 __all__ = ["HybridSelectKernel", "partition_cells"]
 
@@ -134,60 +144,22 @@ class HybridSelectKernel(Kernel):
         dense_cells, sparse_cells = partition_cells(
             grid, thr, include_ties=self._ties_dense(bs)
         )
-        pts = grid.points
-        eps2 = grid.eps * grid.eps
-        total = 0
-        out: list[np.ndarray] = []
-
+        member = batch_members(len(grid), batch, n_batches)
         # ---- shared-memory side: block per dense cell -----------------
-        for h in dense_cells:
-            origin_all = grid.cell_point_ids(int(h))
-            origin = (
-                origin_all[origin_all % n_batches == batch]
-                if n_batches > 1
-                else origin_all
-            )
-            nbr = grid.neighbor_cells(int(h))
-            nbr = nbr[grid.cell_min[nbr] >= 0]
-            comp = np.concatenate([grid.cell_point_ids(int(c)) for c in nbr])
-            n_o_tiles = (len(origin_all) + bs - 1) // bs
-            counters.shared_stores += 2 * (len(origin_all) + n_o_tiles * len(comp))
-            counters.global_loads += 3 * (len(origin_all) + n_o_tiles * len(comp))
-            counters.syncs += bs * (1 + 2 * n_o_tiles * max(1, len(comp) // bs))
-            if len(origin) == 0:
-                continue
-            diff = pts[origin][:, None, :] - pts[comp][None, :, :]
-            d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-            oi, cj = np.nonzero(d2 <= eps2)
-            counters.distance_calcs += len(origin) * len(comp)
-            counters.shared_loads += 2 * len(origin) * len(comp)
-            if len(oi):
-                out.append(np.column_stack([origin[oi], comp[cj]]))
-                counters.count_appends(result, len(oi))
-                total += len(oi)
+        charge_cell_blocks(counters, grid, dense_cells, member, bs)
+        rows = cell_block_rows(grid, dense_cells, member)
 
         # ---- global-memory side: thread per sparse-cell point ---------
         if len(sparse_cells):
             sp_ids = np.concatenate(
                 [grid.cell_point_ids(int(h)) for h in sparse_cells]
             )
-            if n_batches > 1:
-                sp_ids = sp_ids[sp_ids % n_batches == batch]
+            sp_ids = sp_ids[member[sp_ids]]
             if len(sp_ids):
                 pairs = grid.neighbor_pairs(sp_ids)
-                counters.distance_calcs += pairs.n_candidates
-                # GPUCalcGlobal's charges: own coords, in-grid cell
-                # ranges, A[a] + candidate coords
-                counters.global_loads += (
-                    2 * len(sp_ids) + 2 * pairs.n_cells + 3 * pairs.n_candidates
-                )
-                counters.count_appends(result, pairs.n_hits)
-                out.extend(
+                charge_row_scans(counters, len(sp_ids), pairs)
+                rows.extend(
                     np.column_stack(kv)
                     for kv in zip(pairs.keys, pairs.values, strict=True)
                 )
-                total += pairs.n_hits
-
-        if out:
-            result.append_block(np.concatenate(out, axis=0))
-        return total
+        return write_rows(counters, result, rows, int(member.sum()))

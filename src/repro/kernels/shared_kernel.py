@@ -4,7 +4,11 @@ One thread **block** processes one non-empty grid cell (the *origin*
 cell): the block pages the origin cell's points and each adjacent
 (*comparison*) cell's points into shared memory tile-by-tile, with a
 block barrier between the paging and the distance phase, then each thread
-compares one origin point against the whole comparison tile.
+compares one origin point against the whole comparison tile.  The block
+pages every comparison tile twice: the first pass counts each origin
+point's hits, one atomic per thread reserves the point's whole row in
+the result set, and the second pass writes the hits into it.  Rows are
+thus contiguous and the result set needs no device sort by key.
 
 The schedule ``S`` maps block id → cell id (only non-empty cells get
 blocks), so the launch has ``n_nonempty_cells × block_dim`` threads —
@@ -24,12 +28,130 @@ from repro.gpusim.kernelapi import Barrier, KernelContext
 from repro.gpusim.launch import Kernel, LaunchConfig
 from repro.gpusim.memory import ResultBuffer
 from repro.index.grid import GridIndex
+from repro.kernels.global_kernel import batch_point_ids
 
-__all__ = ["GPUCalcShared"]
+__all__ = [
+    "GPUCalcShared",
+    "batch_members",
+    "cell_block_rows",
+    "charge_cell_blocks",
+    "write_rows",
+]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.absint import KernelInvariants
     from repro.analysis.costmodel import CostContract
+
+
+def batch_members(
+    n_points: int,
+    batch: int,
+    n_batches: int,
+    batch_order: str = "strided",
+    point_mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Bool mask of the points whose rows a batch produces: the points
+    of :func:`~repro.kernels.global_kernel.batch_point_ids`, or
+    ``point_mask`` for a recovery sub-unit."""
+    if point_mask is not None:
+        return np.asarray(point_mask, dtype=bool)
+    member = np.zeros(n_points, dtype=bool)
+    member[batch_point_ids(n_points, batch, n_batches, batch_order)] = True
+    return member
+
+
+def charge_cell_blocks(
+    counters: KernelCounters,
+    grid: GridIndex,
+    cells: np.ndarray,
+    member: np.ndarray,
+    block_dim: int,
+) -> None:
+    """Charge one GPUCalcShared block per cell of ``cells`` as its
+    device code counts, the batch's origin points being ``member``.
+
+    A block loads its batch's origin points once.  Each origin tile then
+    pages every comparison tile in both passes (the counting pass and
+    the writing pass), each paging between two barriers that every
+    thread of the block crosses, and each origin point is compared with
+    every comparison point in both passes.  Result rows are charged
+    apart (:func:`write_rows`).
+    """
+    bs = block_dim
+    lo = grid.cell_min[cells].astype(np.int64)
+    hi = grid.cell_max[cells].astype(np.int64)
+    # batch members per cell from a running count over A's cell ranges
+    running = np.zeros(len(grid) + 1, dtype=np.int64)
+    np.cumsum(member[grid.lookup], out=running[1:])
+    origin = running[hi + 1] - running[lo]
+    origin_tiles = (hi - lo + bs) // bs
+    comp = np.zeros(len(cells), dtype=np.int64)
+    comp_tiles = np.zeros(len(cells), dtype=np.int64)
+    cy, cx = np.divmod(cells, grid.nx)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            x, y = cx + dx, cy + dy
+            inside = (x >= 0) & (x < grid.nx) & (y >= 0) & (y < grid.ny)
+            h = np.where(inside, y * grid.nx + x, 0)
+            c_lo = grid.cell_min[h]
+            size = np.where(inside & (c_lo >= 0), grid.cell_max[h] - c_lo + 1, 0)
+            comp += size
+            comp_tiles += (size + bs - 1) // bs
+    paged = int(np.sum(origin_tiles * comp))  # per pass
+    compared = int(np.sum(origin * comp))  # per pass
+    n_origin = int(origin.sum())
+    counters.global_loads += 3 * (n_origin + 2 * paged)
+    counters.shared_stores += 2 * (n_origin + 2 * paged)
+    counters.syncs += bs * int(np.sum(1 + 4 * origin_tiles * comp_tiles))
+    counters.distance_calcs += 2 * compared
+    counters.shared_loads += 4 * compared
+
+
+def cell_block_rows(
+    grid: GridIndex, cells: np.ndarray, member: np.ndarray
+) -> list[np.ndarray]:
+    """The ``(key, value)`` rows of the batch's points (``member``) in
+    each cell of ``cells``, as GPUCalcShared's block for that cell finds
+    them: one block of rows per cell, origin points in ``A`` order, each
+    row's neighbors in the order the block pages its comparison cells.
+
+    The Python loop runs once per cell — the block-level work
+    decomposition of the kernel — with each block's distance phase
+    vectorized.
+    """
+    eps2 = grid.eps * grid.eps
+    pts = grid.points
+    blocks: list[np.ndarray] = []
+    for h in cells:
+        origin_all = grid.cell_point_ids(int(h))
+        origin = origin_all[member[origin_all]]
+        if len(origin) == 0:
+            continue
+        nbr_cells = grid.neighbor_cells(int(h))
+        nbr_cells = nbr_cells[grid.cell_min[nbr_cells] >= 0]
+        comp = np.concatenate([grid.cell_point_ids(int(c)) for c in nbr_cells])
+        diff = pts[origin][:, None, :] - pts[comp][None, :, :]
+        d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
+        # row-major: each origin point's hits form one row
+        oi, cj = np.nonzero(d2 <= eps2)
+        blocks.append(np.column_stack([origin[oi], comp[cj]]))
+    return blocks
+
+
+def write_rows(
+    counters: KernelCounters,
+    result: ResultBuffer,
+    blocks: list[np.ndarray],
+    n_rows: int,
+) -> int:
+    """Write ``blocks`` of whole rows into ``result`` with one
+    reservation, so an overflow raises before any record is written,
+    and charge ``n_rows`` row reservations; returns the records written."""
+    n = sum(len(b) for b in blocks)
+    counters.count_appends(result, n, rows=n_rows)
+    if n:
+        result.append_block(np.concatenate(blocks, axis=0))
+    return n
 
 
 class GPUCalcShared(Kernel):
@@ -37,7 +159,7 @@ class GPUCalcShared(Kernel):
 
     name = "GPUCalcShared"
     #: KC006 live-range estimate (repro analyze kernels)
-    registers_per_thread = 18
+    registers_per_thread = 23
 
     def shared_mem_per_block(self, block_dim: int) -> int:
         """Origin + comparison point tiles (xy f64) and their id arrays,
@@ -73,7 +195,8 @@ class GPUCalcShared(Kernel):
         from repro.analysis.costmodel import CostContract
 
         return CostContract(
-            counter_bounds={"syncs": "18*n*n + 1"},
+            # two passes of two barriers per comparison tile
+            counter_bounds={"syncs": "36*n*n + 1"},
             # one block per scheduled cell: the tile loops usually run
             # once (cells hold far fewer points than a block), and the
             # per-thread share of the all-pairs sweep amortizes the
@@ -158,34 +281,46 @@ class GPUCalcShared(Kernel):
                     ctx.count_shared_store(2)
             if not has_origin:
                 origin_pid[tid] = -1
-            for ci in range(int(n_cells[0])):
-                cell_id = int(cell_ids[ci])
-                c_lo, c_hi = G_min[cell_id], G_max[cell_id]
-                n_comp = c_hi - c_lo + 1
-                for c_tile in range(0, int(n_comp), bs):
-                    my_c = c_tile + tid
-                    if my_c < n_comp:
-                        comp_data_id = A[c_lo + my_c]
-                        pnts_comp[tid] = D[comp_data_id]
-                        comp_pid[tid] = comp_data_id
-                        ctx.count_global_load(3)
-                        ctx.count_shared_store(2)
-                    else:
-                        comp_pid[tid] = -1
-                    yield ctx.syncthreads()
-                    if origin_pid[tid] >= 0:
-                        px, py = pnts_origin[tid]
-                        tile_n = min(bs, int(n_comp) - c_tile)
-                        for j in range(tile_n):
-                            qx, qy = pnts_comp[j]
-                            ctx.count_shared_load(2)
-                            ctx.count_distance()
-                            d2 = (px - qx) * (px - qx) + (py - qy) * (py - qy)
-                            if d2 <= eps2:
-                                ctx.result_append(
-                                    result, (origin_pid[tid], comp_pid[j])
-                                )
-                    yield ctx.syncthreads()
+            # pass 0 counts each origin point's hits, so one atomic
+            # reserves its whole row; pass 1 pages the same tiles again
+            # and writes the hits into the row
+            n_hit = 0
+            at = 0
+            for scan in (0, 1):
+                if scan == 1 and origin_pid[tid] >= 0:
+                    at = ctx.result_reserve(result, n_hit)
+                for ci in range(int(n_cells[0])):
+                    cell_id = int(cell_ids[ci])
+                    c_lo, c_hi = G_min[cell_id], G_max[cell_id]
+                    n_comp = c_hi - c_lo + 1
+                    for c_tile in range(0, int(n_comp), bs):
+                        my_c = c_tile + tid
+                        if my_c < n_comp:
+                            comp_data_id = A[c_lo + my_c]
+                            pnts_comp[tid] = D[comp_data_id]
+                            comp_pid[tid] = comp_data_id
+                            ctx.count_global_load(3)
+                            ctx.count_shared_store(2)
+                        else:
+                            comp_pid[tid] = -1
+                        yield ctx.syncthreads()
+                        if origin_pid[tid] >= 0:
+                            px, py = pnts_origin[tid]
+                            tile_n = min(bs, int(n_comp) - c_tile)
+                            for j in range(tile_n):
+                                qx, qy = pnts_comp[j]
+                                ctx.count_shared_load(2)
+                                ctx.count_distance()
+                                d2 = (px - qx) * (px - qx) + (py - qy) * (py - qy)
+                                if d2 <= eps2:
+                                    if scan == 0:
+                                        n_hit += 1
+                                    else:
+                                        ctx.result_store(
+                                            result, at, (origin_pid[tid], comp_pid[j])
+                                        )
+                                        at += 1
+                        yield ctx.syncthreads()
 
     # ------------------------------------------------------------------
     # vector backend
@@ -202,12 +337,9 @@ class GPUCalcShared(Kernel):
         batch_order: str = "strided",
         point_mask: Optional[np.ndarray] = None,
     ) -> int:
-        """Block-per-cell evaluation; returns pairs appended.
-
-        The Python loop runs once per non-empty cell — exactly the
-        block-level work decomposition of the kernel — with each block's
-        distance phase vectorized.  ``point_mask`` narrows the batch to
-        a subset of origin points (the overflow-recovery split path).
+        """Block-per-cell evaluation (:func:`cell_block_rows`); returns
+        the pairs written.  ``point_mask`` narrows the batch to a subset
+        of origin points (the overflow-recovery split path).
         """
         bs = config.block_dim
         cells = grid.nonempty_cells
@@ -216,55 +348,11 @@ class GPUCalcShared(Kernel):
                 f"launch too small: {config.grid_dim} blocks for "
                 f"{len(cells)} non-empty cells"
             )
-        eps2 = grid.eps * grid.eps
-        pts = grid.points
-        total_hits = 0
-        out_blocks: list[np.ndarray] = []
-
-        for h in cells:
-            origin_all = grid.cell_point_ids(int(h))
-            if point_mask is not None:
-                origin = origin_all[point_mask[origin_all]]
-            elif n_batches > 1:
-                if batch_order == "strided":
-                    origin = origin_all[origin_all % n_batches == batch]
-                else:
-                    chunk = (len(grid.points) + n_batches - 1) // n_batches
-                    lo, hi = batch * chunk, (batch + 1) * chunk
-                    origin = origin_all[(origin_all >= lo) & (origin_all < hi)]
-            else:
-                origin = origin_all
-            nbr_cells = grid.neighbor_cells(int(h))
-            nbr_cells = nbr_cells[grid.cell_min[nbr_cells] >= 0]
-            comp = np.concatenate([grid.cell_point_ids(int(c)) for c in nbr_cells])
-
-            n_o_tiles = (len(origin_all) + bs - 1) // bs
-            # paging cost: every origin tile re-pages every comparison tile
-            comp_tiles = int(
-                sum((grid.cell_max[c] - grid.cell_min[c] + 1 + bs - 1) // bs
-                    for c in nbr_cells)
-            )
-            counters.shared_stores += 2 * (len(origin_all) + n_o_tiles * len(comp))
-            counters.global_loads += 3 * (len(origin_all) + n_o_tiles * len(comp))
-            # barriers are crossed by every thread of the block
-            counters.syncs += bs * (1 + 2 * n_o_tiles * comp_tiles)
-
-            if len(origin) == 0:
-                continue
-            diff = pts[origin][:, None, :] - pts[comp][None, :, :]
-            d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-            oi, cj = np.nonzero(d2 <= eps2)
-            counters.distance_calcs += len(origin) * len(comp)
-            counters.shared_loads += 2 * len(origin) * len(comp)
-            n_hits = len(oi)
-            if n_hits:
-                out_blocks.append(np.column_stack([origin[oi], comp[cj]]))
-                counters.count_appends(result, n_hits)
-                total_hits += n_hits
-
-        if out_blocks:
-            result.append_block(np.concatenate(out_blocks, axis=0))
-        return total_hits
+        member = batch_members(len(grid), batch, n_batches, batch_order, point_mask)
+        charge_cell_blocks(counters, grid, cells, member, bs)
+        return write_rows(
+            counters, result, cell_block_rows(grid, cells, member), int(member.sum())
+        )
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -5,7 +5,9 @@ therefore, future bandwidth increases will improve the relative
 performance of HYBRID-DBSCAN"* and proposes modeling it.  The model here
 decomposes one profiled HYBRID-DBSCAN run into
 
-* ``compute_ms`` — kernel + device-sort time (bandwidth-invariant),
+* ``compute_ms`` — kernel time (bandwidth-invariant; the kernels write
+  each ε-row in place, so unlike the paper's Algorithm 4 no device sort
+  runs between kernel and transfer),
 * ``transfer_bytes`` — total host<->device traffic,
 * ``host_ms`` — host-side table construction + DBSCAN (bandwidth-invariant),
 * per-transfer latency,
@@ -64,8 +66,8 @@ class BandwidthModel:
         self.profile = profile
 
     def device_phase_ms(self, bandwidth_gbs: float) -> float:
-        """Modeled table-construction (device) phase: kernels + sort +
-        transfers under the profiled stream overlap."""
+        """Modeled table-construction (device) phase: kernels + transfers
+        under the profiled stream overlap."""
         p = self.profile
         t = p.transfer_ms_at(bandwidth_gbs)
         c = p.compute_ms
@@ -142,7 +144,7 @@ def profile_run(
     prof = device.profiler
     tl = device.timeline
 
-    compute_ms = prof.kernel_time_ms() + prof.sort_time_ms()
+    compute_ms = prof.kernel_time_ms()
     transfer_ms = prof.transfer_time_ms()
     serialized = compute_ms + transfer_ms
     ideal = max(compute_ms, transfer_ms)

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import BatchConfig, BatchPlanner
-from repro.core.batching import build_neighbor_table
+from repro.core import BatchConfig, BatchPlanner, NeighborTable
+from repro.core.batching import BatchPlan, build_neighbor_table, result_layout
+from repro.gpusim import Device, launch
+from repro.gpusim.faults import FaultInjector
+from repro.gpusim.thrust import sort_pairs
 from repro.index import BruteForceIndex, GridIndex
+from repro.kernels import HybridSelectKernel
+from repro.kernels.hybrid_select import partition_cells
 
 
 class TestBatchConfig:
@@ -212,3 +217,120 @@ class TestBuildNeighborTable:
         assert len(streams) >= 1
         # pinned staging: d2h transfers at the pinned rate
         assert any(t.pinned for t in device.profiler.transfers)
+
+
+# ----------------------------------------------------------------------
+# sort-free result sets: the table equals Algorithm 4's sorted path
+# ----------------------------------------------------------------------
+def _clumpy_points(n: int = 90) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    return np.vstack([rng.normal(1.0, 0.1, (n // 3, 2)), rng.random((n - n // 3, 2)) * 3])
+
+
+def _sorted_reference(grid, batches, with_distances=False) -> NeighborTable:
+    """The table Algorithm 4 builds from the same launches' buffers: each
+    batch sorted by key on the device (stable ``sort_pairs``) first."""
+    device = Device()
+    width, dtype = result_layout(len(grid), with_distances)
+    table = NeighborTable(len(grid), grid.eps, with_distances=with_distances)
+    for cols in batches:
+        buf = device.allocate_result_buffer((len(cols[0]), width), dtype)
+        buf.append_block(np.column_stack(cols).astype(dtype))
+        sort_pairs(buf, device)
+        rows = buf.view()
+        if with_distances:
+            table.add_batch(rows[:, 0].astype(table.id_dtype), rows[:, 1], rows[:, 2])
+        else:
+            table.add_batch(rows[:, 0], rows[:, 1])
+        buf.free()
+    return table.finalize()
+
+
+def _assert_same_table(got: NeighborTable, want: NeighborTable) -> None:
+    assert np.array_equal(got.t_min, want.t_min)
+    assert np.array_equal(got.t_max, want.t_max)
+    assert np.array_equal(got.values, want.values)
+    assert got.values.dtype == want.values.dtype
+    if want.with_distances:
+        assert np.array_equal(got.distances, want.distances)
+
+
+class TestSortFreeTables:
+    """Kernels write each ε-row contiguously, so the build sorts no
+    batch; the finalized ``T`` equals the one the paper's sorted path
+    builds from the same buffers, bit for bit."""
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["clean", "split"])
+    @pytest.mark.parametrize("n_batches", [1, 3])
+    @pytest.mark.parametrize(
+        "kernel,backend,with_distances",
+        [
+            ("global", "vector", False),
+            ("global", "vector", True),
+            ("global", "interpreter", False),
+            ("global", "interpreter", True),
+            ("shared", "vector", False),
+            ("shared", "interpreter", False),
+        ],
+    )
+    def test_table_equals_the_sorted_path(
+        self, monkeypatch, kernel, backend, with_distances, n_batches, overflow
+    ):
+        grid = GridIndex.build(_clumpy_points(), 0.3)
+        staged: list[tuple[np.ndarray, ...]] = []
+        ingest = NeighborTable.add_batch
+
+        def spy(table, keys, values, distances=None):
+            cols = (keys, values) if distances is None else (keys, values, distances)
+            staged.append(tuple(np.array(c) for c in cols))
+            ingest(table, keys, values, distances)
+
+        monkeypatch.setattr(NeighborTable, "add_batch", spy)
+        plan = BatchPlan(
+            eb=0, ab=0, buffer_size=len(grid) ** 2, n_batches=n_batches,
+            variable_buffer=True,
+        )
+        faults = FaultInjector.overflow_at(n_batches - 1) if overflow else None
+        device = Device()
+        table, stats = build_neighbor_table(
+            grid, device, kernel=kernel, backend=backend, block_dim=32,
+            plan=plan, with_distances=with_distances, faults=faults,
+        )
+        assert stats.recovery.splits == int(overflow)
+        assert len(staged) == n_batches + int(overflow)
+        assert device.profiler.sorts == []
+        monkeypatch.undo()
+        _assert_same_table(table, _sorted_reference(grid, staged, with_distances))
+
+    @pytest.mark.parametrize("n_batches", [1, 3])
+    def test_hybrid_rows_equal_the_sorted_path(self, n_batches):
+        grid = GridIndex.build(_clumpy_points(), 0.3)
+        kernel = HybridSelectKernel(dense_threshold=4)
+        dense, sparse = partition_cells(grid, 4)
+        assert len(dense) and len(sparse)
+        device = Device()
+        table = NeighborTable(len(grid), grid.eps)
+        batches = []
+        for batch in range(n_batches):
+            buf = device.allocate_result_buffer(
+                (len(grid) ** 2, 2), result_layout(len(grid))[1]
+            )
+            launch(
+                kernel, kernel.launch_config(grid, block_dim=32), device,
+                grid=grid, result=buf, batch=batch, n_batches=n_batches,
+            )
+            rows = buf.view()
+            batches.append((rows[:, 0].copy(), rows[:, 1].copy()))
+            table.add_batch(rows[:, 0], rows[:, 1])
+            buf.free()
+        _assert_same_table(table.finalize(), _sorted_reference(grid, batches))
+        table.validate()
+
+    def test_a_build_records_no_sort(self):
+        device = Device()
+        grid = GridIndex.build(_clumpy_points(300), 0.3)
+        for kernel in ("global", "shared"):
+            build_neighbor_table(grid, device, kernel=kernel)
+        assert len(device.profiler.kernels) > 0
+        assert device.profiler.sorts == []
+        assert device.profiler.sort_time_ms() == 0.0

@@ -64,6 +64,34 @@ class TestConstruction:
         with pytest.raises(ValueError, match="two batches"):
             t.add_batch(np.array([0]), np.array([1]))
 
+    def test_key_in_two_runs_of_one_batch_rejected(self):
+        """Key runs ``[3, 3, 5, 3]``: row 3 is split over two runs, and
+        ingesting it would overwrite its first range."""
+        t = NeighborTable(6, eps=1.0)
+        with pytest.raises(ValueError, match="key 3 appears in two runs"):
+            t.add_batch(np.array([3, 3, 5, 3]), np.array([3, 5, 5, 4]))
+        assert t.total_pairs == 0
+
+    def test_rows_in_any_key_order(self):
+        """Whole rows need not come in key order: a batch laid out
+        ``5, 3, 4`` gives the table its key-sorted twin gives."""
+        rows = {5: [5, 3], 3: [3, 5, 4], 4: [4, 3]}
+        t = NeighborTable(6, eps=1.0)
+        order = [5, 3, 4]
+        t.add_batch(
+            np.repeat(order, [len(rows[k]) for k in order]),
+            np.concatenate([rows[k] for k in order]),
+        )
+        ref = NeighborTable(6, eps=1.0)
+        ref.add_batch(
+            np.repeat(sorted(rows), [len(rows[k]) for k in sorted(rows)]),
+            np.concatenate([rows[k] for k in sorted(rows)]),
+        )
+        assert np.array_equal(t.t_min, ref.t_min)
+        assert np.array_equal(t.t_max, ref.t_max)
+        assert np.array_equal(t.values, ref.values)
+        t.validate()
+
     def test_key_out_of_range(self):
         t = NeighborTable(3, eps=1.0)
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from repro.gpusim.costmodel import KernelCounters
 from repro.gpusim.interpreter import run_interpreted
 from repro.gpusim.kernelapi import BarrierDivergenceError
+from repro.gpusim.memory import ResultBufferOverflow
 
 SHMEM = 48 * 1024
 
@@ -240,14 +241,39 @@ class TestAtomics:
         # a call that leaves the slot unchanged still counts
         assert c.atomics == 4
 
-    def test_result_append(self, device):
-        rbuf = device.allocate_result_buffer(100, np.int64)
+    def test_result_reserve_and_store(self, device):
+        """Each thread reserves a row of ``gid + 1`` int32 pairs with one
+        atomic and stores its records in it: rows are contiguous in
+        thread order, and each record costs its 2 words of stores."""
+        rbuf = device.allocate_result_buffer((100, 2), np.int32)
 
         def code(ctx, rbuf):
-            ctx.result_append(rbuf, ctx.global_id * 10)
+            gid = ctx.global_id
+            at = ctx.result_reserve(rbuf, gid + 1)
+            for k in range(gid + 1):
+                ctx.result_store(rbuf, at + k, (gid, k))
 
-        run(code, grid=2, block=4, rbuf=rbuf)
-        assert sorted(rbuf.view().tolist()) == [0, 10, 20, 30, 40, 50, 60, 70]
+        c = run(code, grid=2, block=4, rbuf=rbuf)
+        assert rbuf.view().tolist() == [
+            [g, k] for g in range(8) for k in range(g + 1)
+        ]
+        assert c.atomics == 8
+        assert c.global_stores == 2 * 36
+
+    def test_result_reserve_raises_before_the_row_is_written(self, device):
+        rbuf = device.allocate_result_buffer((5, 2), np.int32)
+        rbuf.data[:] = -1
+
+        def code(ctx, rbuf):
+            at = ctx.result_reserve(rbuf, 3)
+            for k in range(3):
+                ctx.result_store(rbuf, at + k, (ctx.global_id, k))
+
+        with pytest.raises(ResultBufferOverflow):
+            run(code, block=2, rbuf=rbuf)
+        assert rbuf.count == 3
+        assert rbuf.data[:3].tolist() == [[0, 0], [0, 1], [0, 2]]
+        assert np.all(rbuf.data[3:] == -1)
 
 
 class TestCounterHooks:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro._nputil import run_boundaries
 from repro.core.batching import result_layout
 from repro.gpusim import Device, launch
 from repro.index import BruteForceIndex, GridIndex
@@ -26,9 +29,11 @@ def run_global(
     block_dim: int = 256,
     batch_order: str = "strided",
     emit_distance: bool = False,
+    point_mask=None,
 ):
     """Launch GPUCalcGlobal into a result buffer laid out as a build's;
-    returns (records set, LaunchResult, buffer)."""
+    returns (records set, LaunchResult, buffer).  ``point_mask`` narrows
+    the batch to a recovery sub-unit."""
     result = result_buffer(device, grid, capacity, emit_distance)
     cfg = GPUCalcGlobal.launch_config(
         len(grid), n_batches=n_batches, block_dim=block_dim
@@ -37,7 +42,7 @@ def run_global(
         res = launch(
             GPUCalcGlobal(), cfg, device, grid=grid, result=result,
             batch=batch, n_batches=n_batches, batch_order=batch_order,
-            emit_distance=emit_distance,
+            emit_distance=emit_distance, point_mask=point_mask,
         )
     else:
         ga = grid.device_arrays()
@@ -47,6 +52,7 @@ def run_global(
             eps=grid.eps, xmin=grid.xmin, ymin=grid.ymin,
             nx=grid.nx, ny=grid.ny, result=result,
             batch=batch, n_batches=n_batches, emit_distance=emit_distance,
+            point_mask=point_mask,
         )
     pairs = set(map(tuple, result.view().tolist()))
     return pairs, res, result
@@ -90,3 +96,10 @@ def result_buffer(device: Device, grid: GridIndex, capacity, emit_distance=False
     width, dtype = result_layout(len(grid), emit_distance)
     cap = capacity or max(64, 512 * len(grid))
     return device.allocate_result_buffer((cap, width), dtype, name="R")
+
+
+def assert_rows_contiguous(buf) -> None:
+    """Every key's records in ``buf`` form one run: rows were reserved
+    whole, so no batch needs a sort by key."""
+    run_keys, _, _ = run_boundaries(buf.view()[:, 0])
+    assert len(np.unique(run_keys)) == len(run_keys)

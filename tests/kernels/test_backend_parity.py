@@ -20,7 +20,7 @@ from repro.index import GridIndex
 from repro.index import grid as grid_module
 from repro.kernels import NeighborCountKernel
 
-from .conftest import run_global, run_shared, truth_pairs
+from .conftest import assert_rows_contiguous, run_global, run_shared, truth_pairs
 
 #: ``NEIGHBOR_BLOCK`` values drawn by the properties (None keeps the
 #: module's own)
@@ -95,24 +95,78 @@ def run_count(device: Device, grid: GridIndex, ids: np.ndarray, backend: str):
 @given(boundary_inputs(), st.integers(1, 3), blocks, st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_global_kernel_backends_identical(inp, n_batches, block, emit_distance, data):
-    """Records and counters agree, for int32 pairs and for annotated
-    float64 rows (each append charged its record's bytes / 4 stores)."""
+    """The two backends write the same buffer, record for record, for
+    int32 pairs and for annotated float64 rows, on a whole batch or on a
+    masked recovery sub-unit of it; each point's row is contiguous, and
+    every counter agrees (one atomic per row, each record charged its
+    bytes / 4 stores)."""
+    pts, eps = inp
+    grid = GridIndex.build(pts, eps)
+    batch = data.draw(st.integers(0, n_batches - 1))
+    mask = None
+    if data.draw(st.booleans()):
+        ids = np.arange(batch, len(grid), n_batches)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+        mask = np.zeros(len(grid), dtype=bool)
+        mask[ids[np.array(keep, dtype=bool)]] = True
+    device = Device()
+    with neighbor_block(block):
+        _, rv, bv = run_global(
+            device, grid, batch=batch, n_batches=n_batches, block_dim=32,
+            emit_distance=emit_distance, point_mask=mask,
+        )
+    _, ri, bi = run_global(
+        device, grid, backend="interpreter",
+        batch=batch, n_batches=n_batches, block_dim=32,
+        emit_distance=emit_distance, point_mask=mask,
+    )
+    assert np.array_equal(bv.view(), bi.view())
+    assert_rows_contiguous(bi)
+    assert counters_dict(rv) == counters_dict(ri)
+
+
+@given(boundary_inputs(), st.integers(1, 3), st.sampled_from([32, 64]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_shared_kernel_backends_identical(inp, n_batches, block_dim, data):
+    """GPUCalcShared's backends write the same buffer record for record:
+    the device code's counting pass lets each thread reserve its whole
+    row, so rows stay contiguous although a block's threads find their
+    hits in lockstep, tile by tile."""
     pts, eps = inp
     grid = GridIndex.build(pts, eps)
     batch = data.draw(st.integers(0, n_batches - 1))
     device = Device()
-    with neighbor_block(block):
-        pv, rv, bv = run_global(
-            device, grid, batch=batch, n_batches=n_batches, block_dim=32,
-            emit_distance=emit_distance,
-        )
-    pi, ri, bi = run_global(
-        device, grid, backend="interpreter",
-        batch=batch, n_batches=n_batches, block_dim=32,
-        emit_distance=emit_distance,
+    _, rv, bv = run_shared(
+        device, grid, batch=batch, n_batches=n_batches, block_dim=block_dim
     )
-    assert pv == pi
-    assert len(bv.view()) == len(bi.view())
+    _, ri, bi = run_shared(
+        device, grid, backend="interpreter",
+        batch=batch, n_batches=n_batches, block_dim=block_dim,
+    )
+    assert np.array_equal(bv.view(), bi.view())
+    assert_rows_contiguous(bi)
+    assert counters_dict(rv) == counters_dict(ri)
+
+
+@pytest.mark.parametrize("block_dim", [32, 64])
+@pytest.mark.parametrize("n_batches", [1, 2])
+def test_shared_kernel_cells_larger_than_a_block(block_dim, n_batches):
+    """A clump of 150 points in one cell pages several origin and
+    comparison tiles per block; the buffers and counters still agree."""
+    rng = np.random.default_rng(3)
+    # the (0, 0) corner puts cell edges at multiples of ε, off the clump
+    clump = rng.normal(0.75, 0.02, (150, 2))
+    pts = np.vstack([[0.0, 0.0], clump, rng.random((30, 2)) * 3])
+    grid = GridIndex.build(pts, 0.5)
+    assert grid.stats().max_points_per_cell > block_dim * 2
+    device = Device()
+    _, rv, bv = run_shared(device, grid, n_batches=n_batches, block_dim=block_dim)
+    _, ri, bi = run_shared(
+        device, grid, backend="interpreter", n_batches=n_batches,
+        block_dim=block_dim,
+    )
+    assert np.array_equal(bv.view(), bi.view())
+    assert_rows_contiguous(bi)
     assert counters_dict(rv) == counters_dict(ri)
 
 

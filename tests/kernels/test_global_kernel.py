@@ -182,9 +182,14 @@ class TestLaunchConfigAndCounters:
         assert 0 < res.counters.distance_calcs <= bound
 
     def test_atomics_equal_results(self, device, uniform_points):
+        """One atomic reserves each point's whole row (every point hits
+        itself, so there is a row per point), and each int32 pair of the
+        rows costs 2 words of stores."""
         grid = GridIndex.build(uniform_points, 0.4)
         pairs, res, buf = run_global(device, grid)
-        assert res.counters.atomics == buf.count == len(pairs)
+        assert buf.count == len(pairs)
+        assert res.counters.atomics == len(grid)
+        assert res.counters.global_stores == 2 * buf.count
 
     def test_profiler_ngpu(self, device, uniform_points):
         grid = GridIndex.build(uniform_points, 0.4)

@@ -110,8 +110,9 @@ class TestCounters:
     def test_all_sparse_charges_like_global_kernel(self, device):
         """The sparse side runs GPUCalcGlobal's strategy, so an all-sparse
         launch charges GPUCalcGlobal's counters field by field: global
-        loads count only the in-grid neighbor cells (60,576 here, not 9
-        cells per point).  ``block_dim=100`` makes both launches 3 full
+        loads count only the in-grid neighbor cells, in both scans, and
+        each point's own coordinates once (120,552 here, not 9 cells per
+        point).  ``block_dim=100`` makes both launches 3 full
         blocks, so neither has idle tail threads."""
         pts = np.random.default_rng(0).random((300, 2)) * 3
         grid = GridIndex.build(pts, 0.5)
@@ -120,7 +121,7 @@ class TestCounters:
         )
         pg, rg, _ = run_global(device, grid, block_dim=100)
         assert ph == pg
-        assert rg.counters.global_loads == 60_576
+        assert rg.counters.global_loads == 120_552
         assert dataclasses.asdict(rh.counters) == dataclasses.asdict(rg.counters)
 
 
