@@ -5,6 +5,10 @@ regions and GPUCalcGlobal the remainder.  This bench compares all three
 on both data regimes: on skewed SW data the adaptive kernel approaches
 the global kernel (only the clumps get blocks); on uniform SDSS data it
 collapses to the global path and avoids GPUCalcShared's blow-up.
+
+HybridSelect runs its own dense/sparse rule (a cell is dense above a
+quarter of the block size) at 64, 128 and 256 threads per block, i.e.
+dense thresholds of 16, 32 and 64 points; global and shared run at 256.
 """
 
 from __future__ import annotations
@@ -19,6 +23,14 @@ from repro.kernels import GPUCalcGlobal, GPUCalcShared, HybridSelectKernel
 from _bench_utils import BENCH_SCALE, bench_points, report
 
 
+#: HybridSelect block sizes: at 64 threads (cells of more than 16
+#: points are dense) SW1's receiver clumps take the shared path, and so
+#: do a few SDSS1 cells (15 at scale 0.002, 23 at 0.005); at 256 no cell
+#: of either dataset is dense, so HybridSelect runs GPUCalcGlobal's path
+HYBRID_BLOCK_DIMS = (64, 128, 256)
+KINDS = ("global", "shared", *(f"hybrid-select@{bd}" for bd in HYBRID_BLOCK_DIMS))
+
+
 def _run(kind: str, grid: GridIndex) -> tuple[float, int]:
     device = Device()
     buf = device.allocate_result_buffer((600 * len(grid), 2), np.int64)
@@ -27,10 +39,9 @@ def _run(kind: str, grid: GridIndex) -> tuple[float, int]:
     elif kind == "shared":
         kernel, cfg = GPUCalcShared(), GPUCalcShared.launch_config(grid)
     else:
-        # threshold 16: SW receiver clumps qualify as dense, the
-        # uniform background and SDSS field stay on the global path
-        kernel = HybridSelectKernel(dense_threshold=16)
-        cfg = kernel.launch_config(grid)
+        block_dim = int(kind.rpartition("@")[2])
+        kernel = HybridSelectKernel()
+        cfg = kernel.launch_config(grid, block_dim=block_dim)
     res = launch(kernel, cfg, device, grid=grid, result=buf)
     return res.modeled_ms, res.n_gpu
 
@@ -42,7 +53,7 @@ def test_ablation_hybrid_kernel(benchmark):
     for name, eps in [("SW1", 0.5), ("SDSS1", 0.5)]:
         pts = bench_points(name)
         grid = GridIndex.build(pts, eps)
-        for kind in ("global", "shared", "hybrid-select"):
+        for kind in KINDS:
             ms, ngpu = _run(kind, grid)
             times[(name, kind)] = ms
             rows.append([name, kind, round(ms, 3), ngpu])
@@ -54,20 +65,20 @@ def test_ablation_hybrid_kernel(benchmark):
     # its numbers for EXPERIMENTS.md
     save_json("ablation_hybrid_kernel", {"scale": BENCH_SCALE, "rows": payload})
     for name in ("SW1", "SDSS1"):
-        # the adaptive kernel always beats pure shared...
-        assert times[(name, "hybrid-select")] < times[(name, "shared")], name
-        # ...and stays within a small factor of pure global
-        assert times[(name, "hybrid-select")] < 5 * times[(name, "global")], name
+        for kind in KINDS[2:]:
+            # the adaptive kernel always beats pure shared...
+            assert times[(name, kind)] < times[(name, "shared")], (name, kind)
+            # ...and stays within a small factor of pure global
+            assert times[(name, kind)] < 5 * times[(name, "global")], (name, kind)
 
     # on skewed SW data some clump cells really take the shared path
     from repro.kernels.hybrid_select import partition_cells
 
-    grid_sw = GridIndex.build(bench_points("SW1"), 0.5)
-    dense, _ = partition_cells(grid_sw, 16)
+    grid = GridIndex.build(bench_points("SW1"), 0.5)
+    dense, _ = partition_cells(grid, HYBRID_BLOCK_DIMS[0])
     assert len(dense) > 0
 
-    grid = GridIndex.build(bench_points("SW1"), 0.5)
-    benchmark.pedantic(lambda: _run("hybrid-select", grid), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: _run(KINDS[2], grid), rounds=1, iterations=1)
 
     report(
         format_table(

@@ -5,16 +5,21 @@ launch*; the tuner then eliminates configurations whose optimistic
 prediction still loses to the best prediction's pessimistic band.  This
 bench measures every lattice point on the bench datasets and checks the
 tuner's contract: **the measured-fastest configuration is never
-eliminated** — pruning only ever discards losers.  The run persists
-``BENCH_tuner.json``, the committed baseline the CI smoke job checks.
+eliminated** — pruning only ever discards losers.  The artifact is the
+``BENCH_tuner.json`` baseline: before overwriting it, a run at the
+committed scale checks every deterministic field against it — each
+shape's workload statistics, fastest configuration and frontier, and
+each configuration's predicted and measured (modeled) ms and verdict.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from repro.analysis.tuner import WorkloadStats, prune_configs
-from repro.bench import format_table, save_json
+from repro.bench import format_table, results_dir, save_json
 from repro.gpusim import Device, launch
 from repro.index import GridIndex
 from repro.kernels import GPUCalcGlobal, GPUCalcShared, HybridSelectKernel
@@ -23,6 +28,11 @@ from _bench_utils import BENCH_SCALE, bench_points, report
 
 SHAPES = [("SW1", 0.5), ("SDSS1", 0.5)]
 BLOCK_DIMS = (64, 128, 256, 512)
+BASELINE = "BENCH_tuner"
+#: the fields of a shape, and of each of its runs, that repeat exactly
+#: from run to run (measured ms is the modeled clock, not wall time)
+SHAPE_FIELDS = ("dataset", "eps", "stats", "fastest", "frontier")
+RUN_FIELDS = ("config", "predicted_ms", "measured_ms", "eliminated")
 
 
 def _measure(kind: str, grid: GridIndex, block_dim: int) -> float:
@@ -35,7 +45,7 @@ def _measure(kind: str, grid: GridIndex, block_dim: int) -> float:
         kernel = GPUCalcShared()
         cfg = GPUCalcShared.launch_config(grid, block_dim=block_dim)
     else:
-        kernel = HybridSelectKernel.with_static_hint()
+        kernel = HybridSelectKernel()
         cfg = kernel.launch_config(grid, block_dim=block_dim)
     res = launch(kernel, cfg, device, grid=grid, result=buf)
     return res.modeled_ms
@@ -74,6 +84,28 @@ def _run_shape(name: str, eps: float) -> dict:
     }
 
 
+def check_against_baseline(shapes: list[dict]) -> None:
+    """Fail when a run at the committed scale differs from the baseline
+    in any deterministic field."""
+    path = results_dir() / f"{BASELINE}.json"
+    if not path.exists():
+        return
+    committed = json.loads(path.read_text())
+    if committed["scale"] != BENCH_SCALE:
+        return
+    for shape, ref in zip(shapes, committed["shapes"], strict=True):
+        for key in SHAPE_FIELDS:
+            assert shape[key] == ref[key], (
+                f"{shape['dataset']}: {key} {shape[key]}, baseline {ref[key]}"
+            )
+        for run, ref_run in zip(shape["runs"], ref["runs"], strict=True):
+            for key in RUN_FIELDS:
+                assert run[key] == ref_run[key], (
+                    f"{shape['dataset']} {run['config']}: {key} {run[key]}, "
+                    f"baseline {ref_run[key]}"
+                )
+
+
 def test_ablation_tuner(benchmark):
     shapes = [_run_shape(name, eps) for name, eps in SHAPES]
 
@@ -108,4 +140,5 @@ def test_ablation_tuner(benchmark):
             title="Ablation: static config pruning (fastest must survive)",
         )
     )
-    save_json("BENCH_tuner", {"scale": BENCH_SCALE, "shapes": shapes})
+    check_against_baseline(shapes)
+    save_json(BASELINE, {"scale": BENCH_SCALE, "shapes": shapes})

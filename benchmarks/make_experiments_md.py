@@ -243,14 +243,24 @@ def ablations() -> str:
          "f=1% estimates |R| within the α guard band"),
         ("ablation_hybrid_kernel", "density-adaptive kernel (extension)",
          "beats pure shared everywhere, tracks global, fewer blocks. "
-         "Its dense side is now charged GPUCalcShared's barriers (one per "
-         "thread for each comparison tile of each of ≤9 cells, both "
-         "passes): at scale 0.005 its barrier count rose 12.1× on SW1 "
-         "and 11.3× on SDSS1 (2× from the second pass, the rest from "
-         "the per-cell tiles the old charge left out), and its modeled "
-         "ms went 0.136 → 0.743 on SW1 against global's 0.103 → 0.130 "
-         "(5.7×: over the bench's 5× bound, so the bench fails) and "
-         "0.099 → 0.353 on SDSS1 against 0.079 → 0.101 (3.5×)"),
+         "HybridSelect runs its one dense/sparse rule (a cell is dense "
+         "above a quarter of the block size) at 64, 128 and 256 threads "
+         "per block: at scale 0.005 its modeled ms is 1.79 / 1.28 / "
+         "1.00× global's on SW1 and 1.46 / 1.03 / 1.00× on SDSS1 (1.81 / "
+         "1.30 / 1.00 and 1.67 / 1.01 / 1.00 at 0.002), inside the "
+         "bench's 5× bound; at 256 threads no cell is dense and it runs "
+         "the global path. The fixed 16-point threshold it used to run "
+         "on 256-thread blocks sent cells of 16 or more points to blocks "
+         "that page up to 9 tiles twice, and read 5.7× on SW1"),
+        ("BENCH_tuner", "static cost-guided configuration pruning (extension)",
+         "the KC007 cost model prunes the {global, shared, hybrid} × "
+         "{64, 128, 256, 512} lattice before any launch and never "
+         "eliminates the measured-fastest configuration: at scale 0.005 "
+         "it eliminates the 4 shared configurations on SW1 and SDSS1 and "
+         "keeps the fastest, global@512, on the frontier of 8. A run at "
+         "the committed scale fails on any change to the workload "
+         "statistics, a prediction, a modeled time, a verdict, the "
+         "fastest configuration or the frontier"),
         ("ablation_multi_eps", "multi-ε reuse (extension)",
          "one annotated table beats per-ε rebuilds across the S2 sweep. "
          "An annotated append is charged its float64 row's six 4-byte "

@@ -110,21 +110,6 @@ class CFG:
             work.extend(self.nodes[nid].succs)
         return seen
 
-    def barrier_reachable_from(self, src: int) -> bool:
-        """Whether any barrier lies downstream of ``src`` (crossing
-        barriers allowed — this is plain reachability)."""
-        seen: set[int] = set()
-        work = list(self.nodes[src].succs)
-        while work:
-            nid = work.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            if self.nodes[nid].kind == "barrier":
-                return True
-            work.extend(self.nodes[nid].succs)
-        return False
-
 
 def is_barrier_stmt(stmt: ast.stmt) -> bool:
     """Match the canonical barrier form ``yield ctx.syncthreads()``."""

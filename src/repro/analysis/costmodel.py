@@ -445,18 +445,6 @@ class KernelCostModel:
         model: CostModel = spec.cost_model()
         return model.kernel_time_ms(counters, occupancy=max(frac, 1e-9))
 
-    def modeled_cycles(
-        self,
-        binding: Mapping[str, float],
-        *,
-        spec: Optional[DeviceSpec] = None,
-        mode: str = "estimate",
-    ) -> float:
-        """Predicted device cycles: ``ms × clock``."""
-        spec = spec or DeviceSpec()
-        ms = self.modeled_ms(binding, spec=spec, mode=mode)
-        return ms * spec.clock_mhz * 1e3
-
     # -- reporting ---------------------------------------------------------
 
     def per_launch(self) -> dict[str, Optional[Lin]]:

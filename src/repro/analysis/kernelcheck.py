@@ -102,9 +102,7 @@ __all__ = [
     "analyze_device_source",
     "analyze_kernel",
     "analyze_shipped",
-    "default_block_dims",
     "static_occupancy_table",
-    "ties_dense_hint",
     "main",
 ]
 
@@ -112,10 +110,6 @@ __all__ = [
 DEFAULT_BLOCK_DIMS: tuple[int, ...] = (64, 128, 256)
 
 SEVERITY_ORDER = {"warn": 0, "error": 1}
-
-
-def default_block_dims() -> tuple[int, ...]:
-    return DEFAULT_BLOCK_DIMS
 
 
 # ======================================================================
@@ -219,10 +213,6 @@ class KernelReport:
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == "error"]
 
-    @property
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == "warn"]
-
     def to_dict(self) -> dict:
         return {
             "kernel": self.kernel,
@@ -274,10 +264,6 @@ class Val:
     @staticmethod
     def uniform_sym() -> "Val":
         return Val(0, True, False, None)
-
-    @staticmethod
-    def thread_id() -> "Val":
-        return Val(1, False, True, None)
 
     @staticmethod
     def data() -> "Val":
@@ -1328,7 +1314,7 @@ def analyze_shipped(
 
 
 # ======================================================================
-# static occupancy table → hybrid_select tie-break hint
+# static occupancy table
 # ======================================================================
 def static_occupancy_table(
     kernel: Kernel,
@@ -1339,34 +1325,6 @@ def static_occupancy_table(
     """Predicted occupancy per block_dim for one kernel on one spec."""
     spec = spec or DeviceSpec()
     return {bd: _occupancy_entry(kernel, bd, spec)[0] for bd in block_dims}
-
-
-def ties_dense_hint(
-    *,
-    block_dims: Sequence[int] = (32, 64, 128, 256, 512, 1024),
-    spec: Optional[DeviceSpec] = None,
-) -> dict[int, bool]:
-    """Tie-break hint for :class:`~repro.kernels.HybridSelectKernel`.
-
-    For each block_dim: ``True`` when the shared-memory path's static
-    occupancy is at least the global path's, so cells sitting exactly
-    on the density threshold are worth a shared-memory block; ``False``
-    sends tie cells to the global path, whose occupancy the shared
-    footprint would not depress.
-    """
-    from repro.kernels import GPUCalcGlobal, GPUCalcShared
-
-    shared_table = static_occupancy_table(
-        GPUCalcShared(), block_dims=block_dims, spec=spec
-    )
-    global_table = static_occupancy_table(
-        GPUCalcGlobal(), block_dims=block_dims, spec=spec
-    )
-    return {
-        bd: shared_table[bd].feasible
-        and shared_table[bd].fraction >= global_table[bd].fraction
-        for bd in block_dims
-    }
 
 
 # ======================================================================

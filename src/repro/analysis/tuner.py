@@ -12,11 +12,9 @@ measured search would explore.  The safety factor absorbs the model's
 calibration error, so the measured-fastest configuration is never
 pruned as long as the model is within ``safety``× of the truth in both
 directions (CI asserts this on the committed bench shapes).
-
-The same machinery drives
-:meth:`repro.kernels.HybridSelectKernel.with_static_hint`: the
-threshold-tie direction is decided by comparing the shared and global
-paths' predicted cost per block size instead of occupancy alone.
+``hybrid`` is priced as the density mix of the two paths, with the
+dense fraction measured by HybridSelect's own dense/sparse rule
+(:func:`repro.kernels.hybrid_select.partition_cells`).
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "PruneResult",
     "prune_configs",
     "predicted_ms",
-    "cost_tie_break_hint",
     "DEFAULT_KERNELS",
     "DEFAULT_TUNE_BLOCK_DIMS",
 ]
@@ -63,21 +60,14 @@ class WorkloadStats:
     dense_frac: float = 0.5
 
     @classmethod
-    def from_grid(
-        cls,
-        grid: "GridIndex",
-        *,
-        dense_threshold: Optional[int] = None,
-        block_dim: int = 256,
-    ) -> "WorkloadStats":
-        """Measure the statistics from a built :class:`GridIndex`."""
+    def from_grid(cls, grid: "GridIndex", *, block_dim: int = 256) -> "WorkloadStats":
+        """Measure the statistics from a built :class:`GridIndex`; the
+        dense cells are HybridSelect's at ``block_dim``."""
         from repro.kernels.hybrid_select import partition_cells
 
         n = len(grid)
-        cells = grid.nonempty_cells
-        n_cells = max(1, len(cells))
-        thr = dense_threshold or max(1, block_dim // 4)
-        dense, _ = partition_cells(grid, thr)
+        n_cells = max(1, len(grid.nonempty_cells))
+        dense, _ = partition_cells(grid, block_dim)
         dense_pts = int(
             (grid.cell_max[dense] - grid.cell_min[dense] + 1).sum()
         )
@@ -112,8 +102,8 @@ class WorkloadStats:
         }
 
 
-#: a nominal threshold-marginal workload for data-free tie-breaking:
-#: mid-size grid, cells holding a quarter-block of points each
+#: a nominal workload for data-free ranking (``repro analyze cost``):
+#: mid-size grid, half the points in dense cells
 NOMINAL_STATS = WorkloadStats(
     n=4096, nx=24, ny=24, n_cells=512, r_cell=8.0, dense_frac=0.5
 )
@@ -194,7 +184,7 @@ class PruneResult:
 
 
 #: derived models are pure functions of the (immutable) kernel source,
-#: so one derivation serves every prune/hint call in the process
+#: so one derivation serves every prune call in the process
 _MODEL_CACHE: dict[str, KernelCostModel] = {}
 
 
@@ -316,30 +306,3 @@ def prune_configs(
                          reason=reason)
         )
     return result
-
-
-def cost_tie_break_hint(
-    block_dims: Sequence[int] = (32, 64, 128, 256, 512, 1024),
-    *,
-    spec: Optional[DeviceSpec] = None,
-    stats: Optional[WorkloadStats] = None,
-) -> dict[int, bool]:
-    """Cost-ranked tie-break for :class:`HybridSelectKernel`.
-
-    For each block size: ``True`` when the shared path's predicted cost
-    on a threshold-marginal workload is at most the global path's —
-    then cells sitting exactly on the density threshold are worth a
-    shared-memory block.  Infeasible shared launches are ``False``.
-    Unlike the pure occupancy comparison
-    (:func:`repro.analysis.kernelcheck.ties_dense_hint`) this weighs
-    occupancy *and* the barrier/block overheads the shared path pays.
-    """
-    spec = spec or DeviceSpec()
-    stats = stats or NOMINAL_STATS
-    models = _cost_models()
-    hint: dict[int, bool] = {}
-    for bd in block_dims:
-        shared = predicted_ms("shared", stats, bd, spec=spec, models=models)
-        glob = predicted_ms("global", stats, bd, spec=spec, models=models)
-        hint[bd] = math.isfinite(shared) and shared <= glob
-    return hint

@@ -308,19 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser(
         "tune",
-        help="launch-configuration autotuner; currently static pruning "
-             "only (--prune-only): rank the kernel × block-dim lattice "
-             "by the KC007 cost model on the dataset's measured "
-             "workload statistics and eliminate dominated configs",
+        help="static launch-configuration pruning: rank the kernel × "
+             "block-dim lattice by the KC007 cost model on the dataset's "
+             "measured workload statistics and eliminate dominated "
+             "configs",
     )
     common(t)
     t.add_argument("--eps", type=float, required=True,
                    help="eps the grid index (and hence the workload "
                         "statistics) is built at")
-    t.add_argument("--prune-only", action="store_true", dest="prune_only",
-                   help="static cost-model pruning without measured "
-                        "search (required: measured search is not yet "
-                        "implemented)")
     t.add_argument("--safety", type=float, default=3.0,
                    help="cost-model calibration margin; a config is "
                         "eliminated only when predicted/safety still "
@@ -700,10 +696,6 @@ def _cmd_analyze_cost(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    if not args.prune_only:
-        print("tune: measured search is not yet implemented; "
-              "re-run with --prune-only", file=sys.stderr)
-        return 2
     from repro.analysis.tuner import (
         DEFAULT_TUNE_BLOCK_DIMS,
         WorkloadStats,

@@ -70,11 +70,6 @@ class TimingBreakdown:
         """Wall-clock table-construction time (Figure 3's 'GPU time')."""
         return self.build_wall_s
 
-    @property
-    def worker_phase_sum_s(self) -> float:
-        """Cross-worker sum of phase times (≥ gpu_s under overlap)."""
-        return self.index_s + self.kernel_s + self.transfer_s + self.table_s
-
 
 @dataclass
 class DBSCANResult:

@@ -193,10 +193,6 @@ class GridIndex:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
-    def cell_coords(self, h: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-        h = np.asarray(h, dtype=np.int64)
-        return h % self.nx, h // self.nx
-
     def neighbor_cells(self, h: int) -> np.ndarray:
         """Linear ids of the ≤9 cells that can contain ε-neighbors of
         points in cell ``h`` (the paper's ``getNeighborCells``)."""

@@ -27,7 +27,7 @@ from repro.gpusim.launch import Kernel, LaunchConfig
 from repro.gpusim.memory import ResultBuffer
 from repro.index.grid import GridIndex, NeighborPairs
 
-__all__ = ["GPUCalcGlobal", "batch_point_ids", "charge_row_scans"]
+__all__ = ["GPUCalcGlobal", "batch_point_ids", "charge_row_scans", "store_rows"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.absint import KernelInvariants
@@ -71,6 +71,34 @@ def charge_row_scans(
     counters.global_loads += 2 * n_threads
     counters.global_loads += 2 * (2 * pairs.n_cells + 3 * pairs.n_candidates)
     counters.distance_calcs += 2 * pairs.n_candidates
+
+
+def store_rows(
+    counters: KernelCounters,
+    result: ResultBuffer,
+    n_rows: int,
+    *parts: NeighborPairs,
+) -> int:
+    """Write the hits of ``parts`` into ``result`` as ``n_rows`` whole
+    rows and charge one reservation per row; returns the records written.
+
+    One reservation covers the whole launch, so an overflow raises
+    before any hit is written; each block of hits then lands in place,
+    with its distances when they were asked for.
+    """
+    n_hits = sum(p.n_hits for p in parts)
+    counters.count_appends(result, n_hits, rows=n_rows)
+    if n_hits:
+        at = result.reserve(n_hits)
+        for pairs in parts:
+            for b, keys in enumerate(pairs.keys):
+                rows = result.data[at : at + len(keys)]
+                rows[:, 0] = keys
+                rows[:, 1] = pairs.values[b]
+                if pairs.d2:
+                    np.sqrt(pairs.d2[b], out=rows[:, 2])
+                at += len(keys)
+    return n_hits
 
 
 class GPUCalcGlobal(Kernel):
@@ -241,23 +269,9 @@ class GPUCalcGlobal(Kernel):
             return 0
 
         pairs = grid.neighbor_pairs(ids, distances=emit_distance)
-        n_hits = pairs.n_hits
         charge_row_scans(counters, len(ids), pairs)
         # every point hits itself: one row per point
-        counters.count_appends(result, n_hits, rows=len(ids))
-
-        if n_hits:
-            # one reservation for the whole launch, so an overflow raises
-            # before any hit is written; each block then lands in place
-            at = result.reserve(n_hits)
-            for b, keys in enumerate(pairs.keys):
-                rows = result.data[at : at + len(keys)]
-                rows[:, 0] = keys
-                rows[:, 1] = pairs.values[b]
-                if emit_distance:
-                    np.sqrt(pairs.d2[b], out=rows[:, 2])
-                at += len(keys)
-        return n_hits
+        return store_rows(counters, result, len(ids), pairs)
 
     # ------------------------------------------------------------------
     @staticmethod

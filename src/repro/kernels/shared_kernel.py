@@ -15,6 +15,11 @@ blocks), so the launch has ``n_nonempty_cells × block_dim`` threads —
 the paper's much larger ``nGPU`` for this kernel.  When a cell holds more
 points than the block size, the extra tiling loop the paper describes
 (Section IV-B) kicks in.
+
+The vector backend charges each block as its device code counts
+(:func:`charge_cell_blocks`) and takes the blocks' rows from
+:meth:`~repro.index.grid.GridIndex.neighbor_pairs`, the one
+ε-enumeration every vector backend shares (:func:`cell_members`).
 """
 
 from __future__ import annotations
@@ -28,14 +33,13 @@ from repro.gpusim.kernelapi import Barrier, KernelContext
 from repro.gpusim.launch import Kernel, LaunchConfig
 from repro.gpusim.memory import ResultBuffer
 from repro.index.grid import GridIndex
-from repro.kernels.global_kernel import batch_point_ids
+from repro.kernels.global_kernel import batch_point_ids, store_rows
 
 __all__ = [
     "GPUCalcShared",
     "batch_members",
-    "cell_block_rows",
+    "cell_members",
     "charge_cell_blocks",
-    "write_rows",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,6 +64,22 @@ def batch_members(
     return member
 
 
+def cell_members(grid: GridIndex, cells: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """The batch's points (``member``) that lie in ``cells``, in ``A``
+    order: the origin points of GPUCalcShared's blocks for those cells,
+    block by block.
+
+    :meth:`GridIndex.neighbor_pairs` walks each point's 3 row ranges of
+    ``A`` in ascending row and ``A`` order, the order in which a block
+    pages its comparison cells, so its hits for these ids are the
+    blocks' rows record for record.
+    """
+    in_cells = np.zeros(grid.n_cells, dtype=bool)
+    in_cells[cells] = True
+    a = grid.lookup
+    return a[in_cells[grid.cell_of_point[a]] & member[a]]
+
+
 def charge_cell_blocks(
     counters: KernelCounters,
     grid: GridIndex,
@@ -75,7 +95,7 @@ def charge_cell_blocks(
     the writing pass), each paging between two barriers that every
     thread of the block crosses, and each origin point is compared with
     every comparison point in both passes.  Result rows are charged
-    apart (:func:`write_rows`).
+    apart (:func:`~repro.kernels.global_kernel.store_rows`).
     """
     bs = block_dim
     lo = grid.cell_min[cells].astype(np.int64)
@@ -105,53 +125,6 @@ def charge_cell_blocks(
     counters.syncs += bs * int(np.sum(1 + 4 * origin_tiles * comp_tiles))
     counters.distance_calcs += 2 * compared
     counters.shared_loads += 4 * compared
-
-
-def cell_block_rows(
-    grid: GridIndex, cells: np.ndarray, member: np.ndarray
-) -> list[np.ndarray]:
-    """The ``(key, value)`` rows of the batch's points (``member``) in
-    each cell of ``cells``, as GPUCalcShared's block for that cell finds
-    them: one block of rows per cell, origin points in ``A`` order, each
-    row's neighbors in the order the block pages its comparison cells.
-
-    The Python loop runs once per cell — the block-level work
-    decomposition of the kernel — with each block's distance phase
-    vectorized.
-    """
-    eps2 = grid.eps * grid.eps
-    pts = grid.points
-    blocks: list[np.ndarray] = []
-    for h in cells:
-        origin_all = grid.cell_point_ids(int(h))
-        origin = origin_all[member[origin_all]]
-        if len(origin) == 0:
-            continue
-        nbr_cells = grid.neighbor_cells(int(h))
-        nbr_cells = nbr_cells[grid.cell_min[nbr_cells] >= 0]
-        comp = np.concatenate([grid.cell_point_ids(int(c)) for c in nbr_cells])
-        diff = pts[origin][:, None, :] - pts[comp][None, :, :]
-        d2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-        # row-major: each origin point's hits form one row
-        oi, cj = np.nonzero(d2 <= eps2)
-        blocks.append(np.column_stack([origin[oi], comp[cj]]))
-    return blocks
-
-
-def write_rows(
-    counters: KernelCounters,
-    result: ResultBuffer,
-    blocks: list[np.ndarray],
-    n_rows: int,
-) -> int:
-    """Write ``blocks`` of whole rows into ``result`` with one
-    reservation, so an overflow raises before any record is written,
-    and charge ``n_rows`` row reservations; returns the records written."""
-    n = sum(len(b) for b in blocks)
-    counters.count_appends(result, n, rows=n_rows)
-    if n:
-        result.append_block(np.concatenate(blocks, axis=0))
-    return n
 
 
 class GPUCalcShared(Kernel):
@@ -337,11 +310,11 @@ class GPUCalcShared(Kernel):
         batch_order: str = "strided",
         point_mask: Optional[np.ndarray] = None,
     ) -> int:
-        """Block-per-cell evaluation (:func:`cell_block_rows`); returns
-        the pairs written.  ``point_mask`` narrows the batch to a subset
-        of origin points (the overflow-recovery split path).
+        """Block-per-cell evaluation: the blocks' rows in schedule order
+        (:func:`cell_members`); returns the pairs written.
+        ``point_mask`` narrows the batch to a subset of origin points
+        (the overflow-recovery split path).
         """
-        bs = config.block_dim
         cells = grid.nonempty_cells
         if config.grid_dim < len(cells):
             raise ValueError(
@@ -349,10 +322,9 @@ class GPUCalcShared(Kernel):
                 f"{len(cells)} non-empty cells"
             )
         member = batch_members(len(grid), batch, n_batches, batch_order, point_mask)
-        charge_cell_blocks(counters, grid, cells, member, bs)
-        return write_rows(
-            counters, result, cell_block_rows(grid, cells, member), int(member.sum())
-        )
+        charge_cell_blocks(counters, grid, cells, member, config.block_dim)
+        ids = cell_members(grid, cells, member)
+        return store_rows(counters, result, len(ids), grid.neighbor_pairs(ids))
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -232,18 +232,3 @@ class ResultCache:
             del self._labels[k]
         self.stats.invalidated += len(t_dead) + len(l_dead)
         return len(t_dead) + len(l_dead)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def n_tables(self) -> int:
-        return len(self._tables)
-
-    @property
-    def n_label_sets(self) -> int:
-        return len(self._labels)
-
-    @property
-    def table_bytes(self) -> int:
-        return sum(e.nbytes for e in self._tables.values())

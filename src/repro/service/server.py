@@ -315,9 +315,6 @@ class ClusteringService:
         )
         return ds.epoch
 
-    def epoch_of(self, dataset_id: str) -> int:
-        return self._datasets[dataset_id].epoch
-
     # ------------------------------------------------------------------
     # the request path
     # ------------------------------------------------------------------

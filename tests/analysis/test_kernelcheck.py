@@ -26,16 +26,13 @@ from repro.analysis.kernelcheck import (
     analyze_kernel,
     analyze_shipped,
     static_occupancy_table,
-    ties_dense_hint,
     worst_severity,
 )
 from repro.gpusim import Device, launch
 from repro.gpusim.device import DeviceSpec
 from repro.index import GridIndex
-from repro.kernels import GPUCalcShared, HybridSelectKernel, shipped_kernels
-from repro.kernels.hybrid_select import partition_cells
+from repro.kernels import GPUCalcShared, shipped_kernels
 from tests.analysis.badkernels import BAD_KERNELS
-from tests.kernels.conftest import truth_pairs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -227,61 +224,3 @@ class TestStraightLineProperty:
         rules = {f.rule for f in findings}
         assert "KC001" not in rules
         assert "KC002" not in rules
-
-
-# ======================================================================
-# static occupancy hint → hybrid tie-break
-# ======================================================================
-class TestTieBreakHint:
-    def test_k20c_large_blocks_send_ties_sparse(self):
-        """At bd=256 on the K20c the shared path's 12 KiB footprint caps
-        occupancy at 0.375 while the global path is fully occupied —
-        threshold-exact cells should take the global path."""
-        hint = ties_dense_hint()
-        assert hint[256] is False
-        assert set(map(type, hint.values())) == {bool}
-
-    def test_hint_respects_spec(self):
-        roomy = DeviceSpec(name="roomy", shared_mem_per_block_bytes=512 * 1024)
-        hint = ties_dense_hint(block_dims=(256,), spec=roomy)
-        assert hint[256] is True  # footprint no longer depresses occupancy
-
-    def test_partition_tie_direction(self):
-        rng = np.random.default_rng(3)
-        grid = GridIndex.build(rng.random((200, 2)) * 2, 0.5)
-        cells = grid.nonempty_cells
-        counts = grid.cell_max[cells] - grid.cell_min[cells] + 1
-        thr = int(np.median(counts))
-        dense_in, sparse_in = partition_cells(grid, thr, include_ties=True)
-        dense_out, sparse_out = partition_cells(grid, thr, include_ties=False)
-        ties = counts == thr
-        assert len(dense_in) - len(dense_out) == int(ties.sum())
-        # both splits cover every non-empty cell exactly once
-        for d, s in ((dense_in, sparse_in), (dense_out, sparse_out)):
-            assert sorted([*d.tolist(), *s.tolist()]) == sorted(cells.tolist())
-
-    def test_hinted_kernel_is_still_correct(self):
-        """The tie-break is pure scheduling: the hinted hybrid kernel
-        must produce the exact ε-pair truth set either way."""
-        rng = np.random.default_rng(11)
-        grid = GridIndex.build(rng.random((150, 2)) * 2, 0.45)
-        want = truth_pairs(grid)
-        for kernel in (
-            HybridSelectKernel(),
-            HybridSelectKernel.with_static_hint(),
-            HybridSelectKernel(occupancy_hint={256: False}),
-        ):
-            device = Device()
-            result = device.allocate_result_buffer(
-                (128 * 1024, 2), np.int64, name="R"
-            )
-            cfg = kernel.launch_config(grid, block_dim=256)
-            launch(kernel, cfg, device, grid=grid, result=result)
-            got = set(map(tuple, result.view().tolist()))
-            assert got == want
-
-    def test_with_static_hint_populates_table(self):
-        k = HybridSelectKernel.with_static_hint()
-        assert k.occupancy_hint is not None
-        assert k._ties_dense(256) is False
-        assert HybridSelectKernel()._ties_dense(256) is True  # legacy default

@@ -12,16 +12,14 @@ import pytest
 
 from repro.analysis.tuner import (
     DEFAULT_TUNE_BLOCK_DIMS,
-    NOMINAL_STATS,
     WorkloadStats,
-    cost_tie_break_hint,
     predicted_ms,
     prune_configs,
 )
 from repro.gpusim import Device, launch
 from repro.gpusim.device import DeviceSpec
 from repro.index import GridIndex
-from repro.kernels import GPUCalcGlobal, GPUCalcShared, HybridSelectKernel
+from repro.kernels import GPUCalcGlobal, GPUCalcShared
 
 
 @pytest.fixture(scope="module")
@@ -152,42 +150,3 @@ class TestPruneConfigs:
                 measured[f"{kind}@{bd}"] = res.modeled_ms
         fastest = min(measured, key=measured.get)
         assert fastest in survivors, (fastest, sorted(survivors))
-
-
-class TestTieBreakHint:
-    def test_k20c_shared_path_never_wins_nominal(self):
-        """On the K20c the shared path's barrier costs dominate at the
-        nominal workload — ties go sparse at every block size (matching
-        the measured direction in the kernel tests)."""
-        hint = cost_tie_break_hint()
-        assert set(map(type, hint.values())) == {bool}
-        assert hint[256] is False
-
-    def test_hint_honors_infeasible_shared(self):
-        tiny = DeviceSpec(name="tiny", shared_mem_per_block_bytes=1024)
-        hint = cost_tie_break_hint(block_dims=(256,), spec=tiny)
-        assert hint[256] is False
-
-    def test_with_static_hint_uses_cost_ranking(self):
-        k = HybridSelectKernel.with_static_hint()
-        assert k.occupancy_hint == cost_tie_break_hint()
-
-    def test_hint_matches_cost_comparison(self):
-        """The hint is exactly the per-block-size shared-vs-global cost
-        comparison on the nominal workload."""
-        hint = cost_tie_break_hint(block_dims=(64, 256))
-        for bd in (64, 256):
-            s = predicted_ms("shared", NOMINAL_STATS, bd)
-            g = predicted_ms("global", NOMINAL_STATS, bd)
-            assert hint[bd] == (math.isfinite(s) and s <= g)
-
-    def test_shared_friendly_stats_flip_the_hint(self):
-        """A workload concentrated in one dense cell launches one
-        shared block against a whole lattice of global blocks — the
-        shared path wins and ties go dense, proving the hint reads the
-        cost model rather than hard-coding False."""
-        concentrated = WorkloadStats(
-            n=64, nx=8, ny=8, n_cells=1, r_cell=64.0, dense_frac=1.0
-        )
-        hint = cost_tie_break_hint(block_dims=(64,), stats=concentrated)
-        assert hint[64] is True

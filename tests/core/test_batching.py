@@ -305,8 +305,8 @@ class TestSortFreeTables:
     @pytest.mark.parametrize("n_batches", [1, 3])
     def test_hybrid_rows_equal_the_sorted_path(self, n_batches):
         grid = GridIndex.build(_clumpy_points(), 0.3)
-        kernel = HybridSelectKernel(dense_threshold=4)
-        dense, sparse = partition_cells(grid, 4)
+        kernel = HybridSelectKernel()
+        dense, sparse = partition_cells(grid, 16)
         assert len(dense) and len(sparse)
         device = Device()
         table = NeighborTable(len(grid), grid.eps)
@@ -316,7 +316,7 @@ class TestSortFreeTables:
                 (len(grid) ** 2, 2), result_layout(len(grid))[1]
             )
             launch(
-                kernel, kernel.launch_config(grid, block_dim=32), device,
+                kernel, kernel.launch_config(grid, block_dim=16), device,
                 grid=grid, result=buf, batch=batch, n_batches=n_batches,
             )
             rows = buf.view()

@@ -266,6 +266,24 @@ class TestAnalyze:
         assert list(shared["static_shared_bytes"]) == ["32"]
         assert shared["static_shared_bytes"]["32"] == 48 * 32 + 80
 
+    def test_cost_json(self, capsys):
+        code, out = run_cli(capsys, ["analyze", "cost", "--format", "json"])
+        assert code == 0  # every shipped kernel is bounded
+        pruning = json.loads(out)["pruning"]
+        best = min(
+            (r for r in pruning["ranked"] if r["feasible"]),
+            key=lambda r: r["predicted_ms"],
+        )
+        assert f"{best['kernel']}@{best['block_dim']}" in pruning["frontier"]
+
+
+class TestTune:
+    def test_prunes_the_lattice(self, capsys, points_file):
+        code, payload = run_json(capsys, ["tune", points_file, "--eps", "0.5"])
+        assert code == 0
+        assert payload["best"] in payload["frontier"]
+        assert len(payload["ranked"]) == 3 * 4  # kernels × default block dims
+
 
 class TestParser:
     def test_requires_command(self):
