@@ -19,14 +19,19 @@ Asserted guarantees (the PR's acceptance criteria):
 * shedding is load-responsive: zero at the lightest load, strictly
   positive at the heaviest.
 
-The artifact is ``BENCH_serve.json``.
+The artifact is the ``BENCH_serve.json`` baseline.  Every field runs
+on the virtual clock, so before overwriting it a run at the committed
+scale checks every field against it: no status, rejection reason, cache
+hit, breaker trip or latency of the replayed traces may move.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from repro.bench import format_table, save_json
+from repro.bench import format_table, results_dir, save_json
 from repro.core import HybridDBSCAN
 from repro.gpusim import FaultInjector, FaultSpec, derive_seed
 from repro.service import (
@@ -45,6 +50,7 @@ N_REQUESTS = 40
 #: generous deadline for the faulted run (retry backoff must fit)
 FAULT_DEADLINE_MS = 120.0
 SEED = 17
+BASELINE = "BENCH_serve"
 
 # The sweep's deadline and interarrivals are derived at runtime from one
 # probed exact build (modeled ms), so the load points stay meaningful at
@@ -124,6 +130,22 @@ def _summarize(res) -> dict:
         "breaker_trips": res.breaker.get("trips", 0),
         "rejections": res.admission.get("rejections", {}),
     }
+
+
+def check_against_baseline(payload: dict) -> None:
+    """Fail when a run at the committed scale differs from the baseline
+    in any field."""
+    path = results_dir() / f"{BASELINE}.json"
+    if not path.exists():
+        return
+    committed = json.loads(path.read_text())
+    if committed["scale"] != BENCH_SCALE:
+        return
+    fresh = json.loads(json.dumps(payload))
+    for key in committed.keys() | fresh.keys():
+        assert fresh.get(key) == committed.get(key), (
+            f"{key}: {fresh.get(key)}, baseline {committed.get(key)}"
+        )
 
 
 def test_ablation_serve(benchmark):
@@ -242,21 +264,20 @@ def test_ablation_serve(benchmark):
             f"deadline={deadline_ms:.3f}ms)",
         )
     )
-    save_json(
-        "BENCH_serve",
-        {
-            "scale": BENCH_SCALE,
-            "dataset": "SW1",
-            "n_points": len(pts),
-            "n_requests": N_REQUESTS,
-            "eps_choices": EPS_CHOICES,
-            "minpts_choices": MINPTS_CHOICES,
-            "probe_build_ms": build_ms,
-            "deadline_ms": deadline_ms,
-            "load_sweep": load_runs,
-            "faulted_run": faulted,
-        },
-    )
+    payload = {
+        "scale": BENCH_SCALE,
+        "dataset": "SW1",
+        "n_points": len(pts),
+        "n_requests": N_REQUESTS,
+        "eps_choices": EPS_CHOICES,
+        "minpts_choices": MINPTS_CHOICES,
+        "probe_build_ms": build_ms,
+        "deadline_ms": deadline_ms,
+        "load_sweep": load_runs,
+        "faulted_run": faulted,
+    }
+    check_against_baseline(payload)
+    save_json(BASELINE, payload)
 
 
 def test_serve_exactness_spot_check():

@@ -598,7 +598,6 @@ def _cmd_serve(args) -> int:
     from repro.service import (
         AdmissionConfig,
         ClusteringService,
-        DegradeConfig,
         ServeConfig,
         make_trace,
     )
@@ -636,7 +635,7 @@ def _cmd_serve(args) -> int:
             n_workers=args.workers,
             n_device_slots=args.device_slots,
             admission=AdmissionConfig(max_queue=args.max_queue),
-            degrade=DegradeConfig(enabled=not args.no_degrade),
+            degrade=not args.no_degrade,
             seed=args.seed,
             sanitize=True if args.sanitize else None,
             fault_factory=fault_factory,

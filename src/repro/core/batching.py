@@ -162,8 +162,6 @@ class BatchPlan:
     n_batches: int
     #: whether the variable (small-estimate) sizing rule applied
     variable_buffer: bool
-    #: wall seconds spent estimating
-    estimate_s: float = 0.0
 
 
 class BatchPlanner:
@@ -180,7 +178,6 @@ class BatchPlanner:
         backend: str = "vector",
     ) -> BatchPlan:
         cfg = self.config
-        t0 = time.perf_counter()
         sample = sample_point_ids(len(grid), cfg.sample_fraction)
         kernel = NeighborCountKernel()
         res = launch(
@@ -193,13 +190,9 @@ class BatchPlanner:
         )
         eb = int(res.value)
         ab = max(1, int(math.ceil(eb * len(grid) / len(sample))))
-        return self.plan_from_estimate(
-            eb=eb, ab=ab, estimate_s=time.perf_counter() - t0
-        )
+        return self.plan_from_estimate(eb=eb, ab=ab)
 
-    def plan_from_estimate(
-        self, *, eb: int, ab: int, estimate_s: float = 0.0
-    ) -> BatchPlan:
+    def plan_from_estimate(self, *, eb: int, ab: int) -> BatchPlan:
         """Apply the buffer sizing and Equation 1 to a known estimate."""
         cfg = self.config
         if ab >= cfg.static_threshold:
@@ -219,7 +212,6 @@ class BatchPlanner:
             buffer_size=bb,
             n_batches=nb,
             variable_buffer=variable,
-            estimate_s=estimate_s,
         )
 
 
@@ -269,7 +261,6 @@ class TableBuildStats:
     kernel_s: float = 0.0
     transfer_s: float = 0.0
     host_copy_s: float = 0.0
-    total_s: float = 0.0
     n_batches_run: int = 0
     batch_sizes: list[int] = field(default_factory=list)
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
@@ -326,7 +317,6 @@ def build_neighbor_table(
     prev_faults = device.faults
     device.faults = injector
     stats = TableBuildStats(plan=the_plan)
-    t_start = time.perf_counter()
     try:
         table = _run_batches(
             grid, device, the_plan, cfg, kernel, backend, block_dim,
@@ -339,7 +329,6 @@ def build_neighbor_table(
         raise
     finally:
         device.faults = prev_faults
-    stats.total_s = time.perf_counter() - t_start
     return table.finalize(), stats
 
 

@@ -43,17 +43,13 @@ class TimingBreakdown:
     ``gpu_s`` is the paper's "GPU time": the wall-clock time to produce
     ``T`` (index construction, kernels, transfers, host table
     assembly) — Figure 3's green curve.  ``dbscan_s`` is the host
-    clustering over ``T`` — the blue curve.  The per-phase fields
-    (``kernel_s`` …) are *summed across the 3 stream workers*, so they
-    can exceed wall-clock when batches overlap — that excess is exactly
-    the overlap the batching scheme wins.  ``recovery`` carries the
-    robustness layer's accounting (splits, regrows, retries, wasted
-    kernel-seconds) from the table construction.
+    clustering over ``T`` — the blue curve.  ``table_s`` is the host
+    table assembly *summed across the 3 stream workers*, so it can
+    exceed its share of wall-clock when batches overlap.  ``recovery``
+    carries the robustness layer's accounting (splits, regrows,
+    retries, wasted kernel-seconds) from the table construction.
     """
 
-    index_s: float = 0.0
-    kernel_s: float = 0.0
-    transfer_s: float = 0.0
     table_s: float = 0.0
     dbscan_s: float = 0.0
     total_s: float = 0.0
@@ -156,7 +152,6 @@ class HybridDBSCAN:
         t0 = time.perf_counter()
         mark = self.device.profiler.mark()
         grid = GridIndex.build(points, eps)
-        t1 = time.perf_counter()
         table, stats = build_neighbor_table(
             grid,
             self.device,
@@ -167,9 +162,6 @@ class HybridDBSCAN:
             with_distances=with_distances,
         )
         timings = TimingBreakdown(
-            index_s=t1 - t0,
-            kernel_s=stats.kernel_s,
-            transfer_s=stats.transfer_s,
             table_s=stats.host_copy_s,
             device_ms=self.device.profiler.device_ms_since(mark),
             recovery=stats.recovery,

@@ -52,7 +52,7 @@ inside a supervised attempt loop (:func:`run_shard_supervised`):
   with :func:`exchange_halos` halos, so every merge invariant holds) and
   enqueues the children; when the tile is unsplittable or splitting is
   disabled, it retries with an exponentially larger memory grant
-  (``device_mem_bytes · mem_growth^k``);
+  (``device_mem_bytes · MEM_GROWTH^k``);
 * a *fatal* fault propagates unchanged, and an exhausted retry budget
   raises :class:`ShardFailureError` naming the shard.
 
@@ -134,6 +134,12 @@ __all__ = [
 # configuration
 # ----------------------------------------------------------------------
 PLACEMENT_STRATEGIES = ("locality", "round-robin")
+#: bound on recursive quad-splitting (child-tile generations)
+MAX_SPLIT_GENERATIONS = 4
+#: exponential fallback-grant escalation: the k-th memory-shaped retry
+#: runs under ``device_mem_bytes · MEM_GROWTH^k`` (capped at the physical
+#: :class:`~repro.gpusim.device.DeviceSpec` capacity)
+MEM_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -160,16 +166,10 @@ class ShardConfig:
     #: retry budget: a shard may be re-attempted this many times on a
     #: fresh fallback device before :class:`ShardFailureError` is raised
     max_shard_retries: int = 2
-    #: quad-split the ε-aligned tile when a shard dies with a
-    #: memory-shaped fault (device OOM / overflow beyond batch recovery)
+    #: quad-split the ε-aligned tile (up to MAX_SPLIT_GENERATIONS deep)
+    #: when a shard dies with a memory-shaped fault (device OOM /
+    #: overflow beyond batch recovery)
     split_on_oom: bool = True
-    #: bound on recursive quad-splitting (child-tile generations)
-    max_split_generations: int = 4
-    #: exponential fallback-grant escalation: the k-th memory-shaped
-    #: retry runs under ``device_mem_bytes · mem_growth^k`` (capped at
-    #: the physical :class:`~repro.gpusim.device.DeviceSpec` capacity);
-    #: ignored when ``device_mem_bytes`` is None (already uncapped)
-    mem_growth: float = 2.0
     #: per-shard fault-injector factory, called once per shard (parents
     #: and quad-split children alike); return ``None`` for a healthy
     #: shard.  The injector persists across that shard's retry attempts,
@@ -192,10 +192,6 @@ class ShardConfig:
             raise ValueError("device_mem_bytes must be positive")
         if self.max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
-        if self.max_split_generations < 0:
-            raise ValueError("max_split_generations must be >= 0")
-        if self.mem_growth < 1.0:
-            raise ValueError("mem_growth must be >= 1")
 
     @property
     def n_tiles(self) -> int:
@@ -799,14 +795,14 @@ def _grant_spec(
 ) -> tuple[DeviceSpec, Optional[int]]:
     """The device spec of one attempt under the exponential grant policy.
 
-    Escalation k grants ``device_mem_bytes · mem_growth^k``, capped at
+    Escalation k grants ``device_mem_bytes · MEM_GROWTH^k``, capped at
     the physical card capacity (but never below the configured base
     grant).  With no configured cap the device is already as large as it
     gets — the fallback device is simply a fresh one.
     """
     if cfg.device_mem_bytes is None:
         return base_spec, None
-    grant = int(cfg.device_mem_bytes * cfg.mem_growth**escalations)
+    grant = int(cfg.device_mem_bytes * MEM_GROWTH**escalations)
     grant = max(
         cfg.device_mem_bytes, min(grant, base_spec.global_mem_bytes)
     )
@@ -901,7 +897,7 @@ def run_shard_supervised(
             if (
                 fclass == "memory"
                 and cfg.split_on_oom
-                and shard.generation < cfg.max_split_generations
+                and shard.generation < MAX_SPLIT_GENERATIONS
             ):
                 children = quad_split_shard(plan, shard)
                 if children:

@@ -142,13 +142,6 @@ class ResultBuffer(DeviceBuffer):
             self._cursor = start + n
             return start
 
-    def append_block(self, values: np.ndarray) -> int:
-        """Reserve and fill ``len(values)`` slots in one shot."""
-        n = len(values)
-        start = self.reserve(n)
-        self.data[start : start + n] = values
-        return start
-
     def view(self) -> np.ndarray:
         """View of the filled prefix (device-side; host must copy out)."""
         return self.data[: self._cursor]

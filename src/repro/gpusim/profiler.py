@@ -116,14 +116,9 @@ class Profiler:
 
     def total_device_ms(self) -> float:
         """Serialized device milliseconds (kernels + sorts + transfers +
-        injected stalls)."""
-        return (
-            self.kernel_time_ms()
-            + self.sort_time_ms()
-            + self.transfer_time_ms()
-            + self.pinned_alloc_ms
-            + self.stall_ms
-        )
+        pinned allocation + injected stalls), summed as
+        :meth:`device_ms_since` sums them, independent of record order."""
+        return self.device_ms_since((0, 0, 0, 0.0, 0.0))
 
     def mark(self) -> tuple[int, int, int, float, float]:
         """Where the records stand now, for :meth:`device_ms_since`."""

@@ -20,12 +20,11 @@ from repro.service.admission import (
 from repro.service.cache import CacheStats, ResultCache, TableEntry
 from repro.service.degrade import (
     CostTracker,
-    DegradeConfig,
     DegradeDecision,
     choose_mode,
     sampled_labels,
 )
-from repro.service.retry import CircuitBreaker, RetryPolicy
+from repro.service.retry import CircuitBreaker, backoff_ms
 from repro.service.server import (
     ClusteringService,
     Response,
@@ -47,9 +46,8 @@ __all__ = [
     "CacheStats",
     "TableEntry",
     "ResultCache",
-    "RetryPolicy",
+    "backoff_ms",
     "CircuitBreaker",
-    "DegradeConfig",
     "DegradeDecision",
     "CostTracker",
     "choose_mode",

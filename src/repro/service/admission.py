@@ -2,16 +2,12 @@
 
 A service that queues unboundedly does not degrade, it collapses:
 latency grows without limit and every request eventually misses its
-deadline anyway.  The controller here bounds three resources *at
+deadline anyway.  The controller here bounds two resources *at
 arrival time* — before any work is done — and rejects with a typed
 error instead of queueing:
 
 * **queue depth** — admitted-but-unstarted requests (``max_queue``);
-* **per-tenant inflight** — one tenant cannot monopolize the workers;
-* **memory grants** — each admitted request holds an estimated device
-  grant (``bytes_per_point x n``, the same bounded-grant idea as
-  :attr:`~repro.core.sharding.ShardConfig.device_mem_bytes`) against a
-  global budget for the span of its execution.
+* **per-tenant inflight** — one tenant cannot monopolize the workers.
 
 Crossing the *high-water mark* (a fraction of ``max_queue``) does not
 reject yet — it flags the request for graceful degradation
@@ -55,8 +51,8 @@ class ServiceError(RuntimeError):
 
 
 class Overloaded(ServiceError):
-    """Admission refused: queue full, tenant cap, memory budget, or all
-    devices quarantined.  Retry later (after backoff) may succeed."""
+    """Admission refused: queue full, tenant cap, or all devices
+    quarantined.  Retry later (after backoff) may succeed."""
 
     code = "overloaded"
 
@@ -90,10 +86,6 @@ class AdmissionConfig:
     high_water: float = 0.75
     #: concurrent (queued + executing) requests allowed per tenant
     per_tenant_inflight: int = 4
-    #: global memory-grant budget; ``None`` disables the memory gate
-    memory_budget_bytes: Optional[int] = None
-    #: grant estimate per dataset point (table rows + staging share)
-    bytes_per_point: int = 48
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:
@@ -102,10 +94,6 @@ class AdmissionConfig:
             raise ValueError("high_water must be in (0, 1]")
         if self.per_tenant_inflight < 1:
             raise ValueError("per_tenant_inflight must be >= 1")
-        if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
-            raise ValueError("memory_budget_bytes must be positive")
-        if self.bytes_per_point < 1:
-            raise ValueError("bytes_per_point must be >= 1")
 
     @property
     def high_water_depth(self) -> int:
@@ -118,17 +106,13 @@ class Admission:
     """A successful admission decision."""
 
     tenant: str
-    est_bytes: int
     #: the queue has passed the high-water mark — serve degraded
     degrade_hint: bool
-    #: queue depth observed at admission (for stats / responses)
-    queue_depth: int
 
 
 @dataclass
 class _Grant:
     tenant: str
-    est_bytes: int
     start_ms: float
     end_ms: float
 
@@ -139,7 +123,6 @@ class AdmissionStats:
     rejections: Counter = field(default_factory=Counter)
     degrade_hints: int = 0
     peak_queue: int = 0
-    peak_granted_bytes: int = 0
 
     @property
     def rejected(self) -> int:
@@ -152,12 +135,11 @@ class AdmissionStats:
             "rejections": dict(self.rejections),
             "degrade_hints": self.degrade_hints,
             "peak_queue": self.peak_queue,
-            "peak_granted_bytes": self.peak_granted_bytes,
         }
 
 
 class AdmissionController:
-    """Bounded-queue admission with per-tenant and memory gates.
+    """Bounded-queue admission with a per-tenant gate.
 
     Intended call pattern per request (single-threaded event loop):
     ``admit(...)`` at arrival — raises :class:`Overloaded` or returns an
@@ -181,23 +163,17 @@ class AdmissionController:
         """Admitted requests that have not started at ``now_ms``."""
         return sum(1 for g in self._grants if g.start_ms > now_ms)
 
-    def inflight(self, now_ms: float, tenant: Optional[str] = None) -> int:
-        """Admitted requests not finished at ``now_ms`` (optionally per
-        tenant) — queued and executing alike."""
+    def inflight(self, now_ms: float, tenant: str) -> int:
+        """The tenant's admitted requests not finished at ``now_ms`` —
+        queued and executing alike."""
         return sum(
-            1
-            for g in self._grants
-            if g.end_ms > now_ms and (tenant is None or g.tenant == tenant)
+            1 for g in self._grants if g.end_ms > now_ms and g.tenant == tenant
         )
-
-    def granted_bytes(self, now_ms: float) -> int:
-        """Memory grants held by unfinished requests at ``now_ms``."""
-        return sum(g.est_bytes for g in self._grants if g.end_ms > now_ms)
 
     # ------------------------------------------------------------------
     # the gate
     # ------------------------------------------------------------------
-    def admit(self, tenant: str, n_points: int, now_ms: float) -> Admission:
+    def admit(self, tenant: str, now_ms: float) -> Admission:
         """Admit or raise :class:`Overloaded` (typed, with the reason)."""
         cfg = self.config
         self._prune(now_ms)
@@ -213,23 +189,12 @@ class AdmissionController:
                 f"tenant {tenant!r} at its inflight limit "
                 f"({cfg.per_tenant_inflight})"
             )
-        est = int(n_points) * cfg.bytes_per_point
-        if cfg.memory_budget_bytes is not None:
-            held = self.granted_bytes(now_ms)
-            if held + est > cfg.memory_budget_bytes:
-                self.stats.rejections["memory_budget"] += 1
-                raise Overloaded(
-                    f"memory grant denied ({held} held + {est} requested "
-                    f"> {cfg.memory_budget_bytes} budget)"
-                )
         hint = depth >= cfg.high_water_depth
         self.stats.admitted += 1
         if hint:
             self.stats.degrade_hints += 1
         self.stats.peak_queue = max(self.stats.peak_queue, depth + 1)
-        return Admission(
-            tenant=tenant, est_bytes=est, degrade_hint=hint, queue_depth=depth
-        )
+        return Admission(tenant=tenant, degrade_hint=hint)
 
     def commit(self, admission: Admission, start_ms: float, end_ms: float) -> None:
         """Book an admitted request's grant over its execution span."""
@@ -238,13 +203,9 @@ class AdmissionController:
         self._grants.append(
             _Grant(
                 tenant=admission.tenant,
-                est_bytes=admission.est_bytes,
                 start_ms=float(start_ms),
                 end_ms=float(end_ms),
             )
-        )
-        self.stats.peak_granted_bytes = max(
-            self.stats.peak_granted_bytes, self.granted_bytes(start_ms)
         )
 
     def record_rejection(self, reason: str) -> None:

@@ -13,7 +13,8 @@ every live request miss the old entries (no stampede of explicit
 deletes), while the old entries remain *addressable* as **stale** —
 the degraded path may serve them, flagged, when a deadline cannot fit a
 fresh build.  ``evict_older`` bounds how far back stale service may
-reach; LRU eviction bounds residency.
+reach (:data:`STALE_KEEP_EPOCHS`); LRU eviction bounds residency
+(:data:`MAX_TABLES`, :data:`MAX_LABEL_SETS`).
 
 Only **exact** results are ever inserted: degraded (sampled) answers
 must not poison future exact hits.
@@ -22,7 +23,7 @@ must not poison future exact hits.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,6 +37,13 @@ __all__ = ["CacheStats", "TableEntry", "ResultCache"]
 _TKey = Tuple[str, int, float]
 #: label key: (dataset_id, epoch, eps, minpts)
 _LKey = Tuple[str, int, float, int]
+
+#: resident neighbor tables (LRU beyond)
+MAX_TABLES = 8
+#: resident label vectors (LRU beyond)
+MAX_LABEL_SETS = 64
+#: older epochs a bump keeps addressable for stale degraded serving
+STALE_KEEP_EPOCHS = 1
 
 
 @dataclass
@@ -79,8 +87,6 @@ class TableEntry:
     table: NeighborTable
     epoch: int
     eps: float
-    #: modeled device ms of the build that produced it (cost estimator)
-    build_device_ms: float = 0.0
 
     @property
     def nbytes(self) -> int:
@@ -88,19 +94,13 @@ class TableEntry:
         return int(t.values.nbytes + t.t_min.nbytes + t.t_max.nbytes)
 
 
-@dataclass
 class ResultCache:
     """Two-tier LRU: neighbor tables above, label vectors below."""
 
-    max_tables: int = 8
-    max_label_sets: int = 64
-    _tables: "OrderedDict[_TKey, TableEntry]" = field(default_factory=OrderedDict)
-    _labels: "OrderedDict[_LKey, np.ndarray]" = field(default_factory=OrderedDict)
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self) -> None:
-        if self.max_tables < 1 or self.max_label_sets < 1:
-            raise ValueError("cache capacities must be >= 1")
+    def __init__(self) -> None:
+        self._tables: OrderedDict[_TKey, TableEntry] = OrderedDict()
+        self._labels: OrderedDict[_LKey, np.ndarray] = OrderedDict()
+        self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     # fresh lookups (current epoch only)
@@ -133,60 +133,53 @@ class ResultCache:
     # ------------------------------------------------------------------
     # stale lookups (older epochs; degraded serving only)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _newest_stale(tier: OrderedDict, probe: tuple) -> Optional[tuple]:
+        """Key of ``tier``'s newest entry that matches ``probe`` (a key
+        at the current epoch) in every field but the epoch, from an
+        epoch before the probe's, or None."""
+        keys = [
+            k for k in tier
+            if k[0] == probe[0] and k[1] < probe[1] and k[2:] == probe[2:]
+        ]
+        return max(keys, key=lambda k: k[1], default=None)
+
     def stale_labels(
         self, dataset_id: str, current_epoch: int, eps: float, minpts: int
     ) -> Optional[tuple[int, np.ndarray]]:
         """Newest labels for ``(eps, minpts)`` from an epoch before
         ``current_epoch``, or None.  Does not count as a fresh hit."""
-        best: Optional[_LKey] = None
-        for key in self._labels:
-            ds, epoch, e, m = key
-            if (
-                ds == dataset_id
-                and epoch < current_epoch
-                and e == float(eps)
-                and m == int(minpts)
-            ):
-                if best is None or epoch > best[1]:
-                    best = key
-        if best is None:
+        key = self._newest_stale(
+            self._labels, (dataset_id, current_epoch, float(eps), int(minpts))
+        )
+        if key is None:
             return None
-        self._labels.move_to_end(best)
+        self._labels.move_to_end(key)
         self.stats.stale_hits += 1
-        return best[1], self._labels[best].copy()
+        return key[1], self._labels[key].copy()
 
     def stale_table(
         self, dataset_id: str, current_epoch: int, eps: float
     ) -> Optional[TableEntry]:
         """Newest table for ``eps`` from an epoch before ``current_epoch``."""
-        best: Optional[_TKey] = None
-        for key in self._tables:
-            ds, epoch, e = key
-            if ds == dataset_id and epoch < current_epoch and e == float(eps):
-                if best is None or epoch > best[1]:
-                    best = key
-        if best is None:
+        key = self._newest_stale(
+            self._tables, (dataset_id, current_epoch, float(eps))
+        )
+        if key is None:
             return None
-        self._tables.move_to_end(best)
+        self._tables.move_to_end(key)
         self.stats.stale_hits += 1
-        return self._tables[best]
+        return self._tables[key]
 
     def has_stale(
         self, dataset_id: str, current_epoch: int, eps: float, minpts: int
     ) -> bool:
         """Whether a stale answer (labels or table) exists — checked
         without touching LRU order or stats."""
-        for ds, epoch, e, m in self._labels:
-            if (
-                ds == dataset_id
-                and epoch < current_epoch
-                and e == float(eps)
-                and m == int(minpts)
-            ):
-                return True
-        return any(
-            ds == dataset_id and epoch < current_epoch and e == float(eps)
-            for ds, epoch, e in self._tables
+        probe = (dataset_id, current_epoch, float(eps), int(minpts))
+        return (
+            self._newest_stale(self._labels, probe) is not None
+            or self._newest_stale(self._tables, probe[:3]) is not None
         )
 
     # ------------------------------------------------------------------
@@ -197,7 +190,7 @@ class ResultCache:
         self._tables[key] = entry
         self._tables.move_to_end(key)
         self.stats.insertions += 1
-        while len(self._tables) > self.max_tables:
+        while len(self._tables) > MAX_TABLES:
             self._tables.popitem(last=False)
             self.stats.evictions += 1
 
@@ -209,17 +202,16 @@ class ResultCache:
         self._labels[key] = np.array(labels, copy=True)
         self._labels.move_to_end(key)
         self.stats.insertions += 1
-        while len(self._labels) > self.max_label_sets:
+        while len(self._labels) > MAX_LABEL_SETS:
             self._labels.popitem(last=False)
             self.stats.evictions += 1
 
-    def evict_older(
-        self, dataset_id: str, current_epoch: int, *, keep_epochs: int = 1
-    ) -> int:
+    def evict_older(self, dataset_id: str, current_epoch: int) -> int:
         """Drop the dataset's entries older than ``current_epoch -
-        keep_epochs`` (called on epoch bump; the kept window is what
-        stale degraded serving may still reach).  Returns drop count."""
-        floor = int(current_epoch) - int(keep_epochs)
+        STALE_KEEP_EPOCHS`` (called on epoch bump; the kept window is
+        what stale degraded serving may still reach).  Returns drop
+        count."""
+        floor = int(current_epoch) - STALE_KEEP_EPOCHS
         t_dead = [
             k for k in self._tables if k[0] == dataset_id and k[1] < floor
         ]

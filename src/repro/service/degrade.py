@@ -14,7 +14,7 @@ service has three honest options, tried in order:
    labels with unsampled points marked noise — flagged with the
    fraction used;
 3. **reject** — a typed :class:`~repro.service.admission.ServiceError`
-   when degradation is disabled.
+   when degradation is disabled (``ServeConfig.degrade=False``).
 
 Every degraded response carries ``degraded=True`` plus the specific
 flag (``stale`` / ``sample_fraction``); exact responses never do.  The
@@ -25,7 +25,7 @@ converges after the first exact build and is deterministic thereafter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,37 +35,20 @@ from repro.core.table_dbscan import NOISE
 from repro.kernels.count_kernel import sample_point_ids
 
 __all__ = [
-    "DegradeConfig",
     "DegradeDecision",
     "CostTracker",
     "choose_mode",
     "sampled_labels",
 ]
 
-
-@dataclass(frozen=True)
-class DegradeConfig:
-    """Tunables of the degradation policy."""
-
-    enabled: bool = True
-    #: default sample fraction for approximate builds
-    sample_fraction: float = 0.25
-    #: floor for budget-driven fraction shrinking
-    min_sample_fraction: float = 0.05
-    #: serve the previous epoch's cached answer when available
-    allow_stale: bool = True
-    #: safety factor applied to the full-build cost estimate
-    estimate_margin: float = 1.25
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ValueError("sample_fraction must be in (0, 1]")
-        if not 0.0 < self.min_sample_fraction <= self.sample_fraction:
-            raise ValueError(
-                "min_sample_fraction must be in (0, sample_fraction]"
-            )
-        if self.estimate_margin < 1.0:
-            raise ValueError("estimate_margin must be >= 1")
+#: sample fraction of an approximate build
+SAMPLE_FRACTION = 0.25
+#: floor for budget-driven fraction shrinking
+MIN_SAMPLE_FRACTION = 0.05
+#: safety factor applied to the full-build cost estimate
+ESTIMATE_MARGIN = 1.25
+#: weight of the newest observation in the per-point cost EWMA
+EWMA_ALPHA = 0.5
 
 
 @dataclass(frozen=True)
@@ -79,8 +62,8 @@ class DegradeDecision:
 
 
 def choose_mode(
-    cfg: DegradeConfig,
     *,
+    degrade: bool,
     budget_ms: Optional[float],
     estimate_ms: Optional[float],
     overloaded: bool,
@@ -88,6 +71,7 @@ def choose_mode(
 ) -> DegradeDecision:
     """Pick the serving mode for a cache-missing request.
 
+    ``degrade`` False turns every degraded answer into a rejection;
     ``budget_ms`` is the deadline budget remaining at start (None =
     no deadline); ``estimate_ms`` the margin-adjusted full-build
     estimate (None = no history yet — optimistically try exact);
@@ -104,31 +88,26 @@ def choose_mode(
         f"full build estimate {estimate_ms:.2f}ms exceeds deadline "
         f"budget {budget_ms:.2f}ms"
     )
-    if not cfg.enabled:
+    if not degrade:
         return DegradeDecision(mode="reject", reason=reason)
-    if cfg.allow_stale and stale_available:
+    if stale_available:
         return DegradeDecision(mode="stale", reason=reason)
-    fraction = cfg.sample_fraction
+    fraction = SAMPLE_FRACTION
     if deadline_tight:
         # linear cost model: shrink f until the estimated cost fits
         assert budget_ms is not None and estimate_ms is not None
         fraction = min(fraction, budget_ms / estimate_ms)
-        fraction = max(cfg.min_sample_fraction, fraction)
+        fraction = max(MIN_SAMPLE_FRACTION, fraction)
     return DegradeDecision(
         mode="sampled", reason=reason, sample_fraction=float(fraction)
     )
 
 
-@dataclass
 class CostTracker:
     """EWMA of exact-build modeled device ms per point, per dataset."""
 
-    alpha: float = 0.5
-    _per_point_ms: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
+    def __init__(self) -> None:
+        self._per_point_ms: dict[str, float] = {}
 
     def observe(self, dataset_id: str, n_points: int, device_ms: float) -> None:
         if n_points <= 0:
@@ -138,7 +117,7 @@ class CostTracker:
         self._per_point_ms[dataset_id] = (
             per_point
             if prev is None
-            else self.alpha * per_point + (1.0 - self.alpha) * prev
+            else EWMA_ALPHA * per_point + (1.0 - EWMA_ALPHA) * prev
         )
 
     def estimate_ms(self, dataset_id: str, n_points: int) -> Optional[float]:

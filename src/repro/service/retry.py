@@ -6,55 +6,45 @@ a long-lived pool of device slots, where two extra concerns appear:
 
 * **backoff must be budgeted** — a retry is only worth taking if the
   jittered exponential delay still fits the request's remaining
-  deadline, so :meth:`RetryPolicy.backoff_ms` is pure arithmetic on the
-  virtual clock (seeded jitter via an explicit ``Generator`` — GS004);
+  deadline, so :func:`backoff_ms` is pure arithmetic on the virtual
+  clock (seeded jitter via an explicit ``Generator`` — GS004);
 * **failures must be correlated** — a device that keeps producing
   transient faults (classified by
   :func:`~repro.gpusim.classify_fault`) is probably sick, not unlucky.
   The :class:`CircuitBreaker` quarantines a slot after
-  ``failure_threshold`` consecutive failures; its work retargets to the
-  surviving slots (the same survivor-rescheduling move as the
+  :data:`BREAKER_THRESHOLD` consecutive failures; its work retargets to
+  the surviving slots (the same survivor-rescheduling move as the
   multi-device placement layer) and the slot is probed again after a
-  virtual ``cooldown_ms``.
+  virtual :data:`BREAKER_COOLDOWN_MS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RetryPolicy", "CircuitBreaker"]
+__all__ = ["backoff_ms", "CircuitBreaker"]
+
+#: total execution attempts per request (first try included)
+MAX_ATTEMPTS = 3
+BASE_BACKOFF_MS = 5.0
+BACKOFF_MULTIPLIER = 2.0
+#: uniform jitter fraction added on top of the exponential step
+BACKOFF_JITTER = 0.5
+#: consecutive failures that quarantine a device slot
+BREAKER_THRESHOLD = 3
+#: virtual ms a quarantined slot waits before it is probed again
+BREAKER_COOLDOWN_MS = 250.0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Jittered exponential backoff under a deadline budget."""
-
-    #: total execution attempts (first try included)
-    max_attempts: int = 3
-    base_backoff_ms: float = 5.0
-    multiplier: float = 2.0
-    #: uniform jitter fraction added on top of the exponential step
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_backoff_ms < 0:
-            raise ValueError("base_backoff_ms must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def backoff_ms(self, failures: int, rng: np.random.Generator) -> float:
-        """Virtual delay before the retry after the ``failures``-th
-        consecutive failure (1-based); jitter drawn from ``rng``."""
-        if failures < 1:
-            raise ValueError("failures must be >= 1")
-        raw = self.base_backoff_ms * self.multiplier ** (failures - 1)
-        return raw * (1.0 + self.jitter * float(rng.random()))
+def backoff_ms(failures: int, rng: np.random.Generator) -> float:
+    """Virtual delay before the retry after the ``failures``-th
+    consecutive failure (1-based); jitter drawn from ``rng``."""
+    if failures < 1:
+        raise ValueError("failures must be >= 1")
+    raw = BASE_BACKOFF_MS * BACKOFF_MULTIPLIER ** (failures - 1)
+    return raw * (1.0 + BACKOFF_JITTER * float(rng.random()))
 
 
 @dataclass
@@ -66,24 +56,14 @@ class _SlotState:
     successes: int = 0
 
 
-@dataclass
 class CircuitBreaker:
     """Per-slot quarantine on consecutive transient failures."""
 
-    n_slots: int = 2
-    failure_threshold: int = 3
-    cooldown_ms: float = 250.0
-    _slots: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n_slots < 1:
+    def __init__(self, n_slots: int) -> None:
+        if n_slots < 1:
             raise ValueError("n_slots must be >= 1")
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.cooldown_ms < 0:
-            raise ValueError("cooldown_ms must be non-negative")
-        for s in range(self.n_slots):
-            self._slots[s] = _SlotState()
+        self.n_slots = n_slots
+        self._slots = [_SlotState() for _ in range(n_slots)]
 
     def allowed(self, slot: int, now_ms: float) -> bool:
         return now_ms >= self._slots[slot].open_until_ms
@@ -99,12 +79,12 @@ class CircuitBreaker:
 
     def record_failure(self, slot: int, now_ms: float) -> bool:
         """Count one failure; returns True when this trips the breaker
-        open (quarantined until ``now_ms + cooldown_ms``)."""
+        open (quarantined until ``now_ms + BREAKER_COOLDOWN_MS``)."""
         st = self._slots[slot]
         st.failures += 1
         st.consecutive_failures += 1
-        if st.consecutive_failures >= self.failure_threshold:
-            st.open_until_ms = now_ms + self.cooldown_ms
+        if st.consecutive_failures >= BREAKER_THRESHOLD:
+            st.open_until_ms = now_ms + BREAKER_COOLDOWN_MS
             st.trips += 1
             st.consecutive_failures = 0
             return True
@@ -112,7 +92,7 @@ class CircuitBreaker:
 
     @property
     def trips(self) -> int:
-        return sum(st.trips for st in self._slots.values())
+        return sum(st.trips for st in self._slots)
 
     def as_dict(self) -> dict:
         return {
@@ -125,6 +105,6 @@ class CircuitBreaker:
                     "trips": st.trips,
                     "open_until_ms": st.open_until_ms,
                 }
-                for s, st in self._slots.items()
+                for s, st in enumerate(self._slots)
             },
         }

@@ -52,41 +52,39 @@ from repro.service.admission import (
 )
 from repro.service.cache import ResultCache, TableEntry
 from repro.service.degrade import (
+    ESTIMATE_MARGIN,
+    SAMPLE_FRACTION,
     CostTracker,
-    DegradeConfig,
     choose_mode,
     sampled_labels,
 )
-from repro.service.retry import CircuitBreaker, RetryPolicy
+from repro.service.retry import MAX_ATTEMPTS, CircuitBreaker, backoff_ms
 from repro.service.trace import Request, TraceEvent
 
 __all__ = ["ServeConfig", "Response", "TraceResult", "ClusteringService"]
 
+#: virtual cost of serving from cache
+CACHE_HIT_COST_MS = 0.05
+#: virtual host-clustering rate for table hits (pairs per ms)
+CLUSTER_RATE_PAIRS_PER_MS = 50_000.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Configuration of one :class:`ClusteringService` instance."""
+    """Configuration of one :class:`ClusteringService` instance.
+
+    Builds run :class:`HybridDBSCAN`'s defaults: the global kernel, the
+    vector backend and host cluster formation.
+    """
 
     #: simulated host workers executing admitted requests
     n_workers: int = 2
     #: simulated device slots the breaker quarantines over
     n_device_slots: int = 2
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    degrade: DegradeConfig = field(default_factory=DegradeConfig)
-    breaker_threshold: int = 3
-    breaker_cooldown_ms: float = 250.0
-    max_cached_tables: int = 8
-    max_cached_label_sets: int = 64
-    #: stale epochs kept addressable after a bump (degraded serving)
-    stale_keep_epochs: int = 1
-    #: virtual cost of serving from cache
-    cache_hit_cost_ms: float = 0.05
-    #: virtual host-clustering rate for table hits (pairs per ms)
-    cluster_rate_pairs_per_ms: float = 50_000.0
-    kernel: str = "global"
-    backend: str = "vector"
-    cluster_on: str = "host"
+    #: serve stale or sampled answers before rejecting (``--no-degrade``
+    #: turns every degraded answer into a typed rejection)
+    degrade: bool = True
     seed: int = 0
     #: sanitizer toggle for per-attempt devices (None = GPUSAN env)
     sanitize: Optional[bool] = None
@@ -100,12 +98,6 @@ class ServeConfig:
             raise ValueError("n_workers must be >= 1")
         if self.n_device_slots < 1:
             raise ValueError("n_device_slots must be >= 1")
-        if self.stale_keep_epochs < 0:
-            raise ValueError("stale_keep_epochs must be >= 0")
-        if self.cache_hit_cost_ms < 0:
-            raise ValueError("cache_hit_cost_ms must be non-negative")
-        if self.cluster_rate_pairs_per_ms <= 0:
-            raise ValueError("cluster_rate_pairs_per_ms must be positive")
 
 
 @dataclass
@@ -132,8 +124,20 @@ class Response:
     latency_ms: float = 0.0
     #: exact answer that finished after its deadline (still exact)
     deadline_missed: bool = False
-    worker: Optional[int] = None
     device_slot: Optional[int] = None
+
+    @classmethod
+    def rejection(
+        cls, request: Request, error: ServiceError, **fields
+    ) -> "Response":
+        """A typed rejection carrying ``error``'s code and message."""
+        return cls(
+            request=request,
+            status="rejected",
+            error=error.code,
+            error_detail=str(error),
+            **fields,
+        )
 
     @property
     def degraded(self) -> bool:
@@ -177,24 +181,6 @@ class Response:
             "latency_ms": round(self.latency_ms, 4),
             "deadline_missed": self.deadline_missed,
         }
-
-
-@dataclass
-class _Outcome:
-    """Internal result of the serve stage (pre-booking)."""
-
-    status: str
-    exec_ms: float
-    labels: Optional[np.ndarray] = None
-    epoch: Optional[int] = None
-    error: Optional[ServiceError] = None
-    stale: bool = False
-    sample_fraction: float = 0.0
-    cache: Optional[str] = None
-    attempts: int = 0
-    backoff_ms: float = 0.0
-    deadline_missed: bool = False
-    device_slot: Optional[int] = None
 
 
 @dataclass
@@ -265,16 +251,9 @@ class ClusteringService:
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
         self.admission = AdmissionController(self.config.admission)
-        self.cache = ResultCache(
-            max_tables=self.config.max_cached_tables,
-            max_label_sets=self.config.max_cached_label_sets,
-        )
+        self.cache = ResultCache()
         self.pool = WorkerPool(self.config.n_workers)
-        self.breaker = CircuitBreaker(
-            n_slots=self.config.n_device_slots,
-            failure_threshold=self.config.breaker_threshold,
-            cooldown_ms=self.config.breaker_cooldown_ms,
-        )
+        self.breaker = CircuitBreaker(self.config.n_device_slots)
         self.cost = CostTracker()
         self._datasets: dict[str, _DatasetState] = {}
         self._slot_use = [0] * self.config.n_device_slots
@@ -310,9 +289,7 @@ class ClusteringService:
             if pts.ndim != 2 or pts.shape[1] < 2 or len(pts) == 0:
                 raise ValueError("points must be a non-empty (n, >=2) array")
             ds.points = pts[:, :2].copy()
-        self.cache.evict_older(
-            dataset_id, ds.epoch, keep_epochs=self.config.stale_keep_epochs
-        )
+        self.cache.evict_older(dataset_id, ds.epoch)
         return ds.epoch
 
     # ------------------------------------------------------------------
@@ -329,12 +306,11 @@ class ClusteringService:
                 UnknownDataset(
                     f"dataset {request.dataset_id!r} is not registered"
                 ),
-                now,
             )
         try:
-            adm = self.admission.admit(request.tenant, len(ds.points), now)
+            adm = self.admission.admit(request.tenant, now)
         except Overloaded as exc:
-            return self._finish_rejected(request, exc, now)
+            return self._finish_rejected(request, exc)
         start = self.pool.peek_start(now)
         queue_ms = start - now
         budget: Optional[float] = None
@@ -348,51 +324,23 @@ class ClusteringService:
                         f"queue wait {queue_ms:.2f}ms exceeds deadline "
                         f"{request.deadline_ms:.2f}ms"
                     ),
-                    now,
                     queue_ms=queue_ms,
                 )
-        out = self._serve(request, ds, start, budget, adm.degrade_hint)
-        end = start + out.exec_ms
-        worker = self.pool.commit(start, out.exec_ms)
+        resp = self._serve(request, ds, start, budget, adm.degrade_hint)
+        end = start + resp.exec_ms
+        self.pool.commit(start, resp.exec_ms)
         self.admission.commit(adm, start, end)
-        resp = Response(
-            request=request,
-            status=out.status,
-            error=out.error.code if out.error is not None else None,
-            error_detail=str(out.error) if out.error is not None else "",
-            labels=out.labels,
-            epoch=out.epoch,
-            stale=out.stale,
-            sample_fraction=out.sample_fraction,
-            cache=out.cache,
-            attempts=out.attempts,
-            backoff_ms=out.backoff_ms,
-            queue_ms=queue_ms,
-            exec_ms=out.exec_ms,
-            latency_ms=end - now,
-            deadline_missed=out.deadline_missed,
-            worker=worker,
-            device_slot=out.device_slot,
-        )
+        resp.queue_ms = queue_ms
+        resp.latency_ms = end - now
         self.responses.append(resp)
         return resp
 
     def _finish_rejected(
-        self,
-        request: Request,
-        error: ServiceError,
-        now_ms: float,
-        *,
-        queue_ms: float = 0.0,
+        self, request: Request, error: ServiceError, *, queue_ms: float = 0.0
     ) -> Response:
         """Terminal rejection before any worker time was booked."""
-        resp = Response(
-            request=request,
-            status="rejected",
-            error=error.code,
-            error_detail=str(error),
-            queue_ms=queue_ms,
-            latency_ms=queue_ms,
+        resp = Response.rejection(
+            request, error, queue_ms=queue_ms, latency_ms=queue_ms
         )
         self.responses.append(resp)
         return resp
@@ -425,14 +373,15 @@ class ClusteringService:
         start_ms: float,
         budget_ms: Optional[float],
         degrade_hint: bool,
-    ) -> _Outcome:
+    ) -> Response:
         dsid, epoch = request.dataset_id, ds.epoch
         eps, minpts = request.eps, request.minpts
         labels = self.cache.get_labels(dsid, epoch, eps, minpts)
         if labels is not None:
-            return _Outcome(
+            return Response(
+                request=request,
                 status="exact",
-                exec_ms=self.config.cache_hit_cost_ms,
+                exec_ms=CACHE_HIT_COST_MS,
                 labels=labels,
                 epoch=epoch,
                 cache="label_hit",
@@ -441,13 +390,10 @@ class ClusteringService:
         if entry is not None:
             labels = self._cluster_cached(entry, minpts)
             self.cache.put_labels(dsid, epoch, eps, minpts, labels)
-            cost = max(
-                self.config.cache_hit_cost_ms,
-                entry.table.total_pairs / self.config.cluster_rate_pairs_per_ms,
-            )
-            return _Outcome(
+            return Response(
+                request=request,
                 status="exact",
-                exec_ms=cost,
+                exec_ms=self._recluster_ms(entry),
                 labels=labels,
                 epoch=epoch,
                 cache="table_hit",
@@ -455,9 +401,9 @@ class ClusteringService:
         self.cache.record_miss()
         estimate = self.cost.estimate_ms(dsid, len(ds.points))
         if estimate is not None:
-            estimate *= self.config.degrade.estimate_margin
+            estimate *= ESTIMATE_MARGIN
         decision = choose_mode(
-            self.config.degrade,
+            degrade=self.config.degrade,
             budget_ms=budget_ms,
             estimate_ms=estimate,
             overloaded=degrade_hint,
@@ -470,7 +416,7 @@ class ClusteringService:
                 else DeadlineExceeded(decision.reason)
             )
             self.admission.record_rejection(err.code)
-            return _Outcome(status="rejected", exec_ms=0.0, error=err)
+            return Response.rejection(request, err)
         if decision.mode == "stale":
             return self._serve_stale(request, ds, elapsed_ms=0.0)
         if decision.mode == "sampled":
@@ -487,16 +433,24 @@ class ClusteringService:
         labels[entry.grid.sort_order] = labels_sorted
         return labels
 
+    @staticmethod
+    def _recluster_ms(entry: TableEntry) -> float:
+        """Virtual cost of host clustering over a cached table."""
+        return max(
+            CACHE_HIT_COST_MS,
+            entry.table.total_pairs / CLUSTER_RATE_PAIRS_PER_MS,
+        )
+
     def _serve_stale(
         self, request: Request, ds: _DatasetState, *, elapsed_ms: float,
         attempts: int = 0, backoff_ms: float = 0.0,
-    ) -> _Outcome:
+    ) -> Response:
         dsid, epoch = request.dataset_id, ds.epoch
         eps, minpts = request.eps, request.minpts
         hit = self.cache.stale_labels(dsid, epoch, eps, minpts)
         if hit is not None:
             stale_epoch, labels = hit
-            cost = self.config.cache_hit_cost_ms
+            cost = CACHE_HIT_COST_MS
         else:
             entry = self.cache.stale_table(dsid, epoch, eps)
             assert entry is not None, "stale path entered without stale entry"
@@ -505,11 +459,9 @@ class ClusteringService:
             # stale labels are cached under their own (old) epoch, so
             # they never alias a fresh answer
             self.cache.put_labels(dsid, stale_epoch, eps, minpts, labels)
-            cost = max(
-                self.config.cache_hit_cost_ms,
-                entry.table.total_pairs / self.config.cluster_rate_pairs_per_ms,
-            )
-        return _Outcome(
+            cost = self._recluster_ms(entry)
+        return Response(
+            request=request,
             status="degraded",
             exec_ms=elapsed_ms + cost,
             labels=labels,
@@ -523,28 +475,29 @@ class ClusteringService:
     def _serve_sampled(
         self, request: Request, ds: _DatasetState, fraction: float, *,
         elapsed_ms: float, attempts: int = 0, backoff_ms: float = 0.0,
-    ) -> _Outcome:
+    ) -> Response:
         device = self._make_device(injector=None)
-        hybrid = self._make_hybrid(device)
         try:
             labels, _n_sampled = sampled_labels(
-                ds.points, request.eps, request.minpts, fraction, hybrid=hybrid
+                ds.points, request.eps, request.minpts, fraction,
+                hybrid=HybridDBSCAN(device),
             )
         except Exception as exc:  # degraded path is fault-free; anything
             # escaping here is a programming error — typed, not raised
             self._close_device(device)
             err = ExecutionFailed(f"sampled fallback failed: {exc!r}")
             self.admission.record_rejection(err.code)
-            return _Outcome(
-                status="rejected",
+            return Response.rejection(
+                request,
+                err,
                 exec_ms=elapsed_ms + device.profiler.total_device_ms(),
-                error=err,
                 attempts=attempts,
                 backoff_ms=backoff_ms,
             )
         dur = device.profiler.total_device_ms()
         self._close_device(device)
-        return _Outcome(
+        return Response(
+            request=request,
             status="degraded",
             exec_ms=elapsed_ms + dur,
             labels=labels,
@@ -564,7 +517,7 @@ class ClusteringService:
         ds: _DatasetState,
         start_ms: float,
         budget_ms: Optional[float],
-    ) -> _Outcome:
+    ) -> Response:
         cfg = self.config
         dsid, epoch = request.dataset_id, ds.epoch
         eps, minpts = request.eps, request.minpts
@@ -573,7 +526,7 @@ class ClusteringService:
         attempts = 0
         backoff_total = 0.0
         slot = None
-        while attempts < cfg.retry.max_attempts:
+        while attempts < MAX_ATTEMPTS:
             healthy = self.breaker.healthy_slots(t)
             if not healthy:
                 return self._degraded_fallback(
@@ -592,7 +545,7 @@ class ClusteringService:
                 else None
             )
             device = self._make_device(injector=injector)
-            hybrid = self._make_hybrid(device)
+            hybrid = HybridDBSCAN(device)
             attempts += 1
             try:
                 grid, table, _timings = hybrid.build_table(ds.points, eps)
@@ -603,17 +556,17 @@ class ClusteringService:
                 if classify_fault(exc) == "fatal":
                     err = ExecutionFailed(f"fatal fault: {exc!r}")
                     self.admission.record_rejection(err.code)
-                    return _Outcome(
-                        status="rejected",
+                    return Response.rejection(
+                        request,
+                        err,
                         exec_ms=(t - start_ms) + dur,
-                        error=err,
                         attempts=attempts,
                         backoff_ms=backoff_total,
                         device_slot=slot,
                     )
                 t += dur
                 self.breaker.record_failure(slot, t)
-                if attempts >= cfg.retry.max_attempts:
+                if attempts >= MAX_ATTEMPTS:
                     return self._degraded_fallback(
                         request, ds,
                         reason=(
@@ -625,7 +578,7 @@ class ClusteringService:
                         attempts=attempts,
                         backoff_ms=backoff_total,
                     )
-                delay = cfg.retry.backoff_ms(attempts, rng)
+                delay = backoff_ms(attempts, rng)
                 t += delay
                 backoff_total += delay
                 if budget_ms is not None and (t - start_ms) >= budget_ms:
@@ -646,18 +599,12 @@ class ClusteringService:
             self.breaker.record_success(slot)
             self.cost.observe(dsid, len(ds.points), dur)
             self.cache.put_table(
-                dsid,
-                TableEntry(
-                    grid=grid,
-                    table=table,
-                    epoch=epoch,
-                    eps=eps,
-                    build_device_ms=dur,
-                ),
+                dsid, TableEntry(grid=grid, table=table, epoch=epoch, eps=eps)
             )
             self.cache.put_labels(dsid, epoch, eps, minpts, labels)
             exec_ms = (t - start_ms) + dur
-            return _Outcome(
+            return Response(
+                request=request,
                 status="exact",
                 exec_ms=exec_ms,
                 labels=labels,
@@ -680,12 +627,11 @@ class ClusteringService:
         elapsed_ms: float,
         attempts: int,
         backoff_ms: float,
-    ) -> _Outcome:
+    ) -> Response:
         """Last resort after exact execution failed: stale, then sampled
         (unless the deadline is already gone), then typed rejection."""
-        cfg = self.config.degrade
-        if cfg.enabled:
-            if cfg.allow_stale and self.cache.has_stale(
+        if self.config.degrade:
+            if self.cache.has_stale(
                 request.dataset_id, ds.epoch, request.eps, request.minpts
             ):
                 return self._serve_stale(
@@ -696,17 +642,17 @@ class ClusteringService:
                 )
             if reject_with is not DeadlineExceeded:
                 return self._serve_sampled(
-                    request, ds, cfg.sample_fraction,
+                    request, ds, SAMPLE_FRACTION,
                     elapsed_ms=elapsed_ms,
                     attempts=attempts,
                     backoff_ms=backoff_ms,
                 )
         err = reject_with(reason)
         self.admission.record_rejection(err.code)
-        return _Outcome(
-            status="rejected",
+        return Response.rejection(
+            request,
+            err,
             exec_ms=elapsed_ms,
-            error=err,
             attempts=attempts,
             backoff_ms=backoff_ms,
         )
@@ -719,14 +665,6 @@ class ClusteringService:
             faults=injector,
             sanitize=self.config.sanitize,
             sanitize_mode="record",
-        )
-
-    def _make_hybrid(self, device: Device) -> HybridDBSCAN:
-        return HybridDBSCAN(
-            device,
-            kernel=self.config.kernel,  # type: ignore[arg-type]
-            backend=self.config.backend,  # type: ignore[arg-type]
-            cluster_on=self.config.cluster_on,  # type: ignore[arg-type]
         )
 
     def _close_device(self, device: Device) -> None:

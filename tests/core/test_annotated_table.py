@@ -254,7 +254,8 @@ class TestSortPairsWithDistances:
         from repro.gpusim.thrust import sort_pairs
 
         buf = device.allocate_result_buffer((5, 3), np.float64)
-        buf.append_block(np.array([[2.0, 20.0, 0.5], [1.0, 10.0, 0.1]]))
+        buf.reserve(2)
+        buf.data[:2] = [[2.0, 20.0, 0.5], [1.0, 10.0, 0.1]]
         sort_pairs(buf, device)
         assert buf.view()[0].tolist() == [1.0, 10.0, 0.1]
         assert buf.view()[1].tolist() == [2.0, 20.0, 0.5]

@@ -235,7 +235,8 @@ def _sorted_reference(grid, batches, with_distances=False) -> NeighborTable:
     table = NeighborTable(len(grid), grid.eps, with_distances=with_distances)
     for cols in batches:
         buf = device.allocate_result_buffer((len(cols[0]), width), dtype)
-        buf.append_block(np.column_stack(cols).astype(dtype))
+        buf.reserve(len(buf))
+        buf.data[:] = np.column_stack(cols)
         sort_pairs(buf, device)
         rows = buf.view()
         if with_distances:

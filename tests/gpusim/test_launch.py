@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gpusim import Kernel, LaunchConfig, launch
+from repro.gpusim.costmodel import KernelCounters
+from repro.gpusim.profiler import KernelRecord, Profiler
 
 
 class AddOne(Kernel):
@@ -84,6 +86,18 @@ class TestLaunch:
         assert rec.n_gpu == 256
         assert rec.modeled_ms > 0
         assert rec.wall_s >= 0
+
+    def test_total_device_ms_independent_of_record_order(self):
+        # stream workers append records in thread order
+        totals = []
+        for order in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+            prof = Profiler()
+            for ms in order:
+                prof.record_kernel(
+                    KernelRecord("k", 1, 1, ms, 0.0, KernelCounters())
+                )
+            totals.append(prof.total_device_ms())
+        assert totals[0] == totals[1]
 
     def test_stream_placement(self, device):
         s = device.new_stream("work")

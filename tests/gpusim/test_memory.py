@@ -116,22 +116,24 @@ class TestResultBuffer:
         with pytest.raises(ResultBufferOverflow, match="R0"):
             buf.reserve(5)
 
-    def test_append_block_and_view(self, device):
+    def test_reserved_prefix_is_the_view(self, device):
         buf = device.allocate_result_buffer(10, np.int64)
-        buf.append_block(np.array([5, 6, 7]))
+        buf.reserve(3)
+        buf.data[:3] = [5, 6, 7]
         assert buf.view().tolist() == [5, 6, 7]
 
     def test_reset(self, device):
         buf = device.allocate_result_buffer(10, np.int64)
-        buf.append_block(np.arange(4))
+        buf.reserve(4)
         buf.reset()
         assert buf.count == 0
         assert len(buf.view()) == 0
 
     def test_pair_buffer_rows(self, device):
         buf = device.allocate_result_buffer((10, 2), np.int64)
-        buf.append_block(np.array([[1, 2], [3, 4]]))
-        assert buf.view().shape == (2, 2)
+        buf.reserve(2)
+        buf.data[:2] = [[1, 2], [3, 4]]
+        assert buf.view().tolist() == [[1, 2], [3, 4]]
         assert buf.capacity == 10
 
     def test_concurrent_reserve(self, device):
@@ -171,7 +173,8 @@ class TestTransfers:
 
     def test_result_prefix_transfer(self, device):
         buf = device.allocate_result_buffer(100, np.int64)
-        buf.append_block(np.arange(7))
+        buf.reserve(7)
+        buf.data[:7] = np.arange(7)
         out = device.from_device(buf)
         assert out.tolist() == list(range(7))
 

@@ -39,8 +39,8 @@ def sdevice():
 class TestRacecheck:
     def _pair_buffer(self, device, n=64):
         buf = device.allocate_result_buffer((n, 2), np.int64, name="pairs")
-        rows = np.stack([np.arange(n // 2), np.arange(n // 2)], axis=1)
-        buf.append_block(rows)
+        buf.reserve(n // 2)
+        buf.data[: n // 2] = np.arange(n // 2)[:, None]
         return buf
 
     def test_unordered_sort_and_transfer_race(self, sdevice):
@@ -127,7 +127,8 @@ class TestRacecheck:
     def test_record_mode_accumulates(self):
         device = Device(sanitize=True, sanitize_mode="record")
         buf = device.allocate_result_buffer((64, 2), np.int64)
-        buf.append_block(np.zeros((8, 2), dtype=np.int64))
+        buf.reserve(8)
+        buf.data[:8] = 0
         s1 = device.new_stream("a")
         s2 = device.new_stream("b")
         sort_pairs(buf, device, stream=s1)
@@ -172,7 +173,7 @@ class TestMemcheck:
         code catching ResultBufferOverflow still handles."""
         buf = sdevice.allocate_result_buffer(4, np.int64)
         with pytest.raises(OutOfBoundsError) as exc:
-            buf.append_block(np.arange(5))
+            buf.reserve(5)
         assert isinstance(exc.value, ResultBufferOverflow)
         assert isinstance(exc.value, MemcheckError)
         assert exc.value.kind == "oob"

@@ -33,8 +33,9 @@ class TestSortByKey:
     def test_result_buffer_prefix_only(self, device):
         k = device.allocate_result_buffer(10, np.int64)
         v = device.allocate_result_buffer(10, np.int64)
-        k.append_block(np.array([5, 2, 9]))
-        v.append_block(np.array([50, 20, 90]))
+        for buf, values in ((k, [5, 2, 9]), (v, [50, 20, 90])):
+            buf.reserve(3)
+            buf.data[:3] = values
         n = sort_by_key(k, v, device)
         assert n == 3
         assert k.view().tolist() == [2, 5, 9]
@@ -56,14 +57,16 @@ class TestSortByKey:
 class TestSortPairs:
     def test_basic(self, device):
         buf = device.allocate_result_buffer((10, 2), np.int64)
-        buf.append_block(np.array([[3, 30], [1, 10], [2, 20]]))
+        buf.reserve(3)
+        buf.data[:3] = [[3, 30], [1, 10], [2, 20]]
         n = sort_pairs(buf, device)
         assert n == 3
         assert buf.view().tolist() == [[1, 10], [2, 20], [3, 30]]
 
     def test_stable_within_key(self, device):
         buf = device.allocate_result_buffer((10, 2), np.int64)
-        buf.append_block(np.array([[1, 5], [0, 9], [1, 2]]))
+        buf.reserve(3)
+        buf.data[:3] = [[1, 5], [0, 9], [1, 2]]
         sort_pairs(buf, device)
         assert buf.view().tolist() == [[0, 9], [1, 5], [1, 2]]
 
@@ -78,8 +81,8 @@ class TestSortPairs:
         device = Device()
         buf = device.allocate_result_buffer((max(len(pairs), 1), 2), np.int64)
         arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        if len(arr):
-            buf.append_block(arr)
+        buf.reserve(len(arr))
+        buf.data[: len(arr)] = arr
         sort_pairs(buf, device)
         expected = arr[np.argsort(arr[:, 0], kind="stable")] if len(arr) else arr
         assert np.array_equal(buf.view(), expected)
@@ -98,7 +101,8 @@ class TestSortPairs:
         for arr in (rows, rows[rng.permutation(len(rows))]):
             device = Device()
             buf = device.allocate_result_buffer((len(arr) + 5, width), dtype)
-            buf.append_block(arr)
+            buf.reserve(len(arr))
+            buf.data[: len(arr)] = arr
             assert sort_pairs(buf, device) == len(arr)
             expected = arr[np.argsort(arr[:, 0], kind="stable")]
             assert np.array_equal(buf.view(), expected)

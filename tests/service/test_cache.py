@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import HybridDBSCAN
 from repro.service import ResultCache, TableEntry
+from repro.service.cache import MAX_LABEL_SETS
 
 
 def _entry(points, eps, epoch):
@@ -30,11 +31,11 @@ class TestLabelTier:
         assert c.stats.label_hits == 1
 
     def test_lru_eviction(self):
-        c = ResultCache(max_label_sets=2)
-        for m in (2, 4, 8):
+        c = ResultCache()
+        for m in range(1, MAX_LABEL_SETS + 2):
             c.put_labels("ds", 0, 0.5, m, np.array([m]))
-        assert c.get_labels("ds", 0, 0.5, 2) is None  # oldest evicted
-        assert c.get_labels("ds", 0, 0.5, 8) is not None
+        assert c.get_labels("ds", 0, 0.5, 1) is None  # oldest evicted
+        assert c.get_labels("ds", 0, 0.5, MAX_LABEL_SETS + 1) is not None
         assert c.stats.evictions == 1
 
 
@@ -74,7 +75,7 @@ class TestStale:
         c = ResultCache()
         for e in range(4):
             c.put_labels("ds", e, 0.5, 4, np.array([e]))
-        dropped = c.evict_older("ds", 4, keep_epochs=1)
+        dropped = c.evict_older("ds", 4)
         assert dropped == 3
         assert not c.has_stale("ds", 4, 0.5, 4) or c.stale_labels(
             "ds", 4, 0.5, 4
@@ -85,7 +86,7 @@ class TestStale:
         c = ResultCache()
         c.put_labels("a", 0, 0.5, 4, np.array([0]))
         c.put_labels("b", 0, 0.5, 4, np.array([0]))
-        c.evict_older("a", 5, keep_epochs=1)
+        c.evict_older("a", 5)
         assert c.get_labels("b", 0, 0.5, 4) is not None
 
 

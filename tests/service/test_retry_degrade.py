@@ -8,62 +8,60 @@ from repro.core.table_dbscan import NOISE
 from repro.service import (
     CircuitBreaker,
     CostTracker,
-    DegradeConfig,
-    RetryPolicy,
+    backoff_ms,
     choose_mode,
     sampled_labels,
 )
+from repro.service.degrade import SAMPLE_FRACTION
 
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially(self):
-        pol = RetryPolicy(base_backoff_ms=10.0, multiplier=2.0, jitter=0.0)
-        rng = np.random.default_rng(0)
-        assert pol.backoff_ms(1, rng) == pytest.approx(10.0)
-        assert pol.backoff_ms(2, rng) == pytest.approx(20.0)
-        assert pol.backoff_ms(3, rng) == pytest.approx(40.0)
+        # one seed, one jitter draw: the steps differ by the multiplier
+        first = backoff_ms(1, np.random.default_rng(0))
+        assert backoff_ms(2, np.random.default_rng(0)) == pytest.approx(2 * first)
+        assert backoff_ms(3, np.random.default_rng(0)) == pytest.approx(4 * first)
 
     def test_jitter_bounded_and_seeded(self):
-        pol = RetryPolicy(base_backoff_ms=10.0, multiplier=1.0, jitter=0.5)
-        a = [pol.backoff_ms(1, np.random.default_rng(7)) for _ in range(3)]
+        a = [backoff_ms(1, np.random.default_rng(7)) for _ in range(3)]
         assert a[0] == a[1] == a[2]  # same seed, same draw
-        assert 10.0 <= a[0] <= 15.0
+        assert 5.0 <= a[0] <= 7.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy().backoff_ms(0, np.random.default_rng(0))
+            backoff_ms(0, np.random.default_rng(0))
 
 
 class TestCircuitBreaker:
     def test_trips_after_threshold_and_cools_down(self):
-        br = CircuitBreaker(n_slots=1, failure_threshold=2, cooldown_ms=100.0)
+        br = CircuitBreaker(n_slots=1)
         assert not br.record_failure(0, 10.0)
-        assert br.record_failure(0, 20.0)  # trips
+        assert not br.record_failure(0, 15.0)
+        assert br.record_failure(0, 20.0)  # third in a row trips
         assert not br.allowed(0, 50.0)
         assert br.healthy_slots(50.0) == []
-        assert br.allowed(0, 120.0)  # cooldown expired
+        assert br.allowed(0, 270.0)  # 250 ms cooldown expired
         assert br.trips == 1
 
     def test_success_resets_consecutive_count(self):
-        br = CircuitBreaker(n_slots=1, failure_threshold=2)
+        br = CircuitBreaker(n_slots=1)
         br.record_failure(0, 0.0)
+        br.record_failure(0, 0.5)
         br.record_success(0)
         assert not br.record_failure(0, 1.0)  # streak restarted
+        assert not br.record_failure(0, 1.5)
 
     def test_slots_independent(self):
-        br = CircuitBreaker(n_slots=2, failure_threshold=1, cooldown_ms=100.0)
-        br.record_failure(0, 0.0)
+        br = CircuitBreaker(n_slots=2)
+        for t in (0.0, 1.0, 2.0):
+            br.record_failure(0, t)
         assert br.healthy_slots(10.0) == [1]
 
 
 class TestChooseMode:
     def test_exact_when_healthy(self):
         d = choose_mode(
-            DegradeConfig(), budget_ms=None, estimate_ms=None,
+            degrade=True, budget_ms=None, estimate_ms=None,
             overloaded=False, stale_available=False,
         )
         assert d.mode == "exact"
@@ -71,41 +69,39 @@ class TestChooseMode:
     def test_no_history_is_optimistic(self):
         # estimate None (no EWMA yet) must not trigger deadline shedding
         d = choose_mode(
-            DegradeConfig(), budget_ms=1.0, estimate_ms=None,
+            degrade=True, budget_ms=1.0, estimate_ms=None,
             overloaded=False, stale_available=False,
         )
         assert d.mode == "exact"
 
     def test_overload_prefers_stale_then_sampled(self):
-        cfg = DegradeConfig()
         assert choose_mode(
-            cfg, budget_ms=None, estimate_ms=None,
+            degrade=True, budget_ms=None, estimate_ms=None,
             overloaded=True, stale_available=True,
         ).mode == "stale"
         d = choose_mode(
-            cfg, budget_ms=None, estimate_ms=None,
+            degrade=True, budget_ms=None, estimate_ms=None,
             overloaded=True, stale_available=False,
         )
         assert d.mode == "sampled"
-        assert d.sample_fraction == cfg.sample_fraction
+        assert d.sample_fraction == SAMPLE_FRACTION
 
     def test_deadline_tight_shrinks_fraction(self):
-        cfg = DegradeConfig(sample_fraction=0.5, min_sample_fraction=0.05)
         d = choose_mode(
-            cfg, budget_ms=10.0, estimate_ms=100.0,
+            degrade=True, budget_ms=10.0, estimate_ms=100.0,
             overloaded=False, stale_available=False,
         )
         assert d.mode == "sampled"
         assert d.sample_fraction == pytest.approx(0.1)  # 10/100
         tiny = choose_mode(
-            cfg, budget_ms=1.0, estimate_ms=10_000.0,
+            degrade=True, budget_ms=1.0, estimate_ms=10_000.0,
             overloaded=False, stale_available=False,
         )
         assert tiny.sample_fraction == pytest.approx(0.05)  # floored
 
     def test_disabled_rejects(self):
         d = choose_mode(
-            DegradeConfig(enabled=False), budget_ms=None, estimate_ms=None,
+            degrade=False, budget_ms=None, estimate_ms=None,
             overloaded=True, stale_available=True,
         )
         assert d.mode == "reject" and d.reason
@@ -113,7 +109,7 @@ class TestChooseMode:
 
 class TestCostTracker:
     def test_ewma_and_estimate(self):
-        t = CostTracker(alpha=0.5)
+        t = CostTracker()
         assert t.estimate_ms("ds", 100) is None
         t.observe("ds", 100, 10.0)  # 0.1 ms/point
         assert t.estimate_ms("ds", 200) == pytest.approx(20.0)

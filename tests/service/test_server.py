@@ -20,7 +20,6 @@ from repro.gpusim import FaultInjector, FaultSpec, derive_seed
 from repro.service import (
     AdmissionConfig,
     ClusteringService,
-    DegradeConfig,
     Request,
     ServeConfig,
     make_trace,
@@ -125,7 +124,7 @@ class TestTypedRejections:
         svc = _svc(
             n_workers=1,
             admission=AdmissionConfig(max_queue=8, high_water=0.25),
-            degrade=DegradeConfig(enabled=False),
+            degrade=False,
         )
         responses = [
             svc.submit(
@@ -170,18 +169,22 @@ class TestRetryAndBreaker:
                 )
             return None
 
-        svc = _svc(
-            fault_factory=slot0_sick, breaker_threshold=1, n_device_slots=2
-        )
-        r1 = svc.submit(Request("ds", eps=0.5, minpts=4, seq=0))
-        assert r1.status == "exact" and r1.attempts == 2
+        svc = _svc(fault_factory=slot0_sick, n_device_slots=2)
+        # each miss tries the least-used slot 0 first, fails there and
+        # retries on slot 1; the third failure in a row trips slot 0
+        for seq, eps in enumerate((0.5, 0.6, 0.7)):
+            assert svc.breaker.trips == 0
+            r = svc.submit(
+                Request("ds", eps=eps, minpts=4, arrival_ms=20.0 * seq, seq=seq)
+            )
+            assert r.status == "exact" and r.attempts == 2
         assert svc.breaker.trips == 1
         # slot 0 is quarantined: the next miss goes straight to slot 1
-        r2 = svc.submit(
-            Request("ds", eps=0.6, minpts=4, arrival_ms=1.0, seq=1)
+        r4 = svc.submit(
+            Request("ds", eps=0.8, minpts=4, arrival_ms=60.0, seq=3)
         )
-        assert r2.status == "exact"
-        assert r2.attempts == 1 and r2.device_slot == 1
+        assert r4.status == "exact"
+        assert r4.attempts == 1 and r4.device_slot == 1
 
     def test_retries_exhausted_falls_back_to_sampled(self):
         def always(request, slot, attempt):
