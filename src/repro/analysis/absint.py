@@ -1,8 +1,12 @@
 """Abstract interpretation over device-kernel ASTs/CFGs.
 
-This module implements the static-analysis foundation for KC005 (bounds
-proofs) and the gather classification that sharpens KC003.  The domain is a
-product of:
+This module is the one analysis that evaluates device-code expressions.
+Its recording walk (the walk that runs once the loop fixpoints have
+settled) yields the facts every kernelcheck pass reads: which branch and
+loop tests differ across threads and which ``if`` tests pin one thread
+(KC001, KC002), each indexed access with its abstract index (KC002,
+KC003), the bounds verdict per access (KC005), the shared-buffer shapes
+(KC004) and the loop trip bounds (KC007).  The domain is a product of:
 
 * **integer intervals** whose endpoints are symbolic linear expressions
   (:class:`Lin`) over parameter symbols, ``bdim``/``gdim`` launch symbols,
@@ -10,7 +14,8 @@ product of:
   :class:`RowRange` contract (e.g. ``G_min[h] <= G_max[h] < len(A)``), and
 * **tid-affine tracking**: every value carries an optional interval for its
   per-thread stride ``a`` in ``a * tid + b`` (``[0, 0]`` means uniform
-  across the warp, ``None`` means not provably affine in ``tid``).
+  across the warp, ``None`` means not provably affine in ``tid``), and a
+  ``pure`` bit for values built only from ``thread_idx`` and literals.
 
 Loops are handled with a bounded fixpoint plus widening at the loop head
 (back edge); small constant-tuple loops (the 3x3 neighbourhood sweeps) are
@@ -32,7 +37,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Union
 
-from repro.analysis.cfg import CFG
+from repro.analysis.cfg import CFG, ctx_call, device_args
 
 __all__ = [
     "Lin",
@@ -43,6 +48,7 @@ __all__ = [
     "KernelInvariants",
     "AccessRecord",
     "AbsintResult",
+    "IndexedAccess",
     "TripCount",
     "interpret_kernel",
     "parse_bound",
@@ -474,10 +480,6 @@ def _uniform() -> Interval:
     return Interval.const(0)
 
 
-def _is_uniform(a: Optional[Interval]) -> bool:
-    return a is not None and a.is_const() == 0
-
-
 # ---------------------------------------------------------------------------
 # Abstract values
 # ---------------------------------------------------------------------------
@@ -492,6 +494,7 @@ class AbsVal:
     array: Optional[str] = None  # global buffer parameter this aliases
     shared: Optional[str] = None  # shared buffer this aliases
     pred: Optional[ast.expr] = None  # defining boolean expression, if any
+    pure: bool = False  # built only from thread_idx and literals
 
     @staticmethod
     def top() -> "AbsVal":
@@ -499,7 +502,12 @@ class AbsVal:
 
     @staticmethod
     def const(value: int) -> "AbsVal":
-        return AbsVal(Interval.const(value), _uniform())
+        return AbsVal(Interval.const(value), _uniform(), pure=True)
+
+    @property
+    def uniform(self) -> bool:
+        """Identical in every thread of the block."""
+        return self.a is not None and self.a.is_const() == 0
 
     def same(self, other: "AbsVal") -> bool:
         return (
@@ -507,7 +515,18 @@ class AbsVal:
             and self.a == other.a
             and self.array == other.array
             and self.shared == other.shared
+            and self.pure == other.pure
         )
+
+
+#: an unknown value that is the same in every thread
+_UNIFORM_TOP = AbsVal(Interval.top(), _uniform())
+
+
+def _unpacked(val: AbsVal) -> AbsVal:
+    """A part of ``val`` (an element or an unpacked target): unknown, and
+    the same in every thread when ``val`` is."""
+    return _UNIFORM_TOP if val.uniform else AbsVal.top()
 
 
 def _join_val(x: AbsVal, y: AbsVal, pv: Prover) -> AbsVal:
@@ -521,6 +540,7 @@ def _join_val(x: AbsVal, y: AbsVal, pv: Prover) -> AbsVal:
         a=a,
         array=x.array if x.array == y.array else None,
         shared=x.shared if x.shared == y.shared else None,
+        pure=x.pure and y.pure,
     )
 
 
@@ -535,6 +555,7 @@ def _widen_val(old: AbsVal, new: AbsVal) -> AbsVal:
         a=a,
         array=old.array if old.array == new.array else None,
         shared=old.shared if old.shared == new.shared else None,
+        pure=old.pure and new.pure,
     )
 
 
@@ -654,6 +675,20 @@ class AccessRecord:
         }
 
 
+@dataclass(frozen=True)
+class IndexedAccess:
+    """One indexed access site, its index joined over every visit of the
+    recording walk (an unrolled loop visits its body once per element)."""
+
+    node: int  #: CFG node id of the statement or head holding the access
+    buffer: str  #: global parameter, or the variable bound to a shared buffer
+    shared: bool
+    write: bool
+    index: ast.expr
+    value: AbsVal
+    line: int
+
+
 @dataclass
 class TripCount:
     """Widening-safe upper bound on one loop's iteration count.
@@ -682,16 +717,27 @@ class TripCount:
 
 @dataclass
 class AbsintResult:
-    """Everything the interpreter learned about one device function."""
+    """Everything the interpreter learned about one device function.
+
+    The CFG-keyed facts (``loop_trips``, ``divergent``, ``pins``,
+    ``indexed``) are only recorded when :func:`interpret_kernel` is given
+    the function's CFG.
+    """
 
     accesses: list[AccessRecord]
-    node_envs: dict[int, dict[str, str]]
-    symbols: dict[str, str]
     #: CFG loop-head node id -> per-execution trip-count bound
-    loop_trips: dict[int, TripCount] = field(default_factory=dict)
+    loop_trips: dict[int, TripCount]
     #: raw final symbol ranges (contract + fresh row symbols) — lets
     #: downstream passes resolve fresh symbols out of the trip bounds
-    ranges: dict[str, Interval] = field(default_factory=dict)
+    ranges: dict[str, Interval]
+    #: branch / loop-head node ids whose test may differ across threads
+    divergent: set[int]
+    #: ``if`` node ids whose test pins one thread (``tid == <uniform>``)
+    pins: set[int]
+    #: every indexed access, in CFG node order
+    indexed: list[IndexedAccess]
+    #: shared-buffer variable -> per-dimension extent (None = not exact)
+    shared_dims: dict[str, list[Optional[Lin]]]
 
     def unproved(self) -> list[AccessRecord]:
         return [a for a in self.accesses if a.status == "unproved"]
@@ -733,28 +779,26 @@ class _Interp:
     ) -> None:
         self.fn = fn
         self.inv = invariants or KernelInvariants()
-        argnames = [
-            a.arg
-            for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
-        ]
-        if "ctx" in argnames:
-            self.ctx_name = "ctx"
-        elif argnames and argnames[0] == "self" and len(argnames) > 1:
-            self.ctx_name = argnames[1]
-        elif argnames:
-            self.ctx_name = argnames[0]
-        else:
-            self.ctx_name = "ctx"
-        self.params = [a for a in argnames if a not in ("self", self.ctx_name)]
+        self.ctx_name, self.params = device_args(fn)
+        #: names the function binds; any other name (a module global or
+        #: builtin) is the same in every thread
+        self.stored = {
+            n.id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
         self.ranges: dict[str, Interval] = {}
         self.pv = Prover(self.ranges)
         self.heap: dict[str, list[Interval]] = {}
         self.shared_dims: dict[str, list[Optional[Lin]]] = {}
         self.row_memo: dict[tuple[str, str], tuple[str, frozenset[str]]] = {}
         self.accesses: list[AccessRecord] = []
-        self.node_envs: dict[int, dict[str, str]] = {}
         self.loop_trips: dict[int, TripCount] = {}
+        self.divergent: set[int] = set()
+        self.pinned: dict[int, bool] = {}
+        self.indexed: dict[tuple[int, int, bool], IndexedAccess] = {}
         self.recording = True
+        self._at: Optional[int] = None  # CFG node of the statement running
         self._sym_n = 0
         self._rows_by_lo = {r.lo: r for r in self.inv.rows}
         self._rows_by_hi = {r.hi: r for r in self.inv.rows}
@@ -783,7 +827,7 @@ class _Interp:
         bdim, gdim = Lin.sym("bdim"), Lin.sym("gdim")
         ctx = self.ctx_name
         env[f"{ctx}.thread_idx"] = AbsVal(
-            Interval(Lin.of(0), bdim - 1), Interval.const(1)
+            Interval(Lin.of(0), bdim - 1), Interval.const(1), pure=True
         )
         env[f"{ctx}.block_idx"] = AbsVal(Interval(Lin.of(0), gdim - 1), _uniform())
         env[f"{ctx}.block_dim"] = AbsVal(Interval.exact(bdim), _uniform())
@@ -809,10 +853,12 @@ class _Interp:
         self._exec_block(self.fn.body, env)
         return AbsintResult(
             accesses=self._merged_accesses(),
-            node_envs=self.node_envs,
-            symbols={s: r.render() for s, r in sorted(self.ranges.items())},
             loop_trips=self.loop_trips,
             ranges=dict(self.ranges),
+            divergent=self.divergent,
+            pins={nid for nid, pinned in self.pinned.items() if pinned},
+            indexed=sorted(self.indexed.values(), key=lambda f: f.node),
+            shared_dims=self.shared_dims,
         )
 
     def _merged_accesses(self) -> list[AccessRecord]:
@@ -852,10 +898,13 @@ class _Interp:
         out: Env = {}
         for k in set(a) | set(b):
             va, vb = a.get(k), b.get(k)
-            if va is None or vb is None:
-                out[k] = AbsVal.top()
-            else:
+            if va is not None and vb is not None:
                 out[k] = _join_val(va, vb, self.pv)
+            else:
+                # bound on one path only: a read succeeds only after that
+                # path, so the name is uniform if it is there (its range
+                # is left unknown)
+                out[k] = _unpacked(a[k] if k in a else b[k])
         return out
 
     def _join_envs(self, envs: Sequence[Optional[Env]]) -> Optional[Env]:
@@ -868,10 +917,10 @@ class _Interp:
         out: Env = {}
         for k in set(old) | set(new):
             vo, vn = old.get(k), new.get(k)
-            if vo is None or vn is None:
-                out[k] = AbsVal.top()
-            else:
+            if vo is not None and vn is not None:
                 out[k] = _widen_val(vo, vn)
+            else:
+                out[k] = _unpacked(old[k] if k in old else new[k])
         return out
 
     def _env_eq(self, a: Env, b: Env) -> bool:
@@ -898,17 +947,31 @@ class _Interp:
             line=st.lineno, kind=kind, count=count, detail=detail
         )
 
-    def _record_node(self, stmt: ast.stmt, env: Env) -> None:
-        if not self.recording:
+    def _record_test(self, st: ast.stmt, test: AbsVal) -> None:
+        """Note a branch or loop test that may differ across threads."""
+        nid = self._node_of.get(id(st))
+        if self.recording and nid is not None and not test.uniform:
+            self.divergent.add(nid)
+
+    def _record_pin(self, st: ast.If, env: Env) -> None:
+        """Note whether an ``if`` test pins one thread (``tid == <uniform>``)
+        on every visit."""
+        nid = self._node_of.get(id(st))
+        if not self.recording or nid is None:
             return
-        nid = self._node_of.get(id(stmt))
-        if nid is None:
-            return
-        self.node_envs[nid] = {
-            k: v.rng.render()
-            for k, v in sorted(env.items())
-            if v.rng.lo is not None or v.rng.hi is not None
-        }
+        test, pinned = st.test, False
+        if (
+            isinstance(test, ast.Compare)
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Eq)
+        ):
+            x = self._quiet_eval(test.left, env)
+            y = self._quiet_eval(test.comparators[0], env)
+            pinned = any(
+                p.a is not None and p.a.is_const() == 1 and q.uniform
+                for p, q in ((x, y), (y, x))
+            )
+        self.pinned[nid] = self.pinned.get(nid, True) and pinned
 
     # -- expression evaluation --------------------------------------------
 
@@ -918,9 +981,11 @@ class _Interp:
                 return AbsVal.const(int(node.value))
             if isinstance(node.value, int):
                 return AbsVal.const(node.value)
-            return AbsVal(Interval.top(), _uniform())
+            return AbsVal(Interval.top(), _uniform(), pure=True)
         if isinstance(node, ast.Name):
-            return env.get(node.id, AbsVal.top())
+            if node.id in env:
+                return env[node.id]
+            return AbsVal.top() if node.id in self.stored else _UNIFORM_TOP
         if isinstance(node, ast.Attribute):
             if (
                 isinstance(node.value, ast.Name)
@@ -928,6 +993,8 @@ class _Interp:
                 and node.attr in _CTX_ATTRS
             ):
                 return env.get(f"{self.ctx_name}.{node.attr}", AbsVal.top())
+            if self._eval(node.value, env).uniform:
+                return _UNIFORM_TOP
             return AbsVal.top()
         if isinstance(node, ast.BinOp):
             return self._eval_binop(node, env)
@@ -935,35 +1002,38 @@ class _Interp:
             val = self._eval(node.operand, env)
             if isinstance(node.op, ast.USub):
                 a = val.a.neg() if val.a is not None else None
-                return AbsVal(val.rng.neg(), a)
+                return AbsVal(val.rng.neg(), a, pure=val.pure)
             if isinstance(node.op, ast.UAdd):
                 return val
+            a = _uniform() if val.uniform else None
             if isinstance(node.op, ast.Not):
-                return AbsVal(Interval(Lin.of(0), Lin.of(1)), val.a)
-            return AbsVal.top()
+                return AbsVal(Interval(Lin.of(0), Lin.of(1)), a, pure=val.pure)
+            return AbsVal(Interval.top(), a)
         if isinstance(node, ast.Call):
             return self._eval_call(node, env)
         if isinstance(node, ast.Compare):
             vals = [self._eval(node.left, env)] + [
                 self._eval(c, env) for c in node.comparators
             ]
-            a = _uniform() if all(_is_uniform(v.a) for v in vals) else None
+            a = _uniform() if all(v.uniform for v in vals) else None
             return AbsVal(Interval(Lin.of(0), Lin.of(1)), a)
         if isinstance(node, ast.BoolOp):
             vals = [self._eval(v, env) for v in node.values]
-            a = _uniform() if all(_is_uniform(v.a) for v in vals) else None
+            a = _uniform() if all(v.uniform for v in vals) else None
             return AbsVal(Interval(Lin.of(0), Lin.of(1)), a)
         if isinstance(node, ast.Subscript):
             return self._subscript(node, env, write=False, stored=None)
         if isinstance(node, ast.IfExp):
-            self._eval(node.test, env)
-            return _join_val(
+            test = self._eval(node.test, env)
+            val = _join_val(
                 self._eval(node.body, env), self._eval(node.orelse, env), self.pv
             )
+            return val if test.uniform else replace(val, a=None)
         if isinstance(node, (ast.Tuple, ast.List)):
-            for e in node.elts:
-                self._eval(e, env)
-            return AbsVal.top()
+            vals = [self._eval(e, env) for e in node.elts]
+            return _UNIFORM_TOP if all(v.uniform for v in vals) else AbsVal.top()
+        if isinstance(node, ast.Starred):
+            return self._eval(node.value, env)
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             if node.value is not None:
                 self._eval(node.value, env)
@@ -974,41 +1044,24 @@ class _Interp:
         left = self._eval(node.left, env)
         right = self._eval(node.right, env)
         op = node.op
-        both_uniform = _is_uniform(left.a) and _is_uniform(right.a)
-        if isinstance(op, ast.Add):
-            a = (
-                left.a.add(right.a)
-                if left.a is not None and right.a is not None
-                else None
-            )
-            return AbsVal(left.rng.add(right.rng), a)
-        if isinstance(op, ast.Sub):
-            a = (
-                left.a.sub(right.a)
-                if left.a is not None and right.a is not None
-                else None
-            )
-            return AbsVal(left.rng.sub(right.rng), a)
-        if isinstance(op, ast.Mult):
-            a: Optional[Interval]
-            if _is_uniform(right.a) and left.a is not None:
+        a = _uniform() if left.uniform and right.uniform else None
+        rng = Interval.top()
+        if isinstance(op, (ast.Add, ast.Sub)):
+            sub = isinstance(op, ast.Sub)
+            if left.a is not None and right.a is not None:
+                a = left.a.sub(right.a) if sub else left.a.add(right.a)
+            rng = left.rng.sub(right.rng) if sub else left.rng.add(right.rng)
+        elif isinstance(op, ast.Mult):
+            if a is None and right.uniform and left.a is not None:
                 a = left.a.mul(right.rng, self.pv)
-            elif _is_uniform(left.a) and right.a is not None:
+            elif a is None and left.uniform and right.a is not None:
                 a = right.a.mul(left.rng, self.pv)
-            else:
-                a = None
-            return AbsVal(left.rng.mul(right.rng, self.pv), a)
-        if isinstance(op, ast.FloorDiv):
-            return AbsVal(
-                left.rng.floordiv(right.rng, self.pv),
-                _uniform() if both_uniform else None,
-            )
-        if isinstance(op, ast.Mod):
-            return AbsVal(
-                left.rng.mod(right.rng, self.pv),
-                _uniform() if both_uniform else None,
-            )
-        return AbsVal(Interval.top(), _uniform() if both_uniform else None)
+            rng = left.rng.mul(right.rng, self.pv)
+        elif isinstance(op, ast.FloorDiv):
+            rng = left.rng.floordiv(right.rng, self.pv)
+        elif isinstance(op, ast.Mod):
+            rng = left.rng.mod(right.rng, self.pv)
+        return AbsVal(rng, a, pure=left.pure and right.pure)
 
     def _eval_call(self, node: ast.Call, env: Env) -> AbsVal:
         func = node.func
@@ -1029,9 +1082,9 @@ class _Interp:
             for arg in node.args:
                 self._eval(arg, env)
             return AbsVal.top()
+        args = [self._eval(a, env) for a in node.args]
         if isinstance(func, ast.Name):
             name = func.id
-            args = [self._eval(a, env) for a in node.args]
             if name in ("int", "float", "bool") and len(args) == 1:
                 return args[0]
             if name == "device_array" and len(args) == 1:
@@ -1045,7 +1098,9 @@ class _Interp:
                 else:
                     hi = None
                 return AbsVal(
-                    Interval(Lin.of(0), hi), _uniform() if _is_uniform(v.a) else None
+                    Interval(Lin.of(0), hi),
+                    _uniform() if v.uniform else None,
+                    pure=v.pure,
                 )
             if name in ("min", "max") and len(args) >= 2:
                 acc = args[0]
@@ -1055,12 +1110,8 @@ class _Interp:
                         if name == "min"
                         else acc.rng.max_(nxt.rng, self.pv)
                     )
-                    a = (
-                        _uniform()
-                        if _is_uniform(acc.a) and _is_uniform(nxt.a)
-                        else None
-                    )
-                    acc = AbsVal(rng, a)
+                    a = _uniform() if acc.uniform and nxt.uniform else None
+                    acc = AbsVal(rng, a, pure=acc.pure and nxt.pure)
                 return acc
             if name == "len" and len(args) == 1 and isinstance(node.args[0], ast.Name):
                 target = node.args[0].id
@@ -1074,11 +1125,15 @@ class _Interp:
                     return AbsVal(
                         Interval.exact(self._length(val.array)), _uniform()
                     )
-                return AbsVal(Interval(Lin.of(0), None), _uniform())
-            return AbsVal.top()
-        # Any other callable (math.sqrt, np.float64, ...)
-        for arg in node.args:
-            self._eval(arg, env)
+                return AbsVal(
+                    Interval(Lin.of(0), None),
+                    _uniform() if args[0].uniform else None,
+                )
+        # any other callable (round, math.sqrt, np.float64, ...) is the
+        # same in every thread when the callee and every argument are
+        args += [self._eval(k.value, env) for k in node.keywords]
+        if self._eval(func, env).uniform and all(v.uniform for v in args):
+            return _UNIFORM_TOP
         return AbsVal.top()
 
     # -- array accesses ----------------------------------------------------
@@ -1094,12 +1149,19 @@ class _Interp:
         base = self._eval(node.value, env)
         idx_node = node.slice
         if isinstance(idx_node, ast.Slice):
+            self._note_index(base, idx_node, AbsVal.top(), write, node.lineno)
             return AbsVal.top()
         if isinstance(idx_node, ast.Tuple):
             idx_vals = [self._eval(e, env) for e in idx_node.elts]
-            self._check_multi(base, idx_node, idx_vals, write=write, line=node.lineno)
-            lead = idx_vals[0] if idx_vals else AbsVal.top()
-            return self._loaded_value(base, idx_node, lead, env, write, stored)
+            # a tuple index is one slot: uniform only when every part is
+            whole = AbsVal(
+                a=_uniform() if all(v.uniform for v in idx_vals) else None,
+                pure=all(v.pure for v in idx_vals),
+            )
+            self._check_multi(
+                base, idx_node, idx_vals, whole, write=write, line=node.lineno
+            )
+            return self._loaded_value(base, idx_node, whole, env, write, stored)
         idx = self._eval(idx_node, env)
         self._check_access(base, idx_node, idx, write=write, line=node.lineno)
         return self._loaded_value(base, idx_node, idx, env, write, stored)
@@ -1119,16 +1181,18 @@ class _Interp:
                     self._heap_store(base.shared, stored.rng)
                 return AbsVal.top()
             rng = self._heap_read(base.shared)
-            return AbsVal(rng, _uniform() if _is_uniform(idx.a) else None)
+            return AbsVal(rng, _uniform() if idx.uniform else None)
         if base.array is not None and not write:
             return self._load_from_array(base.array, idx_node, idx)
+        # a table, tuple or shape that is the same in every thread
+        if base.uniform and idx.uniform and not write:
+            return _UNIFORM_TOP
         return AbsVal.top()
 
     def _load_from_array(
         self, array: str, idx_node: ast.expr, idx: AbsVal
     ) -> AbsVal:
-        uniform = _is_uniform(idx.a)
-        a = _uniform() if uniform else None
+        a = _uniform() if idx.uniform else None
         idx_text = ast.unparse(idx_node)
         row = self._rows_by_lo.get(array)
         if row is not None:
@@ -1181,6 +1245,20 @@ class _Interp:
             return "gather-bounded"
         return "gather-unbounded"
 
+    def _note_index(
+        self, base: AbsVal, idx_node: ast.expr, idx: AbsVal, write: bool, line: int
+    ) -> None:
+        """Keep the indexed-access fact, joined over visits of its node."""
+        buffer = base.shared or base.array
+        if not self.recording or self._at is None or buffer is None:
+            return
+        key = (self._at, id(idx_node), write)
+        prev = self.indexed.get(key)
+        value = idx if prev is None else _join_val(prev.value, idx, self.pv)
+        self.indexed[key] = IndexedAccess(
+            self._at, buffer, base.shared is not None, write, idx_node, value, line
+        )
+
     def _check_access(
         self,
         base: AbsVal,
@@ -1190,6 +1268,7 @@ class _Interp:
         write: bool,
         line: int,
     ) -> None:
+        self._note_index(base, idx_node, idx, write, line)
         if base.shared is not None:
             dims = self.shared_dims.get(base.shared) or [None]
             self._record(
@@ -1208,10 +1287,12 @@ class _Interp:
         base: AbsVal,
         idx_tuple: ast.Tuple,
         idx_vals: list[AbsVal],
+        whole: AbsVal,
         *,
         write: bool,
         line: int,
     ) -> None:
+        self._note_index(base, idx_tuple, whole, write, line)
         if base.shared is not None:
             dims = self.shared_dims.get(base.shared) or []
             for d, (node, val) in enumerate(zip(idx_tuple.elts, idx_vals)):
@@ -1279,6 +1360,15 @@ class _Interp:
 
     # -- refinement --------------------------------------------------------
 
+    def _quiet_eval(self, node: ast.expr, env: Env) -> AbsVal:
+        """Evaluate without recording (the access was recorded already)."""
+        rec = self.recording
+        self.recording = False
+        try:
+            return self._eval(node, env)
+        finally:
+            self.recording = rec
+
     def _assume(self, test: ast.expr, truth: bool, env: Env, depth: int = 4) -> bool:
         """Refine ``env`` under ``test == truth``; False means infeasible."""
         if depth <= 0:
@@ -1336,13 +1426,8 @@ class _Interp:
             op = flipped()
         if isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn, ast.NotEq)):
             return True
-        rec = self.recording
-        self.recording = False
-        try:
-            lv = self._eval(left, env)
-            rv = self._eval(right, env)
-        finally:
-            self.recording = rec
+        lv = self._quiet_eval(left, env)
+        rv = self._quiet_eval(right, env)
 
         def key_of(node: ast.expr) -> Optional[str]:
             if isinstance(node, ast.Name):
@@ -1398,7 +1483,7 @@ class _Interp:
         return _Flow(cur, continues, breaks)
 
     def _exec_stmt(self, st: ast.stmt, env: Env) -> _Flow:
-        self._record_node(st, env)
+        self._at = self._node_of.get(id(st))
         if isinstance(st, ast.Assign):
             return self._exec_assign(st, env)
         if isinstance(st, ast.AnnAssign):
@@ -1431,71 +1516,73 @@ class _Interp:
         if isinstance(st, ast.With):
             return self._exec_block(st.body, env)
         if isinstance(st, ast.Try):
-            fl = self._exec_block(st.body, env)
+            # an exception may leave the body before any statement; every
+            # handler, the ``else`` and the ``finally`` run for their facts
+            body = self._exec_block(st.body, env)
+            raised = self._join_env(body.env, env)
+            assert raised is not None
+            flows = [body, self._exec_block(st.orelse, body.env)] + [
+                self._exec_block(h.body, dict(raised)) for h in st.handlers
+            ]
+            after = self._join_envs([raised, *(f.env for f in flows[1:])])
+            flows.append(self._exec_block(st.finalbody, after))
             return _Flow(
-                self._join_env(fl.env, env), fl.continues, fl.breaks
+                flows[-1].env,
+                [e for f in flows for e in f.continues],
+                [e for f in flows for e in f.breaks],
             )
         return _Flow(env)
 
-    def _shared_call(self, value: ast.expr) -> Optional[ast.Call]:
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and isinstance(value.func.value, ast.Name)
-            and value.func.value.id == self.ctx_name
-            and value.func.attr == "shared"
-        ):
-            return value
-        return None
-
     def _exec_assign(self, st: ast.Assign, env: Env) -> _Flow:
-        shared_call = self._shared_call(st.value)
-        if shared_call is not None and len(st.targets) == 1 and isinstance(
-            st.targets[0], ast.Name
-        ):
-            var = st.targets[0].id
-            dims: list[Optional[Lin]] = []
-            if len(shared_call.args) >= 2:
-                shape = shared_call.args[1]
-                elts = shape.elts if isinstance(shape, ast.Tuple) else [shape]
-                for e in elts:
-                    dims.append(self._eval(e, env).rng.is_exact())
-            self._purge(var, env)
-            env[var] = AbsVal(Interval.top(), None, shared=var)
-            self.shared_dims[var] = dims or [None]
-            self.heap.setdefault(var, [Interval(Lin.of(0), Lin.of(0))])
+        if len(st.targets) > 1:
+            val = self._eval(st.value, env)
+            for target in st.targets:
+                self._assign_target(target, val, st.value, env)
             return _Flow(env)
-        # tuple-to-tuple: evaluate pairwise for precision
+        target, value = st.targets[0], st.value
+        pairs = [(target, value)]
         if (
-            len(st.targets) == 1
-            and isinstance(st.targets[0], ast.Tuple)
-            and isinstance(st.value, ast.Tuple)
-            and len(st.targets[0].elts) == len(st.value.elts)
+            isinstance(target, (ast.Tuple, ast.List))
+            and isinstance(value, (ast.Tuple, ast.List))
+            and len(target.elts) == len(value.elts)
         ):
-            pairs = [
-                (t, self._eval(v, env), v)
-                for t, v in zip(st.targets[0].elts, st.value.elts)
-            ]
-            for t, val, vnode in pairs:
-                self._assign_target(t, val, vnode, env)
-            return _Flow(env)
-        val = self._eval(st.value, env)
-        for target in st.targets:
-            self._assign_target(target, val, st.value, env)
+            # tuple-to-tuple: evaluate pairwise for precision
+            pairs = list(zip(target.elts, value.elts, strict=True))
+        vals = [self._eval(v, env) for _, v in pairs]
+        for (t, v), val in zip(pairs, vals, strict=True):
+            call = ctx_call(v, self.ctx_name, "shared")
+            if isinstance(t, ast.Name) and call is not None:
+                self._declare_shared(t.id, call, env)
+            else:
+                self._assign_target(t, val, v, env)
         return _Flow(env)
+
+    def _declare_shared(self, var: str, call: ast.Call, env: Env) -> None:
+        dims: list[Optional[Lin]] = []
+        if len(call.args) >= 2:
+            shape = call.args[1]
+            elts = (
+                shape.elts if isinstance(shape, (ast.Tuple, ast.List)) else [shape]
+            )
+            dims = [self._eval(e, env).rng.is_exact() for e in elts]
+        self._purge(var, env)
+        # the handle is one block-wide buffer, the same in every thread
+        env[var] = AbsVal(Interval.top(), _uniform(), shared=var)
+        self.shared_dims[var] = dims or [None]
+        self.heap.setdefault(var, [Interval(Lin.of(0), Lin.of(0))])
 
     def _assign_target(
         self, target: ast.expr, val: AbsVal, value_node: ast.expr, env: Env
     ) -> None:
         if isinstance(target, ast.Name):
             self._bind_name(target.id, val, value_node, env)
-        elif isinstance(target, ast.Tuple):
+        elif isinstance(target, (ast.Tuple, ast.List)):
             for t in target.elts:
-                self._assign_target(t, AbsVal.top(), value_node, env)
+                self._assign_target(t, _unpacked(val), value_node, env)
         elif isinstance(target, ast.Subscript):
             self._subscript(target, env, write=True, stored=val)
         elif isinstance(target, ast.Starred):
-            self._assign_target(target.value, AbsVal.top(), value_node, env)
+            self._assign_target(target.value, val, value_node, env)
 
     def _bind_name(
         self, name: str, val: AbsVal, value_node: ast.expr, env: Env
@@ -1519,7 +1606,8 @@ class _Interp:
         return _Flow(env)
 
     def _exec_if(self, st: ast.If, env: Env) -> _Flow:
-        self._eval(st.test, env)  # record accesses in the test once
+        self._record_test(st, self._eval(st.test, env))
+        self._record_pin(st, env)
         env_t: Optional[Env] = dict(env)
         env_f: Optional[Env] = dict(env)
         assert env_t is not None and env_f is not None
@@ -1597,12 +1685,11 @@ class _Interp:
             and it.func.id == "range"
         ):
             return self._exec_range(st, env)
-        # Unknown iterable: bind target to top and run a fixpoint.
-        self._eval(it, env)
+        # Unknown iterable: its elements are unknown (uniform when it is).
+        it_val = self._eval(it, env)
+        self._record_test(st, it_val)
         self._record_trip(st, "iterable", None, "iterable length unknown")
-        return self._loop_fixpoint(
-            st, env, target_val=AbsVal.top(), zero_trip=dict(env)
-        )
+        return self._loop_fixpoint(st, env, _unpacked(it_val))
 
     def _literal_elts(
         self, it: "ast.Tuple | ast.List"
@@ -1633,7 +1720,7 @@ class _Interp:
                 value = (
                     AbsVal.const(v)
                     if isinstance(v, int)
-                    else AbsVal(Interval.top(), _uniform())
+                    else AbsVal(Interval.top(), _uniform(), pure=True)
                 )
                 self._bind_name(st.target.id, value, e, cur)
             fl = self._exec_block(st.body, cur)
@@ -1678,23 +1765,18 @@ class _Interp:
                 else "range endpoint unbounded"
             )
             self._record_trip(st, "range", None, why)
+        # the call evaluates to top: the trip count is uniform when
+        # every argument is
         t_a = (
             _uniform()
-            if _is_uniform(start.a) and _is_uniform(stop.a) and _is_uniform(step.a)
+            if start.uniform and stop.uniform and step.uniform
             else None
         )
-        return self._loop_fixpoint(
-            st, env, target_val=AbsVal(t_rng, t_a), zero_trip=dict(env)
-        )
+        target = AbsVal(t_rng, t_a)
+        self._record_test(st, target)
+        return self._loop_fixpoint(st, env, target)
 
-    def _loop_fixpoint(
-        self,
-        st: ast.For,
-        env: Env,
-        *,
-        target_val: AbsVal,
-        zero_trip: Env,
-    ) -> _Flow:
+    def _loop_fixpoint(self, st: ast.For, env: Env, target_val: AbsVal) -> _Flow:
         head: Env = dict(env)
         rec = self.recording
         self.recording = False
@@ -1731,9 +1813,9 @@ class _Interp:
         if isinstance(target, ast.Name):
             self._purge(target.id, env)
             env[target.id] = val
-        elif isinstance(target, ast.Tuple):
+        elif isinstance(target, (ast.Tuple, ast.List)):
             for t in target.elts:
-                self._bind_loop_target(t, AbsVal.top(), env)
+                self._bind_loop_target(t, _unpacked(val), env)
 
     def _exec_while(self, st: ast.While, env: Env) -> _Flow:
         self._record_trip(st, "while", None, "while loops are not counted")
@@ -1764,7 +1846,8 @@ class _Interp:
                 head = new_head
         finally:
             self.recording = rec
-        self._eval(st.test, head)  # record accesses in the test
+        self._at = self._node_of.get(id(st))
+        self._record_test(st, self._eval(st.test, head))
         benv2: Optional[Env] = dict(head)
         assert benv2 is not None
         if not self._assume(st.test, True, benv2):
@@ -1796,7 +1879,8 @@ def interpret_kernel(
 
     ``invariants`` carries the kernel's trusted value contracts (buffer
     lengths, scalar ranges, element ranges, row pairings); ``cfg`` — when
-    provided — lets the interpreter record the abstract environment at
-    each statement-level CFG node (``AbsintResult.node_envs``).
+    provided — lets the interpreter key its recorded facts by CFG node:
+    loop trip bounds, divergent tests, single-thread pins and indexed
+    accesses (see :class:`AbsintResult`).
     """
     return _Interp(fn, invariants, cfg).run()

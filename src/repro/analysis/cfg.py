@@ -3,8 +3,11 @@
 Device code (see :mod:`repro.gpusim.kernelapi`) is a restricted Python
 dialect: straight-line statements, ``if``/``for``/``while`` control flow,
 early ``return`` guards, and block barriers written as
-``yield ctx.syncthreads()``.  :func:`build_cfg` turns one device-code
-function definition into a statement-level CFG whose nodes carry
+``yield ctx.syncthreads()``.  :func:`device_fn` parses a kernel's
+``device_code`` and :func:`device_args` names its ``ctx`` argument and
+launch parameters, for every analysis alike.  :func:`build_cfg` turns
+one device-code function definition into a statement-level CFG whose
+nodes carry
 
 * the originating AST statement (and, for branches/loops, the test),
 * the enclosing *control stack* — which ``if`` arm / loop body the
@@ -12,15 +15,20 @@ function definition into a statement-level CFG whose nodes carry
 * ``barrier`` markers, so race detection can reason about
   barrier-delimited path segments (including loop back edges).
 
-The graph is tiny (one node per statement), so the analyses in
-:mod:`repro.analysis.kernelcheck` simply BFS it.
+The abstract interpreter (:mod:`repro.analysis.absint`) keys the facts
+it records by node id; the graph is tiny (one node per statement), so
+the passes in :mod:`repro.analysis.kernelcheck` simply BFS it.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import textwrap
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.gpusim.launch import Kernel
 
 __all__ = [
     "CFG",
@@ -29,9 +37,54 @@ __all__ = [
     "Liveness",
     "build_cfg",
     "compute_liveness",
+    "ctx_call",
+    "device_args",
+    "device_fn",
     "is_barrier_stmt",
     "node_defs_uses",
+    "parse_device_fn",
 ]
+
+
+def parse_device_fn(source: str) -> ast.FunctionDef:
+    """The first function definition in ``source`` (dedented)."""
+    module = ast.parse(textwrap.dedent(source))
+    return next(n for n in module.body if isinstance(n, ast.FunctionDef))
+
+
+def device_fn(kernel: Kernel) -> Optional[ast.FunctionDef]:
+    """Parse a kernel's ``device_code`` override, if it has one."""
+    if type(kernel).device_code is Kernel.device_code:
+        return None
+    return parse_device_fn(inspect.getsource(type(kernel).device_code))
+
+
+def device_args(fn: ast.FunctionDef) -> tuple[str, list[str]]:
+    """The ``ctx`` argument's name and the launch parameters of ``fn``.
+
+    ``ctx`` is the argument named so, else the one after ``self``, else
+    the first; every other argument but ``self`` is a launch parameter.
+    """
+    names = [
+        a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
+    ]
+    ctx = "ctx"
+    if "ctx" not in names and names:
+        ctx = names[1] if names[0] == "self" and len(names) > 1 else names[0]
+    return ctx, [n for n in names if n not in ("self", ctx)]
+
+
+def ctx_call(node: Optional[ast.AST], ctx_name: str, method: str) -> Optional[ast.Call]:
+    """``node`` if it is a ``<ctx_name>.<method>(...)`` call, else None."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == ctx_name
+    ):
+        return node
+    return None
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ interpreter's product domain:
   ``ctx.atomic_add`` / ``ctx.atomic_min`` / ``ctx.result_reserve`` /
   ``ctx.result_store`` / ``ctx.syncthreads`` calls — exactly what both execution backends
   increment — weighted by the product of enclosing loop bounds.  Both
-  arms of every branch are charged (tainted branches serialize both
-  arms, and an untainted worst case is still a worst case).
+  arms of every branch are charged (thread-dependent branches serialize
+  both arms, and a uniform branch's worst case is still a worst case).
 * **Memory transactions** reuse the KC003 access classification:
   coalesced/uniform warps cost one line transaction, ``strided(k)``
   costs ``min(warp, ceil(k·warp·word/line))``, gathers cost the full
@@ -43,9 +43,7 @@ prediction (CI gates the ratio band).
 from __future__ import annotations
 
 import ast
-import inspect
 import math
-import textwrap
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -58,7 +56,7 @@ from repro.analysis.absint import (
     interpret_kernel,
     parse_bound,
 )
-from repro.analysis.cfg import CFG, CFGNode, build_cfg
+from repro.analysis.cfg import CFG, CFGNode, build_cfg, device_args, device_fn
 from repro.gpusim import constants as K
 from repro.gpusim.costmodel import CostModel, KernelCounters
 from repro.gpusim.device import DeviceSpec
@@ -511,20 +509,6 @@ class KernelCostModel:
 # ---------------------------------------------------------------------------
 
 
-def _device_fn(kernel: Kernel) -> Optional[ast.FunctionDef]:
-    if type(kernel).device_code is Kernel.device_code:
-        return None
-    source = textwrap.dedent(inspect.getsource(type(kernel).device_code))
-    module = ast.parse(source)
-    return next(n for n in module.body if isinstance(n, ast.FunctionDef))
-
-
-def _fn_params(fn: ast.FunctionDef) -> tuple[str, ...]:
-    names = [a.arg for a in fn.args.args if a.arg not in ("self", "ctx")]
-    names += [a.arg for a in fn.args.kwonlyargs]
-    return tuple(names)
-
-
 def _literal_int(node: ast.expr) -> Optional[int]:
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
         return node.value
@@ -638,7 +622,7 @@ def derive_cost(kernel: Kernel) -> Optional[KernelCostModel]:
     Returns ``None`` for kernels without an interpreter path (no
     ``device_code`` override — e.g. dispatch-only kernels).
     """
-    fn = _device_fn(kernel)
+    fn = device_fn(kernel)
     if fn is None:
         return None
     cfg = build_cfg(fn)
@@ -711,12 +695,7 @@ def derive_cost_from_result(
             )
 
     # -- counter sites -----------------------------------------------------
-    arg_names = [a.arg for a in fn.args.args]
-    ctx_name = "ctx"
-    for cand in arg_names[:2]:
-        if cand != "self":
-            ctx_name = cand
-            break
+    ctx_name, params = device_args(fn)
     sites, site_issues = _collect_sites(cfg, ctx_name)
     issues.extend(site_issues)
 
@@ -802,7 +781,7 @@ def derive_cost_from_result(
 
     return KernelCostModel(
         kernel_name=kernel_name,
-        params=_fn_params(fn),
+        params=tuple(params),
         loops=loops,
         sites=tuple(sites),
         per_thread=per_thread,

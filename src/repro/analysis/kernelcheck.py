@@ -4,34 +4,37 @@ The runtime gpusanitizer (:mod:`repro.gpusim.sanitizer`) can only judge
 schedules that actually execute; this module verifies the kernel
 invariants **over all paths, before any launch**, by analyzing the
 ``device_code`` generator of each :class:`~repro.gpusim.launch.Kernel`
-(AST → CFG via :mod:`repro.analysis.cfg` → dataflow).  Six passes:
+(AST → CFG via :mod:`repro.analysis.cfg`).  One abstract interpreter
+(:mod:`repro.analysis.absint`) evaluates the device code once per
+kernel; every pass reads the facts its recording walk keeps.  Seven
+passes:
 
 ``KC001`` — barrier divergence
     A ``yield ctx.syncthreads()`` that is control-dependent on a
-    *thread-dependent* condition (dataflow taint from
-    ``ctx.thread_idx`` / ``ctx.global_id`` through assignments) without
-    a matching barrier on the sibling path, a barrier inside a loop
-    whose trip count is thread-dependent, or a thread-dependent early
+    *thread-dependent* test (absint's tid-stride component: a test
+    whose value may differ across the threads of a block) without a
+    matching barrier on the sibling path, a barrier inside a loop whose
+    trip count is thread-dependent, or a thread-dependent early
     ``return`` that skips a downstream barrier.  All are the UB class
     :class:`~repro.gpusim.kernelapi.BarrierDivergenceError` catches at
     runtime — on the one schedule that ran.
 
 ``KC002`` — shared-memory race
     A write to a ``ctx.shared(...)`` buffer and a read/write of the
-    same buffer connected by a barrier-free CFG path (loop back edges
-    included), where the two accesses may come from different threads
-    and may touch the same slot.  Per-thread slots (identical
-    tid-affine index expressions) and same-single-thread-guarded
-    accesses (``if tid == 0:``) are exempt.
+    same buffer (by declared name) connected by a barrier-free CFG path
+    (loop back edges included), where the two accesses may come from
+    different threads and may touch the same slot.  Per-thread slots
+    (identical thread-dependent index expressions) and accesses in the
+    ``then`` arm of one single-thread guard (``if tid == 0:``) are
+    exempt.
 
 ``KC003`` — uncoalesced global access
     Global-buffer index expressions that are affine in the thread id
     with |stride| > 1, or non-affine pure functions of the thread id
     (``tid * tid``).  Runtime-dependent gathers (index loaded from
-    another array, symbolic strides) are no longer skipped: the
-    abstract interpreter (:mod:`repro.analysis.absint`) classifies each
-    access uniform / coalesced / strided / bounded-stride /
-    gather-bounded / gather-unbounded in the report's access table.
+    another array, symbolic strides) are classified uniform /
+    coalesced / strided / bounded-stride / gather-bounded /
+    gather-unbounded in the report's access table instead.
 
 ``KC004`` — static resources / occupancy
     Shared bytes are extracted from the ``ctx.shared`` shapes as a
@@ -44,15 +47,14 @@ invariants **over all paths, before any launch**, by analyzing the
 
 ``KC005`` — static bounds proofs
     The abstract interpreter (interval × tid-affine product domain with
-    widening, :mod:`repro.analysis.absint`) attempts to prove every
-    global/shared array access in-bounds against the buffer-length and
-    value contracts each kernel declares via
-    :meth:`~repro.gpusim.launch.Kernel.value_invariants`.  A shared
-    access that can exceed its declared shape, or a contract-covered
-    global access whose index interval is not contained in
-    ``[0, len)``, is an error — caught before the runtime memcheck
-    ever launches.  Global accesses with no contract are reported as
-    *assumed*, never as findings.
+    widening) attempts to prove every global/shared array access
+    in-bounds against the buffer-length and value contracts each kernel
+    declares via :meth:`~repro.gpusim.launch.Kernel.value_invariants`.
+    A shared access that can exceed its declared shape, or a
+    contract-covered global access whose index interval is not
+    contained in ``[0, len)``, is an error — caught before the runtime
+    memcheck ever launches.  Global accesses with no contract are
+    reported as *assumed*, never as findings.
 
 ``KC006`` — register-pressure estimate
     Backward liveness over the statement CFG
@@ -64,6 +66,12 @@ invariants **over all paths, before any launch**, by analyzing the
     fewer registers than the estimate is a warning because the
     occupancy table would be optimistic.
 
+``KC007`` — symbolic cost model
+    Per-thread counter bounds from absint's loop trip bounds
+    (:mod:`repro.analysis.costmodel`): a loop with no bound is an
+    error, a ``cost_contract()`` that declares less than the derived
+    worst case a warning.
+
 ``analyze_shipped()`` runs all passes over the registered kernel set
 (:func:`repro.kernels.shipped_kernels`); the CLI front end is
 ``repro analyze kernels [--format json] [--fail-on warn|error]``.
@@ -72,12 +80,10 @@ invariants **over all paths, before any launch**, by analyzing the
 from __future__ import annotations
 
 import ast
-import inspect
 import json
-import sys
-import textwrap
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TypeGuard
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -85,11 +91,24 @@ from repro.analysis.absint import (
     AbsintResult,
     AccessRecord,
     ContractError,
+    IndexedAccess,
     KernelInvariants,
     interpret_kernel,
 )
-from repro.analysis.cfg import CFG, CFGNode, build_cfg, compute_liveness
-from repro.analysis.costmodel import KernelCostModel, derive_cost_from_result
+from repro.analysis.cfg import (
+    CFG,
+    build_cfg,
+    compute_liveness,
+    ctx_call,
+    device_args,
+    device_fn,
+    parse_device_fn,
+)
+from repro.analysis.costmodel import (
+    KernelCostModel,
+    derive_cost_from_result,
+    eval_lin,
+)
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import Kernel
 from repro.gpusim.occupancy import OccupancyLimits, occupancy
@@ -103,7 +122,6 @@ __all__ = [
     "analyze_kernel",
     "analyze_shipped",
     "static_occupancy_table",
-    "main",
 ]
 
 #: block dims the static occupancy table is evaluated at by default
@@ -119,7 +137,7 @@ SEVERITY_ORDER = {"warn": 0, "error": 1}
 class Finding:
     """One static-analysis violation in one kernel."""
 
-    rule: str  #: KC001..KC004
+    rule: str  #: KC001..KC007
     severity: str  #: ``"error"`` or ``"warn"``
     kernel: str
     line: int  #: 1-based line within the ``device_code`` source
@@ -239,351 +257,41 @@ class KernelReport:
 
 
 # ======================================================================
-# thread-dependence ("taint") dataflow values
+# shared-buffer declarations
 # ======================================================================
-@dataclass(frozen=True)
-class Val:
-    """Abstract value of an expression for one thread.
-
-    ``tid`` is the coefficient of the thread id if the value is affine
-    in it with a compile-time-constant coefficient (``None`` = unknown
-    or non-affine); ``uniform`` means identical across all threads of a
-    block; ``pure`` means built only from the thread id and literals;
-    ``const`` is a known compile-time integer value.
-    """
-
-    tid: Optional[int]
-    uniform: bool
-    pure: bool
-    const: Optional[int] = None
-
-    @staticmethod
-    def constant(k: Optional[int] = None) -> "Val":
-        return Val(0, True, True, k)
-
-    @staticmethod
-    def uniform_sym() -> "Val":
-        return Val(0, True, False, None)
-
-    @staticmethod
-    def data() -> "Val":
-        return Val(None, False, False, None)
-
-    def join(self, other: "Val") -> "Val":
-        return Val(
-            self.tid if self.tid == other.tid else None,
-            self.uniform and other.uniform,
-            self.pure and other.pure,
-            self.const if self.const == other.const else None,
-        )
-
-
-def _join_all(vals: Iterable[Val]) -> Val:
-    out = Val.constant()
-    for v in vals:
-        out = Val(
-            0 if (out.tid == 0 and v.tid == 0) else None,
-            out.uniform and v.uniform,
-            out.pure and v.pure,
-            None,
-        )
-    return out
-
-
-#: ``ctx`` attributes that are uniform within a block
-_CTX_UNIFORM = {"block_idx", "block_dim", "grid_dim"}
-#: ``ctx`` attributes carrying the thread id
-_CTX_THREAD = {"thread_idx", "global_id"}
-#: builtins that preserve the numeric value (and so its affinity)
-_VALUE_PRESERVING = {"int", "float"}
-#: builtins that are uniform-preserving but destroy affinity
-_UNIFORMISH_CALLS = {"min", "max", "abs", "round", "len", "range", "bool"}
-
-
-class _DeviceFn:
-    """Parsed device code plus its dataflow environment."""
-
-    def __init__(self, fn: ast.FunctionDef):
-        self.fn = fn
-        arg_names = [a.arg for a in (*fn.args.posonlyargs, *fn.args.args)]
-        kw_names = [a.arg for a in fn.args.kwonlyargs]
-        self.ctx_name = "ctx" if "ctx" in arg_names + kw_names else (
-            arg_names[1] if len(arg_names) > 1 else (arg_names[0] if arg_names else "ctx")
-        )
-        self.params = {
-            n for n in (*arg_names, *kw_names) if n not in ("self", self.ctx_name)
-        }
-        self.env: dict[str, Val] = {}
-        self.shared: dict[str, SharedDecl] = {}  # local var name -> decl
-        self.shared_shapes: dict[str, ast.expr] = {}  # var name -> shape expr
-        self.blockdim_aliases: set[str] = set()
-        self.assigned: set[str] = set()
-        self.cfg: CFG = build_cfg(fn)
-        self._fixpoint()
-
-    # -- environment construction --------------------------------------
-    def _fixpoint(self) -> None:
-        for _ in range(10):
-            before = dict(self.env)
-            self._walk_body(self.fn.body)
-            if self.env == before:
-                break
-
-    def _walk_body(self, stmts: Sequence[ast.stmt]) -> None:
-        for s in stmts:
-            self._walk_stmt(s)
-
-    def _walk_stmt(self, s: ast.stmt) -> None:
-        if isinstance(s, ast.Assign):
-            self._assign(s.targets, s.value)
-        elif isinstance(s, ast.AnnAssign):
-            if s.value is not None:
-                self._assign([s.target], s.value)
-        elif isinstance(s, ast.AugAssign):
-            if isinstance(s.target, ast.Name):
-                combined = Val(None, False, False, None)
-                old = self.env.get(s.target.id)
-                v = self.eval(s.value)
-                if old is not None:
-                    combined = Val(
-                        None
-                        if old.tid is None or v.tid is None
-                        else old.tid + v.tid
-                        if isinstance(s.op, ast.Add)
-                        else None,
-                        old.uniform and v.uniform,
-                        old.pure and v.pure,
-                        None,
-                    )
-                self._bind(s.target.id, combined)
-        elif isinstance(s, ast.For):
-            it = self.eval(s.iter)
-            v = (
-                Val(0, True, it.pure, None)
-                if it.uniform
-                else Val.data()
-            )
-            for t in self._target_names(s.target):
-                self._bind(t, v)
-            self._walk_body(s.body)
-            self._walk_body(s.orelse)
-        elif isinstance(s, ast.While):
-            self._walk_body(s.body)
-            self._walk_body(s.orelse)
-        elif isinstance(s, ast.If):
-            self._walk_body(s.body)
-            self._walk_body(s.orelse)
-        elif isinstance(s, ast.With):
-            self._walk_body(s.body)
-        elif isinstance(s, ast.Try):
-            self._walk_body(s.body)
-            for h in s.handlers:
-                self._walk_body(h.body)
-            self._walk_body(s.orelse)
-            self._walk_body(s.finalbody)
-
-    @staticmethod
-    def _target_names(target: ast.expr) -> list[str]:
-        if isinstance(target, ast.Name):
-            return [target.id]
-        if isinstance(target, (ast.Tuple, ast.List)):
-            out: list[str] = []
-            for e in target.elts:
-                out.extend(_DeviceFn._target_names(e))
-            return out
-        return []
-
-    def _bind(self, name: str, v: Val) -> None:
-        self.assigned.add(name)
-        old = self.env.get(name)
-        self.env[name] = v if old is None else old.join(v)
-
-    def _assign(self, targets: list[ast.expr], value: ast.expr) -> None:
-        # ctx.shared(...) produces a block-shared buffer handle
-        if self._is_ctx_call(value, "shared") and len(targets) == 1:
-            t = targets[0]
-            if isinstance(t, ast.Name):
-                decl = self._shared_decl(value)
-                self.shared[t.id] = decl
-                self.shared_shapes[t.id] = (
-                    value.args[1] if len(value.args) > 1 else ast.Constant(0)
-                )
-                self._bind(t.id, Val.uniform_sym())
-            return
-        # track aliases of ctx.block_dim for shape evaluation
+def _shared_decls(cfg: CFG, ctx_name: str) -> dict[str, SharedDecl]:
+    """``ctx.shared(...)`` declarations, by the variable each is bound to."""
+    decls: dict[str, SharedDecl] = {}
+    for node in cfg.statements():
+        s = node.stmt
+        if not isinstance(s, ast.Assign) or len(s.targets) != 1:
+            continue
+        target, value = s.targets[0], s.value
+        pairs = [(target, value)]
         if (
-            len(targets) == 1
-            and isinstance(targets[0], ast.Name)
-            and isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Name)
-            and value.value.id == self.ctx_name
-            and value.attr == "block_dim"
+            isinstance(target, (ast.Tuple, ast.List))
+            and isinstance(value, (ast.Tuple, ast.List))
+            and len(target.elts) == len(value.elts)
         ):
-            self.blockdim_aliases.add(targets[0].id)
-        for t in targets:
-            if isinstance(t, (ast.Tuple, ast.List)) and isinstance(
-                value, (ast.Tuple, ast.List)
-            ) and len(t.elts) == len(value.elts):
-                for te, ve in zip(t.elts, value.elts, strict=True):
-                    self._assign([te], ve)
-            else:
-                v = self.eval(value)
-                for n in self._target_names(t):
-                    self._bind(n, v)
-
-    def _is_ctx_call(self, node: ast.expr, attr: str) -> TypeGuard[ast.Call]:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == attr
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == self.ctx_name
-        )
-
-    def _shared_decl(self, call: ast.Call) -> SharedDecl:
-        name = "?"
-        if call.args and isinstance(call.args[0], ast.Constant):
-            name = str(call.args[0].value)
-        shape = ast.unparse(call.args[1]) if len(call.args) > 1 else "?"
-        dtype_expr = call.args[2] if len(call.args) > 2 else None
-        dtype_name, itemsize = _resolve_dtype(dtype_expr)
-        return SharedDecl(
-            name=name,
-            shape=shape,
-            dtype=dtype_name,
-            itemsize=itemsize,
-            line=call.lineno,
-        )
-
-    # -- expression evaluation -----------------------------------------
-    def eval(self, node: Optional[ast.expr]) -> Val:
-        if node is None:
-            return Val.constant()
-        if isinstance(node, ast.Constant):
-            k = node.value if isinstance(node.value, (int, bool)) else None
-            return Val.constant(int(k) if k is not None else None)
-        if isinstance(node, ast.Name):
-            if node.id == self.ctx_name:
-                return Val.uniform_sym()
-            if node.id in self.env:
-                return self.env[node.id]
-            if node.id in self.params:
-                return Val.uniform_sym()  # launch args are per-grid
-            return Val.uniform_sym()  # builtins / module globals
-        if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id == self.ctx_name:
-                if node.attr in _CTX_THREAD:
-                    # global_id mixes in uniform block terms → not pure
-                    pure = node.attr == "thread_idx"
-                    return Val(1, False, pure, None)
-                if node.attr in _CTX_UNIFORM:
-                    return Val.uniform_sym()
-                return Val.uniform_sym()
-            base = self.eval(node.value)
-            return Val(0 if base.uniform else None, base.uniform, False, None)
-        if isinstance(node, ast.Subscript):
-            idx = self.eval(node.slice)
-            if idx.uniform:
-                return Val.uniform_sym()
-            return Val.data()
-        if isinstance(node, ast.BinOp):
-            return self._binop(node)
-        if isinstance(node, ast.UnaryOp):
-            v = self.eval(node.operand)
-            if isinstance(node.op, ast.USub):
-                return Val(
-                    -v.tid if v.tid is not None else None,
-                    v.uniform,
-                    v.pure,
-                    -v.const if v.const is not None else None,
-                )
-            if isinstance(node.op, ast.Not):
-                return Val(0 if v.uniform else None, v.uniform, v.pure, None)
-            return Val(v.tid, v.uniform, v.pure, None)
-        if isinstance(node, (ast.Compare, ast.BoolOp)):
-            ops = (
-                [node.left, *node.comparators]
-                if isinstance(node, ast.Compare)
-                else node.values
+            pairs = list(zip(target.elts, value.elts, strict=True))
+        for var, v in pairs:
+            call = ctx_call(v, ctx_name, "shared")
+            if not isinstance(var, ast.Name) or call is None:
+                continue
+            name = "?"
+            if call.args and isinstance(call.args[0], ast.Constant):
+                name = str(call.args[0].value)
+            dtype_name, itemsize = _resolve_dtype(
+                call.args[2] if len(call.args) > 2 else None
             )
-            return _join_all(self.eval(o) for o in ops)
-        if isinstance(node, ast.Call):
-            return self._call(node)
-        if isinstance(node, ast.IfExp):
-            joined = self.eval(node.body).join(self.eval(node.orelse))
-            test = self.eval(node.test)
-            if not test.uniform:
-                return Val(None, False, joined.pure and test.pure, None)
-            return joined
-        if isinstance(node, (ast.Tuple, ast.List)):
-            return _join_all(self.eval(e) for e in node.elts)
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value)
-        return Val.data()
-
-    def _binop(self, node: ast.BinOp) -> Val:
-        a, b = self.eval(node.left), self.eval(node.right)
-        uniform = a.uniform and b.uniform
-        pure = a.pure and b.pure
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            sign = 1 if isinstance(node.op, ast.Add) else -1
-            tid = (
-                a.tid + sign * b.tid
-                if a.tid is not None and b.tid is not None
-                else None
+            decls[var.id] = SharedDecl(
+                name=name,
+                shape=ast.unparse(call.args[1]) if len(call.args) > 1 else "?",
+                dtype=dtype_name,
+                itemsize=itemsize,
+                line=call.lineno,
             )
-            const = (
-                a.const + sign * b.const
-                if a.const is not None and b.const is not None
-                else None
-            )
-            return Val(tid, uniform, pure, const)
-        if isinstance(node.op, ast.Mult):
-            if a.const is not None and b.tid is not None:
-                return Val(
-                    a.const * b.tid,
-                    uniform,
-                    pure,
-                    a.const * b.const if b.const is not None else None,
-                )
-            if b.const is not None and a.tid is not None:
-                return Val(
-                    b.const * a.tid,
-                    uniform,
-                    pure,
-                    b.const * a.const if a.const is not None else None,
-                )
-            if uniform:
-                return Val(0, True, pure, None)
-            return Val(None, False, pure, None)
-        # div / floordiv / mod / pow / shifts: non-affine in the thread id
-        if uniform:
-            return Val(0, True, pure, None)
-        return Val(None, False, pure, None)
-
-    def _call(self, node: ast.Call) -> Val:
-        fname = None
-        if isinstance(node.func, ast.Name):
-            fname = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            fname = node.func.attr
-        args = [self.eval(a) for a in node.args]
-        if fname in _VALUE_PRESERVING and len(args) == 1:
-            return args[0]
-        if fname in _UNIFORMISH_CALLS:
-            uniform = all(a.uniform for a in args)
-            return Val(
-                0 if uniform else None,
-                uniform,
-                all(a.pure for a in args),
-                None,
-            )
-        if self._is_ctx_call(node, "shared") or fname == "syncthreads":
-            return Val.uniform_sym()
-        if fname in ("atomic_add", "atomic_min", "result_reserve"):
-            return Val.data()
-        uniform = all(a.uniform for a in args)
-        return Val(0 if uniform else None, uniform, False, None)
+    return decls
 
 
 def _resolve_dtype(node: Optional[ast.expr]) -> tuple[str, Optional[int]]:
@@ -606,107 +314,62 @@ def _resolve_dtype(node: Optional[ast.expr]) -> tuple[str, Optional[int]]:
 
 
 # ======================================================================
-# access extraction
+# one device function and what absint learned about it
 # ======================================================================
-@dataclass(frozen=True)
-class _Access:
-    node_id: int
-    buffer: str  #: shared-buffer name or global param name
-    shared: bool
-    write: bool
-    idx_dump: str
-    idx_text: str
-    idx: Val
-    guard: Optional[str]  #: dump of a single-thread pin (``tid == 0``), if any
-    line: int
+@dataclass
+class _DeviceCode:
+    fn: ast.FunctionDef
+    cfg: CFG
+    ctx_name: str
+    params: list[str]
+    shared: dict[str, SharedDecl]  #: variable -> declaration
+    #: the contract run (KC005, KC007); None when the contract is unusable
+    result: Optional[AbsintResult]
+    contract_error: Optional[str]
+    #: the facts KC001–KC004 read: the contract run, or a contract-free
+    #: run when the contract is unusable
+    facts: AbsintResult
 
 
-def _node_exprs(node: CFGNode) -> list[ast.expr]:
-    s = node.stmt
-    if node.kind == "branch":
-        return [node.test] if node.test is not None else []
-    if node.kind == "loop":
-        if isinstance(s, ast.For):
-            return [s.iter]
-        return [node.test] if node.test is not None else []
-    if isinstance(s, ast.Assign):
-        return [*s.targets, s.value]
-    if isinstance(s, ast.AugAssign):
-        return [s.target, s.value]
-    if isinstance(s, ast.AnnAssign):
-        return [e for e in (s.target, s.value) if e is not None]
-    if isinstance(s, ast.Expr):
-        return [s.value]
-    if isinstance(s, ast.Return):
-        return [s.value] if s.value is not None else []
-    if isinstance(s, ast.With):
-        return [i.context_expr for i in s.items]
-    return []
+def _interpret(
+    fn: ast.FunctionDef, invariants: Optional[KernelInvariants]
+) -> _DeviceCode:
+    cfg = build_cfg(fn)
+    ctx_name, params = device_args(fn)
+    result: Optional[AbsintResult] = None
+    error: Optional[str] = None
+    try:
+        result = interpret_kernel(fn, invariants, cfg)
+    except ContractError as exc:
+        error = str(exc)
+    return _DeviceCode(
+        fn=fn,
+        cfg=cfg,
+        ctx_name=ctx_name,
+        params=params,
+        shared=_shared_decls(cfg, ctx_name),
+        result=result,
+        contract_error=error,
+        facts=result if result is not None else interpret_kernel(fn, None, cfg),
+    )
 
 
-def _single_thread_guard(df: _DeviceFn, node: CFGNode) -> Optional[str]:
-    """Dump of an enclosing ``tid == <uniform>`` pin, if one exists."""
-    for frame in node.stack:
-        if frame.kind != "if":
-            continue
-        test = df.cfg.node(frame.node_id).test
-        if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-            continue
-        if not isinstance(test.ops[0], ast.Eq):
-            continue
-        left, right = df.eval(test.left), df.eval(test.comparators[0])
-        if (left.tid == 1 and right.uniform) or (right.tid == 1 and left.uniform):
-            return ast.dump(test)
+def _single_thread_guard(dc: _DeviceCode, node_id: int) -> Optional[str]:
+    """Dump of an enclosing ``if`` test that pins one thread in the arm
+    holding the node (the ``then`` arm of ``tid == <uniform>``), if any."""
+    for frame in dc.cfg.node(node_id).stack:
+        if frame.kind == "if" and frame.arm == "then" and frame.node_id in dc.facts.pins:
+            return ast.dump(dc.cfg.node(frame.node_id).test)
     return None
-
-
-def _extract_accesses(df: _DeviceFn) -> list[_Access]:
-    accesses: list[_Access] = []
-    aug_targets: set[int] = set()
-    for node in df.cfg.statements():
-        if isinstance(node.stmt, ast.AugAssign) and isinstance(
-            node.stmt.target, ast.Subscript
-        ):
-            aug_targets.add(id(node.stmt.target))
-        guard = _single_thread_guard(df, node)
-        for expr in _node_exprs(node):
-            for sub in ast.walk(expr):
-                if not isinstance(sub, ast.Subscript):
-                    continue
-                if not isinstance(sub.value, ast.Name):
-                    continue
-                base = sub.value.id
-                is_shared = base in df.shared
-                if not is_shared and base not in df.params:
-                    continue
-                buffer = df.shared[base].name if is_shared else base
-                idx = df.eval(sub.slice)
-                writes = [isinstance(sub.ctx, ast.Store)]
-                if id(sub) in aug_targets:
-                    writes = [True, False]  # read-modify-write
-                for w in writes:
-                    accesses.append(
-                        _Access(
-                            node_id=node.id,
-                            buffer=buffer,
-                            shared=is_shared,
-                            write=w,
-                            idx_dump=ast.dump(sub.slice),
-                            idx_text=ast.unparse(sub.slice),
-                            idx=idx,
-                            guard=guard,
-                            line=sub.lineno,
-                        )
-                    )
-    return accesses
 
 
 # ======================================================================
 # passes KC001–KC003 (device-code passes)
 # ======================================================================
-def _pass_kc001(df: _DeviceFn, kernel_name: str) -> list[Finding]:
+def _pass_kc001(dc: _DeviceCode, kernel_name: str) -> list[Finding]:
     findings: list[Finding] = []
-    cfg = df.cfg
+    cfg = dc.cfg
+    divergent = dc.facts.divergent
     barriers = cfg.barriers()
     seen_loops: set[int] = set()
     seen_branches: set[int] = set()
@@ -723,10 +386,9 @@ def _pass_kc001(df: _DeviceFn, kernel_name: str) -> list[Finding]:
 
     for b in barriers:
         for frame in b.stack:
-            ctrl = cfg.node(frame.node_id)
-            tainted = not df.eval(ctrl.test).uniform
-            if not tainted:
+            if frame.node_id not in divergent:
                 continue
+            ctrl = cfg.node(frame.node_id)
             if frame.kind == "loop" and frame.node_id not in seen_loops:
                 seen_loops.add(frame.node_id)
                 findings.append(
@@ -765,12 +427,10 @@ def _pass_kc001(df: _DeviceFn, kernel_name: str) -> list[Finding]:
         if not isinstance(node.stmt, ast.Return):
             continue
         for frame in node.stack:
-            if frame.kind != "if":
+            if frame.kind != "if" or frame.node_id not in divergent:
                 continue
             branch = cfg.node(frame.node_id)
-            if df.eval(branch.test).uniform:
-                continue
-            divergent = [
+            divergent_barriers = [
                 b
                 for b in barriers
                 if not any(
@@ -781,7 +441,7 @@ def _pass_kc001(df: _DeviceFn, kernel_name: str) -> list[Finding]:
                 )
                 and b.id in _reachable(cfg, frame.node_id)
             ]
-            if divergent:
+            if divergent_barriers:
                 findings.append(
                     Finding(
                         "KC001",
@@ -792,7 +452,7 @@ def _pass_kc001(df: _DeviceFn, kernel_name: str) -> list[Finding]:
                         f"{branch.line}: "
                         f"'{ast.unparse(branch.test) if branch.test else '?'}') "
                         f"while block-mates still reach the barrier at line "
-                        f"{divergent[0].line}",
+                        f"{divergent_barriers[0].line}",
                     )
                 )
                 break
@@ -811,16 +471,19 @@ def _reachable(cfg: CFG, src: int) -> set[int]:
     return seen
 
 
-def _pass_kc002(df: _DeviceFn, kernel_name: str) -> list[Finding]:
+def _pass_kc002(dc: _DeviceCode, kernel_name: str) -> list[Finding]:
     findings: list[Finding] = []
-    accesses = [a for a in _extract_accesses(df) if a.shared]
+    accesses = [a for a in dc.facts.indexed if a.shared]
     if not accesses:
         return findings
-    reach = {
-        nid: df.cfg.reachable_without_barrier(nid)
-        for nid in {a.node_id for a in accesses}
-    }
+    nodes = {a.node for a in accesses}
+    reach = {nid: dc.cfg.reachable_without_barrier(nid) for nid in nodes}
+    guard = {nid: _single_thread_guard(dc, nid) for nid in nodes}
     reported: set[tuple] = set()
+
+    def buffer(a: IndexedAccess) -> str:
+        decl = dc.shared.get(a.buffer)
+        return decl.name if decl is not None else a.buffer
 
     def report(key: tuple, line: int, message: str) -> None:
         if key in reported:
@@ -830,127 +493,99 @@ def _pass_kc002(df: _DeviceFn, kernel_name: str) -> list[Finding]:
 
     # a uniform-index write performed by every thread races with itself
     for a in accesses:
-        if a.write and a.idx.uniform and a.guard is None:
+        if a.write and a.value.uniform and guard[a.node] is None:
             report(
-                ("self", a.buffer, a.line),
+                ("self", buffer(a), a.line),
                 a.line,
                 f"all threads of the block write shared buffer "
-                f"'{a.buffer}[{a.idx_text}]' (same slot, no single-thread "
-                f"guard)",
+                f"'{buffer(a)}[{ast.unparse(a.index)}]' (same slot, no "
+                f"single-thread guard)",
             )
 
-    def conflict(a: _Access, b: _Access) -> bool:
+    def conflict(a: IndexedAccess, b: IndexedAccess) -> bool:
         if not (a.write or b.write):
             return False
-        if a.guard is not None and a.guard == b.guard:
+        if guard[a.node] is not None and guard[a.node] == guard[b.node]:
             return False  # both pinned to the same single thread
-        if a.idx_dump == b.idx_dump and not a.idx.uniform:
+        if ast.dump(a.index) == ast.dump(b.index) and not a.value.uniform:
             return False  # each thread touches its own slot in both
-        if (
-            a.idx.const is not None
-            and b.idx.const is not None
-            and a.idx.const != b.idx.const
-        ):
-            return False  # provably disjoint constant slots
-        if a.idx_dump == b.idx_dump and a.idx.uniform and a.guard == b.guard:
-            # same uniform slot: racy unless single-thread (handled above)
-            return a.guard is None
-        return True
+        ka, kb = a.value.rng.is_const(), b.value.rng.is_const()
+        return ka is None or kb is None or ka == kb  # distinct constants are disjoint
 
+    # ``ctx.shared`` hands every call with one name the same block array
     for a in accesses:
         for b in accesses:
-            if a.buffer != b.buffer:
+            if buffer(a) != buffer(b):
                 continue
-            same_node = a.node_id == b.node_id and a is not b
-            connected = b.node_id in reach[a.node_id] or same_node
-            if not connected:
-                continue
-            if not conflict(a, b):
+            same_node = a.node == b.node and a is not b
+            if not (b.node in reach[a.node] or same_node) or not conflict(a, b):
                 continue
             lo, hi = sorted((a.line, b.line))
+            ia, ib = ast.unparse(a.index), ast.unparse(b.index)
             report(
-                ("pair", a.buffer, lo, hi, a.idx_dump, b.idx_dump),
+                ("pair", buffer(a), lo, hi, ast.dump(a.index), ast.dump(b.index)),
                 hi,
-                f"shared buffer '{a.buffer}': "
-                f"{'write' if a.write else 'read'} of [{a.idx_text}] at line "
+                f"shared buffer '{buffer(a)}': "
+                f"{'write' if a.write else 'read'} of [{ia}] at line "
                 f"{a.line} and {'write' if b.write else 'read'} of "
-                f"[{b.idx_text}] at line {b.line} on the same barrier-free "
+                f"[{ib}] at line {b.line} on the same barrier-free "
                 f"path segment",
             )
     return findings
 
 
-def _pass_kc003(df: _DeviceFn, kernel_name: str) -> list[Finding]:
+def _pass_kc003(dc: _DeviceCode, kernel_name: str) -> list[Finding]:
+    """Each global (buffer, index, direction) is reported once, at its
+    first uncoalesced site."""
     findings: list[Finding] = []
-    seen: set[tuple] = set()
-    for a in _extract_accesses(df):
-        if a.shared:
+    reported: set[tuple] = set()
+    for a in dc.facts.indexed:
+        key = (a.buffer, ast.dump(a.index), a.write)
+        if a.shared or key in reported:
             continue
-        key = (a.buffer, a.idx_dump, a.write)
-        if key in seen:
-            continue
-        seen.add(key)
         kind = "store to" if a.write else "load from"
-        if a.idx.tid is not None and abs(a.idx.tid) > 1:
-            findings.append(
-                Finding(
-                    "KC003",
-                    "warn",
-                    kernel_name,
-                    a.line,
-                    f"uncoalesced {kind} global buffer "
-                    f"'{a.buffer}[{a.idx_text}]': affine in the thread id "
-                    f"with stride {a.idx.tid} (warp touches "
-                    f"{abs(a.idx.tid)}x the cache lines)",
-                )
+        site = f"'{a.buffer}[{ast.unparse(a.index)}]'"
+        stride = a.value.a.is_const() if a.value.a is not None else None
+        if stride is not None and abs(stride) > 1:
+            message = (
+                f"uncoalesced {kind} global buffer {site}: affine in the "
+                f"thread id with stride {stride} (warp touches "
+                f"{abs(stride)}x the cache lines)"
             )
-        elif a.idx.tid is None and a.idx.pure and not a.idx.uniform:
-            findings.append(
-                Finding(
-                    "KC003",
-                    "warn",
-                    kernel_name,
-                    a.line,
-                    f"uncoalesced {kind} global buffer "
-                    f"'{a.buffer}[{a.idx_text}]': non-affine in the thread "
-                    f"id (stride unbounded)",
-                )
+        elif a.value.a is None and a.value.pure:
+            message = (
+                f"uncoalesced {kind} global buffer {site}: non-affine in "
+                f"the thread id (stride unbounded)"
             )
+        else:
+            continue
+        reported.add(key)
+        findings.append(Finding("KC003", "warn", kernel_name, a.line, message))
     return findings
 
 
 # ======================================================================
 # KC005: abstract-interpretation bounds proofs
 # ======================================================================
-def _pass_kc005(
-    df: _DeviceFn,
-    kernel_name: str,
-    invariants: Optional[KernelInvariants],
-) -> tuple[list[Finding], list[AccessRecord], Optional[AbsintResult]]:
-    """Run the abstract interpreter; unproved accesses become findings.
+def _pass_kc005(dc: _DeviceCode, kernel_name: str) -> list[Finding]:
+    """Unproved accesses of the contract run become findings.
 
     Shared-buffer accesses are always checked against their declared
     shapes.  Global accesses are only *provable* when the kernel ships a
     ``value_invariants()`` contract; without one they are recorded as
     ``assumed`` and never fire.
     """
-    try:
-        result = interpret_kernel(df.fn, invariants, df.cfg)
-    except ContractError as exc:
-        return (
-            [
-                Finding(
-                    "KC005",
-                    "error",
-                    kernel_name,
-                    0,
-                    f"unusable value_invariants() contract: {exc}",
-                )
-            ],
-            [],
-            None,
-        )
-    findings = [
+    if dc.result is None:
+        return [
+            Finding(
+                "KC005",
+                "error",
+                kernel_name,
+                0,
+                f"unusable value_invariants() contract: {dc.contract_error}",
+            )
+        ]
+    return [
         Finding(
             "KC005",
             "error",
@@ -961,68 +596,60 @@ def _pass_kc005(
             f"'{a.buffer}[{a.index}]' in bounds: {a.detail} "
             f"(index interval {a.interval})",
         )
-        for a in result.unproved()
+        for a in dc.result.unproved()
     ]
-    return findings, result.accesses, result
 
 
 # ======================================================================
 # KC006: liveness-based register estimate
 # ======================================================================
-def _register_estimate(df: _DeviceFn) -> int:
-    """Weighted max-live register estimate over the statement CFG.
+def _registers(dc: _DeviceCode) -> tuple[int, int]:
+    """``(proxy, estimate)``: the locals + parameters count proxy, and the
+    weighted max-live register estimate over the statement CFG.
 
-    Counts only kernel *locals* — launch parameters live in constant
-    memory, ``ctx`` is the machine, and shared-buffer handles are
-    addresses into shared storage, none of which occupy a per-thread
+    The estimate counts only kernel *locals* — launch parameters live in
+    constant memory, ``ctx`` is the machine, and shared-buffer handles
+    are addresses into shared storage, none of which occupy a per-thread
     register.  Loop-carried values (live across a back edge and
     redefined in the loop) weigh double: they must stay resident across
     a whole iteration, exactly the values a real compiler cannot
-    rematerialize.  The +4 matches the old proxy's fixed overhead
-    (address/predicate scratch).
+    rematerialize.  Both add 4 for address/predicate scratch.
     """
-    lv = compute_liveness(df.cfg)
-    locals_: set[str] = set()
-    for d in lv.defs.values():
-        locals_ |= d
-    locals_ -= set(df.params)
-    locals_ -= set(df.shared)
-    locals_.discard(df.ctx_name)
-    locals_.discard("self")
+    lv = compute_liveness(dc.cfg)
+    defined: frozenset[str] = frozenset().union(*lv.defs.values())
+    locals_ = defined - set(dc.params) - set(dc.shared) - {dc.ctx_name, "self"}
     best = 0
-    for n in df.cfg.nodes:
+    for n in dc.cfg.nodes:
         live = (lv.live_in[n.id] | lv.defs[n.id]) & locals_
         best = max(
             best, sum(2 if v in lv.loop_carried else 1 for v in live)
         )
-    return 4 + best
+    return 4 + len(defined) + len(dc.params), 4 + best
 
 
 def _pass_kc006(
-    df: _DeviceFn, kernel_name: str, declared_registers: int
-) -> tuple[list[Finding], int]:
-    estimate = _register_estimate(df)
-    findings: list[Finding] = []
-    if estimate > declared_registers:
-        findings.append(
-            Finding(
-                "KC006",
-                "warn",
-                kernel_name,
-                df.fn.body[0].lineno if df.fn.body else 0,
-                f"live-range register estimate {estimate} exceeds the "
-                f"declared registers_per_thread={declared_registers}; "
-                f"the occupancy table is optimistic",
-            )
+    dc: _DeviceCode, kernel_name: str, estimate: int, declared_registers: int
+) -> list[Finding]:
+    if estimate <= declared_registers:
+        return []
+    return [
+        Finding(
+            "KC006",
+            "warn",
+            kernel_name,
+            dc.fn.body[0].lineno if dc.fn.body else 0,
+            f"live-range register estimate {estimate} exceeds the "
+            f"declared registers_per_thread={declared_registers}; "
+            f"the occupancy table is optimistic",
         )
-    return findings, estimate
+    ]
 
 
 # ======================================================================
 # KC007: symbolic static cost model
 # ======================================================================
 def _pass_kc007(
-    df: _DeviceFn, kernel: Kernel, result: Optional[AbsintResult]
+    dc: _DeviceCode, kernel: Kernel
 ) -> tuple[list[Finding], Optional[KernelCostModel]]:
     """Derive the symbolic cost model and lift its issues into findings.
 
@@ -1032,7 +659,7 @@ def _pass_kc007(
     when KC005 already rejected the value contract (no interpretation
     to cost).
     """
-    if result is None:
+    if dc.result is None:
         return [], None
     try:
         contract = kernel.cost_contract()
@@ -1051,9 +678,9 @@ def _pass_kc007(
         )
     cost = derive_cost_from_result(
         kernel_name=kernel.name,
-        fn=df.fn,
-        cfg=df.cfg,
-        result=result,
+        fn=dc.fn,
+        cfg=dc.cfg,
+        result=dc.result,
         contract=contract,
         registers_per_thread=kernel.registers_per_thread,
         kernel=kernel,
@@ -1068,65 +695,19 @@ def _pass_kc007(
 # ======================================================================
 # KC004: static shared bytes + occupancy
 # ======================================================================
-def _eval_static_int(
-    node: ast.expr, df: Optional[_DeviceFn], block_dim: int
-) -> Optional[int]:
-    """Numeric value of a shape term with ``block_dim`` bound."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return int(node.value)
-    if isinstance(node, ast.Name):
-        if df is not None and node.id in df.blockdim_aliases:
-            return block_dim
-        return None
-    if isinstance(node, ast.Attribute):
-        if (
-            df is not None
-            and isinstance(node.value, ast.Name)
-            and node.value.id == df.ctx_name
-            and node.attr == "block_dim"
-        ):
-            return block_dim
-        return None
-    if isinstance(node, ast.BinOp):
-        a = _eval_static_int(node.left, df, block_dim)
-        b = _eval_static_int(node.right, df, block_dim)
-        if a is None or b is None:
-            return None
-        if isinstance(node.op, ast.Add):
-            return a + b
-        if isinstance(node.op, ast.Sub):
-            return a - b
-        if isinstance(node.op, ast.Mult):
-            return a * b
-        if isinstance(node.op, ast.FloorDiv) and b != 0:
-            return a // b
-        return None
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        v = _eval_static_int(node.operand, df, block_dim)
-        return -v if v is not None else None
-    return None
-
-
-def _static_shared_bytes(df: _DeviceFn, block_dim: int) -> Optional[int]:
+def _static_shared_bytes(dc: _DeviceCode, block_dim: int) -> Optional[int]:
     """Total ``ctx.shared`` footprint at ``block_dim``, or None if any
-    declaration's shape cannot be evaluated statically."""
+    declaration's shape is not a static function of ``block_dim``."""
     total = 0
-    for var, decl in df.shared.items():
-        if decl.itemsize is None:
+    for var, decl in dc.shared.items():
+        dims = dc.facts.shared_dims.get(var, [None])
+        if decl.itemsize is None or any(
+            d is None or d.symbols() - {"bdim"} for d in dims
+        ):
             return None
-        shape_expr = df.shared_shapes[var]
-        dims = (
-            list(shape_expr.elts)
-            if isinstance(shape_expr, (ast.Tuple, ast.List))
-            else [shape_expr]
+        total += decl.itemsize * math.prod(
+            int(eval_lin(d, {"bdim": block_dim})) for d in dims if d is not None
         )
-        n = 1
-        for d in dims:
-            v = _eval_static_int(d, df, block_dim)
-            if v is None:
-                return None
-            n *= v
-        total += n * decl.itemsize
     return total
 
 
@@ -1176,31 +757,15 @@ def _occupancy_entry(
 # ======================================================================
 # kernel-level entry points
 # ======================================================================
-def _device_fn_of(kernel: Kernel) -> Optional[_DeviceFn]:
-    """Parse a kernel's ``device_code`` override, if it has one."""
-    if type(kernel).device_code is Kernel.device_code:
-        return None
-    source = textwrap.dedent(inspect.getsource(type(kernel).device_code))
-    module = ast.parse(source)
-    fn = next(n for n in module.body if isinstance(n, ast.FunctionDef))
-    return _DeviceFn(fn)
-
-
-def _register_proxy(df: _DeviceFn) -> int:
-    """Crude per-thread register-pressure proxy: locals + arguments
-    plus a fixed overhead, as a real compiler would spill around."""
-    return 4 + len(df.assigned) + len(df.params)
-
-
 def analyze_kernel(
     kernel: Kernel,
     *,
     block_dims: Sequence[int] = DEFAULT_BLOCK_DIMS,
     specs: Optional[Sequence[DeviceSpec]] = None,
 ) -> KernelReport:
-    """Run all four kernelcheck passes over one kernel."""
+    """Run every kernelcheck pass (KC001–KC007) over one kernel."""
     specs = list(specs) if specs is not None else [DeviceSpec()]
-    df = _device_fn_of(kernel)
+    fn = device_fn(kernel)
     findings: list[Finding] = []
     declared = {bd: kernel.shared_mem_per_block(bd) for bd in block_dims}
     static: dict[int, Optional[int]] = dict.fromkeys(block_dims)
@@ -1211,23 +776,20 @@ def analyze_kernel(
     accesses: list[AccessRecord] = []
     cost: Optional[KernelCostModel] = None
 
-    if df is not None:
-        barriers = len(df.cfg.barriers())
-        shared_decls = list(df.shared.values())
-        proxy = _register_proxy(df)
-        findings += _pass_kc001(df, kernel.name)
-        findings += _pass_kc002(df, kernel.name)
-        findings += _pass_kc003(df, kernel.name)
-        kc5, accesses, absres = _pass_kc005(
-            df, kernel.name, kernel.value_invariants()
+    if fn is not None:
+        dc = _interpret(fn, kernel.value_invariants())
+        barriers = len(dc.cfg.barriers())
+        shared_decls = list(dc.shared.values())
+        proxy, estimate = _registers(dc)
+        findings += _device_findings(dc, kernel.name)
+        accesses = dc.result.accesses if dc.result is not None else []
+        findings += _pass_kc006(
+            dc, kernel.name, estimate, kernel.registers_per_thread
         )
-        findings += kc5
-        kc6, estimate = _pass_kc006(df, kernel.name, kernel.registers_per_thread)
-        findings += kc6
-        kc7, cost = _pass_kc007(df, kernel, absres)
+        kc7, cost = _pass_kc007(dc, kernel)
         findings += kc7
         for bd in block_dims:
-            extracted = _static_shared_bytes(df, bd)
+            extracted = _static_shared_bytes(dc, bd)
             static[bd] = extracted
             if extracted is not None and extracted > declared[bd]:
                 findings.append(
@@ -1254,7 +816,7 @@ def analyze_kernel(
 
     return KernelReport(
         kernel=kernel.name,
-        has_device_code=df is not None,
+        has_device_code=fn is not None,
         barriers=barriers,
         registers_per_thread=kernel.registers_per_thread,
         register_proxy=proxy,
@@ -1266,6 +828,15 @@ def analyze_kernel(
         register_estimate=estimate,
         accesses=[a.to_dict() for a in accesses],
         cost=cost.to_dict() if cost is not None else None,
+    )
+
+
+def _device_findings(dc: _DeviceCode, kernel_name: str) -> list[Finding]:
+    return (
+        _pass_kc001(dc, kernel_name)
+        + _pass_kc002(dc, kernel_name)
+        + _pass_kc003(dc, kernel_name)
+        + _pass_kc005(dc, kernel_name)
     )
 
 
@@ -1285,17 +856,12 @@ def analyze_device_source(
     against.  Used by the seeded-violation corpus and the
     no-false-positive property tests.
     """
-    module = ast.parse(textwrap.dedent(source))
-    fn = next(n for n in module.body if isinstance(n, ast.FunctionDef))
-    df = _DeviceFn(fn)
-    findings = (
-        _pass_kc001(df, kernel_name)
-        + _pass_kc002(df, kernel_name)
-        + _pass_kc003(df, kernel_name)
-        + _pass_kc005(df, kernel_name, invariants)[0]
-    )
+    dc = _interpret(parse_device_fn(source), invariants)
+    findings = _device_findings(dc, kernel_name)
     if declared_registers is not None:
-        findings += _pass_kc006(df, kernel_name, declared_registers)[0]
+        findings += _pass_kc006(
+            dc, kernel_name, _registers(dc)[1], declared_registers
+        )
     return findings
 
 
@@ -1328,7 +894,7 @@ def static_occupancy_table(
 
 
 # ======================================================================
-# CLI shim (the primary front end is `repro analyze kernels`)
+# report rendering (the front end is `repro analyze kernels`)
 # ======================================================================
 def worst_severity(reports: Iterable[KernelReport]) -> Optional[str]:
     worst: Optional[str] = None
@@ -1382,38 +948,3 @@ def render_text(reports: Sequence[KernelReport]) -> str:
         else f"kernelcheck: {len(reports)} kernel(s), clean"
     )
     return "\n".join(lines)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="kernelcheck",
-        description="static verification of simulated-GPU device kernels",
-    )
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument(
-        "--fail-on",
-        choices=["warn", "error"],
-        default="error",
-        help="exit non-zero when findings at/above this severity exist",
-    )
-    parser.add_argument(
-        "--block-dims", type=int, nargs="+", default=list(DEFAULT_BLOCK_DIMS)
-    )
-    args = parser.parse_args(argv)
-    reports = analyze_shipped(block_dims=tuple(args.block_dims))
-    if args.format == "json":
-        print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
-    else:
-        print(render_text(reports))
-    worst = worst_severity(reports)
-    if worst is None:
-        return 0
-    if SEVERITY_ORDER[worst] >= SEVERITY_ORDER[args.fail_on]:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI shim
-    sys.exit(main())

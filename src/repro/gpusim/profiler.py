@@ -90,15 +90,17 @@ class Profiler:
             self.stall_ms += ms
 
     # ------------------------------------------------------------------
-    # aggregation
+    # aggregation (stream workers append records in a thread-dependent
+    # order, so modeled times are summed with math.fsum, whose result
+    # does not depend on that order)
     # ------------------------------------------------------------------
     def kernel_time_ms(self, name: Optional[str] = None) -> float:
-        return sum(
+        return math.fsum(
             k.modeled_ms for k in self.kernels if name is None or k.name == name
         )
 
     def transfer_time_ms(self, direction: Optional[str] = None) -> float:
-        return sum(
+        return math.fsum(
             t.modeled_ms
             for t in self.transfers
             if direction is None or t.direction == direction
@@ -112,7 +114,7 @@ class Profiler:
         )
 
     def sort_time_ms(self) -> float:
-        return sum(s.modeled_ms for s in self.sorts)
+        return math.fsum(s.modeled_ms for s in self.sorts)
 
     def total_device_ms(self) -> float:
         """Serialized device milliseconds (kernels + sorts + transfers +
@@ -132,12 +134,7 @@ class Profiler:
             )
 
     def device_ms_since(self, mark: tuple[int, int, int, float, float]) -> float:
-        """The :meth:`total_device_ms` terms recorded since ``mark``.
-
-        Stream workers append records in a thread-dependent order, so
-        they are summed with :func:`math.fsum`, whose result does not
-        depend on that order.
-        """
+        """The :meth:`total_device_ms` terms recorded since ``mark``."""
         nk, nt, ns, pinned, stall = mark
         with self._lock:
             terms = [k.modeled_ms for k in self.kernels[nk:]]

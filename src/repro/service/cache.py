@@ -88,11 +88,6 @@ class TableEntry:
     epoch: int
     eps: float
 
-    @property
-    def nbytes(self) -> int:
-        t = self.table
-        return int(t.values.nbytes + t.t_min.nbytes + t.t_max.nbytes)
-
 
 class ResultCache:
     """Two-tier LRU: neighbor tables above, label vectors below."""

@@ -671,16 +671,3 @@ class ClusteringService:
         report = device.close()
         if report is not None and not report.clean:
             self.sanitizer_clean = False
-
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        return {
-            "admission": self.admission.stats.as_dict(),
-            "cache": self.cache.stats.as_dict(),
-            "breaker": self.breaker.as_dict(),
-            "utilization": self.pool.utilization,
-            "slot_use": list(self._slot_use),
-            "sanitizer_clean": self.sanitizer_clean,
-        }

@@ -11,6 +11,7 @@ from tests.analysis.badkernels.kc001 import (
     BranchBarrierKernel,
     DivergentUnionFindKernel,
     EarlyReturnKernel,
+    TidTripLoopKernel,
 )
 from tests.analysis.badkernels.kc002 import SharedRWRaceKernel, SharedWWRaceKernel
 from tests.analysis.badkernels.kc003 import NonAffineKernel, StridedKernel
@@ -33,6 +34,7 @@ BAD_KERNELS = [
     (BranchBarrierKernel(), "KC001"),
     (EarlyReturnKernel(), "KC001"),
     (DivergentUnionFindKernel(), "KC001"),
+    (TidTripLoopKernel(), "KC001"),
     (SharedRWRaceKernel(), "KC002"),
     (SharedWWRaceKernel(), "KC002"),
     (StridedKernel(), "KC003"),
@@ -53,6 +55,7 @@ __all__ = [
     "BranchBarrierKernel",
     "DivergentUnionFindKernel",
     "EarlyReturnKernel",
+    "TidTripLoopKernel",
     "SharedRWRaceKernel",
     "SharedWWRaceKernel",
     "StridedKernel",

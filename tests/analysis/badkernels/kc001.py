@@ -33,6 +33,20 @@ class EarlyReturnKernel(Kernel):
         out[tid] = 1
 
 
+class TidTripLoopKernel(Kernel):
+    """Barrier inside a loop whose trip count is the thread id — thread
+    ``t`` arrives ``t`` times, so the block's threads run different
+    barrier sequences."""
+
+    name = "BadTidTripLoop"
+
+    def device_code(self, ctx: KernelContext, *, out: np.ndarray) -> None:
+        tid = ctx.thread_idx
+        for _ in range(tid):
+            yield ctx.syncthreads()
+        out[tid] = 1
+
+
 class DivergentUnionFindKernel(Kernel):
     """A plausible-looking barrier-synchronized pointer-jumping
     union-find whose converged threads bail out of the round loop early

@@ -1,4 +1,4 @@
-"""Tests for the abstract interpreter behind KC005/KC006.
+"""Tests for the abstract interpreter behind kernelcheck's passes.
 
 Four layers:
 

@@ -1,6 +1,6 @@
 """Tests for kernelcheck (static device-kernel verification).
 
-Four layers:
+Five layers:
 
 * the seeded-violation corpus (``tests/analysis/badkernels``) proves
   each pass *fires* — and fires alone, so the corpus doubles as a
@@ -9,7 +9,9 @@ Four layers:
   invariant CI enforces with ``repro analyze kernels --fail-on error``);
 * the KC004 agreement test proves the static occupancy table is the
   *same number* the simulator computes at launch time;
-* golden snapshots pin the full report shape per shipped kernel.
+* golden snapshots pin the full report shape per shipped kernel;
+* a source table pins which thread-dependence verdicts KC001/KC003 take
+  from the abstract interpreter's facts.
 """
 
 import json
@@ -30,6 +32,7 @@ from repro.analysis.kernelcheck import (
 )
 from repro.gpusim import Device, launch
 from repro.gpusim.device import DeviceSpec
+from repro.gpusim.launch import Kernel
 from repro.index import GridIndex
 from repro.kernels import GPUCalcShared, shipped_kernels
 from tests.analysis.badkernels import BAD_KERNELS
@@ -160,6 +163,25 @@ class TestOccupancyAgreement:
             assert report.static_shared_bytes[bd] == 48 * bd + 80
             assert report.static_shared_bytes[bd] == report.declared_shared_bytes[bd]
 
+    def test_list_shaped_shared_is_sized(self):
+        """A list shape is as static as a tuple: the undeclared
+        ``[block_dim, 4]`` float64 tile is sized and KC004 fires."""
+        report = analyze_kernel(_ListShapedSharedKernel())
+        for bd in DEFAULT_BLOCK_DIMS:
+            assert report.static_shared_bytes[bd] == 32 * bd
+        assert {f.rule for f in report.findings} == {"KC004"}
+
+
+class _ListShapedSharedKernel(Kernel):
+    name = "ListShapedShared"
+
+    def device_code(self, ctx, *, out):
+        tid = ctx.thread_idx
+        tile = ctx.shared("tile", [ctx.block_dim, 4], np.float64)
+        tile[tid, 0] = 1.0
+        yield ctx.syncthreads()
+        out[tid] = tile[tid, 0]
+
 
 # ======================================================================
 # golden report snapshots
@@ -224,3 +246,104 @@ class TestStraightLineProperty:
         rules = {f.rule for f in findings}
         assert "KC001" not in rules
         assert "KC002" not in rules
+
+
+# ======================================================================
+# KC001/KC003 verdicts from absint's facts (source table)
+# ======================================================================
+#: (case, device-code body after ``tid = ctx.thread_idx`` on line 2,
+#: expected (rule, line) findings)
+_FACT_CASES = [
+    # module globals and attributes of uniform bases are uniform
+    ("module-global-test", "if n < math.inf:\n    yield ctx.syncthreads()\n", []),
+    ("param-trip-count", "for _ in range(n):\n    yield ctx.syncthreads()\n", []),
+    ("tid-trip-count", "for _ in range(tid):\n    yield ctx.syncthreads()\n",
+     [("KC001", 4)]),
+    # calls and tuples are uniform when every part is
+    ("uniform-call-trip-count",
+     "for _ in range(math.ceil(n / 4)):\n    yield ctx.syncthreads()\n", []),
+    ("uniform-tuple-iterable",
+     "for _ in (n, n + 1):\n    yield ctx.syncthreads()\n", []),
+    # subscripts of uniform shapes, tables and tuples are uniform
+    ("param-shape-trip-count",
+     "for _ in range(out.shape[0]):\n    yield ctx.syncthreads()\n", []),
+    ("shared-shape-trip-count",
+     'buf = ctx.shared("buf", (ctx.block_dim,), np.int64)\n'
+     "for _ in range(buf.shape[0]):\n    yield ctx.syncthreads()\n", []),
+    ("module-table-test",
+     "if OFFSETS[n] > 0:\n    yield ctx.syncthreads()\n", []),
+    ("local-tuple-trip-count",
+     "dims = (n, 4)\nfor _ in range(dims[0]):\n    yield ctx.syncthreads()\n", []),
+    # unpacked names and loop targets are uniform when their source is
+    ("uniform-unpacked-test",
+     "lo, hi = divmod(n, 4)\nif lo > 0:\n    yield ctx.syncthreads()\n", []),
+    ("uniform-iterable-target",
+     "for k in OFFSETS:\n    if k > 0:\n        yield ctx.syncthreads()\n", []),
+    ("bound-on-one-path",
+     "for i in range(n):\n    last = i\nif last > 0:\n    yield ctx.syncthreads()\n",
+     []),
+    ("uniform-invert-test", "if ~n:\n    yield ctx.syncthreads()\n", []),
+    ("uniform-starred-trip-count",
+     "for _ in range(max(*OFFSETS)):\n    yield ctx.syncthreads()\n", []),
+    ("tid-len-trip-count",
+     "row = out[tid]\nfor _ in range(len(row)):\n    yield ctx.syncthreads()\n",
+     [("KC001", 5)]),
+    # a subscript of a thread-dependent value is thread-dependent
+    ("tid-row-subscript-test",
+     "row = out[tid]\nif row[0] > 0:\n    yield ctx.syncthreads()\n",
+     [("KC001", 5)]),
+    # try handlers and ``finally`` carry facts
+    ("tid-branch-in-finally",
+     "try:\n    pass\nfinally:\n    if tid == 0:\n        yield ctx.syncthreads()\n",
+     [("KC001", 7)]),
+    # a tuple index is thread-dependent when any part is
+    ("shared-2d-tid-column",
+     't = ctx.shared("t", (4, ctx.block_dim), np.int64)\n'
+     "x = t[0, tid]\nif x > 0:\n    yield ctx.syncthreads()\n", [("KC001", 6)]),
+    # so is a conditional expression with a thread-dependent test
+    ("thread-dependent-ifexp",
+     "k = 1 if tid < 4 else 2\nfor _ in range(k):\n    yield ctx.syncthreads()\n",
+     [("KC001", 5)]),
+    # flow-sensitive: the test reads x before it becomes thread-dependent
+    ("rebound-after-branch",
+     "x = 0\nif x == 0:\n    yield ctx.syncthreads()\nx = tid\n", []),
+    # a shared slice may touch any thread's slot
+    ("shared-slice",
+     'buf = ctx.shared("buf", (ctx.block_dim,), np.int64)\n'
+     "buf[tid] = tid\nout[tid] = buf[0:4].sum()\n", [("KC002", 5)]),
+    # shared buffers declared in a tuple assignment
+    ("shared-tuple-declaration",
+     'a, b = ctx.shared("a", (4,), np.int64), ctx.shared("b", (4,), np.int64)\n'
+     "b[0] = tid\n", [("KC002", 4)]),
+    # only the ``then`` arm of ``tid == 0`` runs on one thread
+    ("shared-write-in-else-of-pin",
+     'buf = ctx.shared("buf", (ctx.block_dim,), np.int64)\n'
+     "if tid == 0:\n    buf[0] = 1\nelse:\n    buf[0] = 2\n", [("KC002", 7)]),
+    # one shared name bound twice is one block array
+    ("shared-name-bound-twice",
+     'a = ctx.shared("tile", (ctx.block_dim,), np.int64)\n'
+     'b = ctx.shared("tile", (ctx.block_dim,), np.int64)\n'
+     "a[tid] = 1\nout[tid] = b[0]\n", [("KC002", 6)]),
+    # accesses through an alias and through an atomic are indexed too
+    ("aliased-buffer", "o = out\no[tid * 4] = 1\n", [("KC003", 4)]),
+    ("atomic-index", "ctx.atomic_add(out, tid * 4, 1)\n", [("KC003", 3)]),
+    # each site is judged with the index it has there
+    ("rebound-index",
+     "j = tid\nout[j] = 1\nj = tid * tid\nout[j] = 2\n", [("KC003", 6)]),
+]
+
+
+class TestFactsTable:
+    @pytest.mark.parametrize(
+        "body,expected",
+        [(body, expected) for _, body, expected in _FACT_CASES],
+        ids=[case for case, _, _ in _FACT_CASES],
+    )
+    def test_findings(self, body, expected):
+        source = (
+            "def device_code(self, ctx, *, out, n):\n"
+            "    tid = ctx.thread_idx\n"
+            + "".join(f"    {line}\n" for line in body.splitlines())
+        )
+        findings = analyze_device_source(source, "table")
+        assert [(f.rule, f.line) for f in findings] == expected

@@ -5,7 +5,12 @@ import pytest
 
 from repro.gpusim import Kernel, LaunchConfig, launch
 from repro.gpusim.costmodel import KernelCounters
-from repro.gpusim.profiler import KernelRecord, Profiler
+from repro.gpusim.profiler import (
+    KernelRecord,
+    Profiler,
+    SortRecord,
+    TransferRecord,
+)
 
 
 class AddOne(Kernel):
@@ -98,6 +103,26 @@ class TestLaunch:
                 )
             totals.append(prof.total_device_ms())
         assert totals[0] == totals[1]
+
+    def test_time_sums_independent_of_record_order(self):
+        # 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1
+        sums = []
+        for order in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+            prof = Profiler()
+            for ms in order:
+                prof.record_kernel(
+                    KernelRecord("k", 1, 1, ms, 0.0, KernelCounters())
+                )
+                prof.record_transfer(TransferRecord("h2d", 8, ms, True))
+                prof.record_sort(SortRecord(8, ms))
+            sums.append(
+                (
+                    prof.kernel_time_ms(),
+                    prof.transfer_time_ms(),
+                    prof.sort_time_ms(),
+                )
+            )
+        assert sums[0] == sums[1]
 
     def test_stream_placement(self, device):
         s = device.new_stream("work")

@@ -48,9 +48,6 @@ class TestTableTier:
         assert c.get_table("ds", 0, 0.7) is None  # different eps
         assert c.get_table("ds", 1, 0.5) is None  # different epoch
 
-    def test_nbytes_positive(self, blobs_points):
-        assert _entry(blobs_points, 0.5, 0).nbytes > 0
-
 
 class TestStale:
     def test_stale_prefers_newest_older_epoch(self):

@@ -332,14 +332,6 @@ class TestProperties:
 
 
 class TestAccounting:
-    def test_stats_shape(self):
-        svc = _svc()
-        svc.submit(Request("ds", eps=0.5, minpts=4, seq=0))
-        d = svc.stats()
-        assert d["admission"]["admitted"] == 1
-        assert d["sanitizer_clean"] is True
-        assert len(d["slot_use"]) == 2
-
     def test_trace_result_dict(self):
         svc = _svc()
         trace = make_trace(
