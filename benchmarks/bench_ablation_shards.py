@@ -11,16 +11,21 @@ This bench runs one dataset at several shard grids with the per-shard
 device capacity pinned to just under the single-device peak, asserting
 (via the memory-pool accounting) that no shard ever exceeds the cap and
 that every grid reproduces the single-device labels exactly.  The
-artifact is the ``BENCH_shards.json`` baseline the CI smoke checks.
+artifact is the ``BENCH_shards.json`` baseline: before overwriting it,
+a run at the committed scale checks every deterministic field against
+it — the byte and count fields, each grid's shard count, peak, cap and
+cluster counts, and each shard's sizes, pairs, batches, peak bytes,
+recovery counts and attempts.  Wall-clock fields are not checked.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
 
-from repro.bench import format_table, save_json
+from repro.bench import format_table, results_dir, save_json
 from repro.core import HybridDBSCAN, ShardConfig, cluster_sharded
 
 from _bench_utils import BENCH_SCALE, bench_points, report
@@ -29,6 +34,19 @@ EPS = 0.03
 MINPTS = 4
 GRIDS = [(1, 1), (2, 2), (3, 3)]
 N_DEVICES = 2
+BASELINE = "BENCH_shards"
+#: the fields that repeat exactly from run to run: the top level's, each
+#: grid's, and each shard's (with its recovery counts)
+TOP_FIELDS = (
+    "dataset", "eps", "minpts", "n_points", "n_devices",
+    "single_peak_device_bytes", "cap_bytes",
+)
+GRID_FIELDS = ("grid", "n_shards", "peak_device_bytes", "cap_bytes", "clusters", "noise")
+SHARD_FIELDS = (
+    "n_interior", "n_halo", "n_pairs", "n_batches",
+    "peak_device_bytes", "peak_pinned_bytes", "attempts",
+)
+RECOVERY_COUNTS = ("splits", "regrows", "retries", "transfer_retries")
 
 
 def _single(pts):
@@ -37,6 +55,47 @@ def _single(pts):
     res = h.fit(pts, EPS, MINPTS)
     wall = time.perf_counter() - t0
     return res.labels, h.device.memory.peak_bytes, wall
+
+
+def _shard_fields(per_shard: list[dict]) -> dict[tuple, dict]:
+    """Each shard's deterministic fields, keyed by ``(tile, generation)``:
+    the executor hands the next tile to whichever device frees first on
+    the wall clock, so the list's order varies from run to run."""
+    return {
+        (tuple(s["tile"]), s["generation"]): {k: s[k] for k in SHARD_FIELDS}
+        | {k: s["recovery"][k] for k in RECOVERY_COUNTS}
+        for s in per_shard
+    }
+
+
+def check_against_baseline(payload: dict) -> None:
+    """Fail when a run at the committed scale differs from the baseline
+    in any deterministic field."""
+    path = results_dir() / f"{BASELINE}.json"
+    if not path.exists():
+        return
+    committed = json.loads(path.read_text())
+    if committed["scale"] != BENCH_SCALE:
+        return
+    fresh = json.loads(json.dumps(payload))
+    for key in TOP_FIELDS:
+        assert fresh[key] == committed[key], (
+            f"{key}: {fresh[key]}, baseline {committed[key]}"
+        )
+    for grid, ref in zip(fresh["grids"], committed["grids"], strict=True):
+        for key in GRID_FIELDS:
+            assert grid[key] == ref[key], (
+                f"grid {ref['grid']}: {key} {grid[key]}, baseline {ref[key]}"
+            )
+        shards = _shard_fields(grid["per_shard"])
+        ref_shards = _shard_fields(ref["per_shard"])
+        assert shards.keys() == ref_shards.keys(), (
+            f"grid {ref['grid']}: shards {sorted(shards)}, baseline {sorted(ref_shards)}"
+        )
+        for key, shard in shards.items():
+            assert shard == ref_shards[key], (
+                f"grid {ref['grid']} shard {key}: {shard}, baseline {ref_shards[key]}"
+            )
 
 
 def test_ablation_shards(benchmark):
@@ -111,18 +170,17 @@ def test_ablation_shards(benchmark):
             f"(eps={EPS}, minpts={MINPTS}; per-shard cap = single peak - 1)",
         )
     )
-    save_json(
-        "BENCH_shards",
-        {
-            "scale": BENCH_SCALE,
-            "dataset": "SW1",
-            "eps": EPS,
-            "minpts": MINPTS,
-            "n_points": len(pts),
-            "n_devices": N_DEVICES,
-            "single_peak_device_bytes": single_peak,
-            "single_wall_s": single_wall,
-            "cap_bytes": cap,
-            "grids": results,
-        },
-    )
+    payload = {
+        "scale": BENCH_SCALE,
+        "dataset": "SW1",
+        "eps": EPS,
+        "minpts": MINPTS,
+        "n_points": len(pts),
+        "n_devices": N_DEVICES,
+        "single_peak_device_bytes": single_peak,
+        "single_wall_s": single_wall,
+        "cap_bytes": cap,
+        "grids": results,
+    }
+    check_against_baseline(payload)
+    save_json(BASELINE, payload)

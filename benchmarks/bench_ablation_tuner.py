@@ -22,7 +22,7 @@ from repro.analysis.tuner import WorkloadStats, prune_configs
 from repro.bench import format_table, results_dir, save_json
 from repro.gpusim import Device, launch
 from repro.index import GridIndex
-from repro.kernels import GPUCalcGlobal, GPUCalcShared, HybridSelectKernel
+from repro.kernels import GPUCalcGlobal, GPUCalcShared
 
 from _bench_utils import BENCH_SCALE, bench_points, report
 
@@ -41,12 +41,9 @@ def _measure(kind: str, grid: GridIndex, block_dim: int) -> float:
     if kind == "global":
         kernel = GPUCalcGlobal()
         cfg = GPUCalcGlobal.launch_config(len(grid), n_batches=1, block_dim=block_dim)
-    elif kind == "shared":
+    else:
         kernel = GPUCalcShared()
         cfg = GPUCalcShared.launch_config(grid, block_dim=block_dim)
-    else:
-        kernel = HybridSelectKernel()
-        cfg = kernel.launch_config(grid, block_dim=block_dim)
     res = launch(kernel, cfg, device, grid=grid, result=buf)
     return res.modeled_ms
 

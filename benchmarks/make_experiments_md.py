@@ -241,23 +241,22 @@ def ablations() -> str:
          "nGPU scales with block size; timing sensitive to density"),
         ("ablation_sample_fraction", "estimator fraction f",
          "f=1% estimates |R| within the α guard band"),
-        ("ablation_hybrid_kernel", "density-adaptive kernel (extension)",
-         "beats pure shared everywhere, tracks global, fewer blocks. "
-         "HybridSelect runs its one dense/sparse rule (a cell is dense "
-         "above a quarter of the block size) at 64, 128 and 256 threads "
-         "per block: at scale 0.005 its modeled ms is 1.79 / 1.28 / "
-         "1.00× global's on SW1 and 1.46 / 1.03 / 1.00× on SDSS1 (1.81 / "
-         "1.30 / 1.00 and 1.67 / 1.01 / 1.00 at 0.002), inside the "
-         "bench's 5× bound; at 256 threads no cell is dense and it runs "
-         "the global path. The fixed 16-point threshold it used to run "
-         "on 256-thread blocks sent cells of 16 or more points to blocks "
-         "that page up to 9 tiles twice, and read 5.7× on SW1"),
+        (None, "density-adaptive kernel (extension, retired)",
+         "never faster than global, so it was removed. HybridSelect ran "
+         "GPUCalcShared's blocks on the cells of more than a quarter of "
+         "the block size in points and GPUCalcGlobal elsewhere (§VII-C's "
+         "future work). At scale 0.005 its modeled ms read 1.79 / 1.28 / "
+         "1.00× global's on SW1 and 1.46 / 1.03 / 1.00× on SDSS1 at 64 / "
+         "128 / 256 threads per block (commit 964befd, the last to run "
+         "it); at 256 threads no cell was dense and it ran the global "
+         "path. GPUCalcShared is 6.5–750× slower than GPUCalcGlobal on "
+         "every Table II dataset, so every cell moved to it cost time"),
         ("BENCH_tuner", "static cost-guided configuration pruning (extension)",
-         "the KC007 cost model prunes the {global, shared, hybrid} × "
+         "the KC007 cost model prunes the {global, shared} × "
          "{64, 128, 256, 512} lattice before any launch and never "
          "eliminates the measured-fastest configuration: at scale 0.005 "
          "it eliminates the 4 shared configurations on SW1 and SDSS1 and "
-         "keeps the fastest, global@512, on the frontier of 8. A run at "
+         "keeps the fastest, global@512, on the frontier of 4. A run at "
          "the committed scale fails on any change to the workload "
          "statistics, a prediction, a modeled time, a verdict, the "
          "fastest configuration or the frontier"),
@@ -270,7 +269,9 @@ def ablations() -> str:
          "(SDSS1)"),
         ("BENCH_shards", "sharded out-of-core clustering (extension)",
          "per-shard peak residency stays under the cap (below the "
-         "single-device peak); labels bit-identical at every shard grid"),
+         "single-device peak); labels bit-identical at every shard grid. "
+         "A run at the committed scale fails on any change to a byte or "
+         "count field, of the run, of a shard grid or of a shard"),
         ("BENCH_shard_recovery", "shard-level fault recovery (extension)",
          "wholesale shard faults (device OOM, device loss) are absorbed "
          "by retry/fallback or quad-split without recomputing finished "
@@ -306,8 +307,12 @@ def ablations() -> str:
          "states"),
     ]
     for name, title, claim in specs:
-        d = load(name)
-        status = "ran — see benchmarks/results/%s.json" % name if d else "_not run_"
+        if name is None:
+            status = "its bench is gone with it"
+        elif load(name):
+            status = "ran — see benchmarks/results/%s.json" % name
+        else:
+            status = "_not run_"
         parts.append(f"* **{title}** — {claim}. ({status})")
     return "\n".join(parts)
 

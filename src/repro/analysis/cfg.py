@@ -269,9 +269,11 @@ class _Builder:
             return self._body(stmt.body, [node.id], stack)
 
         if isinstance(stmt, ast.Try):
-            # device code has no try/except in practice; flatten
-            # conservatively so the analysis never crashes on one
+            # device code has no try/except in practice; flatten body,
+            # else, handlers and finally in turn, so the analysis never
+            # crashes on one and every statement gets a node
             f = self._body(stmt.body, preds, stack)
+            f = self._body(stmt.orelse, f, stack)
             for handler in stmt.handlers:
                 f = self._body(handler.body, f, stack)
             if stmt.finalbody:

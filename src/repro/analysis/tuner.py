@@ -11,10 +11,9 @@ dominated and eliminated; the survivors' top-k is the frontier a
 measured search would explore.  The safety factor absorbs the model's
 calibration error, so the measured-fastest configuration is never
 pruned as long as the model is within ``safety``× of the truth in both
-directions (CI asserts this on the committed bench shapes).
-``hybrid`` is priced as the density mix of the two paths, with the
-dense fraction measured by HybridSelect's own dense/sparse rule
-(:func:`repro.kernels.hybrid_select.partition_cells`).
+directions (CI asserts this on the committed bench shapes).  The
+lattice is the paper's two ε-neighborhood kernels, ``global``
+(GPUCalcGlobal) and ``shared`` (GPUCalcShared), × block sizes.
 """
 
 from __future__ import annotations
@@ -36,11 +35,9 @@ __all__ = [
     "PruneResult",
     "prune_configs",
     "predicted_ms",
-    "DEFAULT_KERNELS",
     "DEFAULT_TUNE_BLOCK_DIMS",
 ]
 
-DEFAULT_KERNELS: tuple[str, ...] = ("global", "shared", "hybrid")
 DEFAULT_TUNE_BLOCK_DIMS: tuple[int, ...] = (64, 128, 256, 512)
 
 
@@ -56,29 +53,13 @@ class WorkloadStats:
     n_cells: int
     #: mean points per non-empty cell (the ``r_cell`` contract symbol)
     r_cell: float
-    #: fraction of points living in dense (shared-path) cells
-    dense_frac: float = 0.5
 
     @classmethod
-    def from_grid(cls, grid: "GridIndex", *, block_dim: int = 256) -> "WorkloadStats":
-        """Measure the statistics from a built :class:`GridIndex`; the
-        dense cells are HybridSelect's at ``block_dim``."""
-        from repro.kernels.hybrid_select import partition_cells
-
+    def from_grid(cls, grid: "GridIndex") -> "WorkloadStats":
+        """Measure the statistics from a built :class:`GridIndex`."""
         n = len(grid)
         n_cells = max(1, len(grid.nonempty_cells))
-        dense, _ = partition_cells(grid, block_dim)
-        dense_pts = int(
-            (grid.cell_max[dense] - grid.cell_min[dense] + 1).sum()
-        )
-        return cls(
-            n=n,
-            nx=grid.nx,
-            ny=grid.ny,
-            n_cells=n_cells,
-            r_cell=n / n_cells,
-            dense_frac=dense_pts / max(1, n),
-        )
+        return cls(n=n, nx=grid.nx, ny=grid.ny, n_cells=n_cells, r_cell=n / n_cells)
 
     def binding(self) -> dict[str, float]:
         """The launch-geometry-free part of a cost binding."""
@@ -98,22 +79,19 @@ class WorkloadStats:
             "ny": self.ny,
             "n_cells": self.n_cells,
             "r_cell": round(self.r_cell, 6),
-            "dense_frac": round(self.dense_frac, 6),
         }
 
 
 #: a nominal workload for data-free ranking (``repro analyze cost``):
-#: mid-size grid, half the points in dense cells
-NOMINAL_STATS = WorkloadStats(
-    n=4096, nx=24, ny=24, n_cells=512, r_cell=8.0, dense_frac=0.5
-)
+#: a mid-size grid
+NOMINAL_STATS = WorkloadStats(n=4096, nx=24, ny=24, n_cells=512, r_cell=8.0)
 
 
 @dataclass(frozen=True)
 class TunerConfig:
     """One point of the configuration lattice."""
 
-    kernel: str  #: "global" | "shared" | "hybrid"
+    kernel: str  #: "global" | "shared"
     block_dim: int
 
     @property
@@ -215,26 +193,9 @@ def predicted_ms(
     block_dim: int,
     *,
     spec: Optional[DeviceSpec] = None,
-    mode: str = "estimate",
-    models: Optional[Mapping[str, KernelCostModel]] = None,
 ) -> float:
-    """Predicted milliseconds for one configuration (``inf`` = infeasible).
-
-    ``hybrid`` is modeled as the density-weighted mix of the two paths:
-    ``dense_frac`` of the work at the shared path's cost plus the
-    remainder at the global path's cost (its shared-memory footprint —
-    and therefore feasibility — is the shared kernel's).
-    """
-    spec = spec or DeviceSpec()
-    models = models or _cost_models()
-    if kernel == "hybrid":
-        shared = predicted_ms(
-            "shared", stats, block_dim, spec=spec, mode=mode, models=models
-        )
-        glob = predicted_ms(
-            "global", stats, block_dim, spec=spec, mode=mode, models=models
-        )
-        return stats.dense_frac * shared + (1.0 - stats.dense_frac) * glob
+    """Predicted milliseconds for one configuration (``inf`` = infeasible)."""
+    models = _cost_models()
     if kernel not in models:
         raise ValueError(f"unknown kernel kind {kernel!r}")
     model = models[kernel]
@@ -243,7 +204,7 @@ def predicted_ms(
     binding["bdim"] = float(bdim)
     binding["gdim"] = float(gdim)
     try:
-        return model.modeled_ms(binding, spec=spec, mode=mode)
+        return model.modeled_ms(binding, spec=spec)
     except ValueError:
         # occupancy rejected the configuration (footprint exceeds the SM)
         return math.inf
@@ -252,12 +213,10 @@ def predicted_ms(
 def prune_configs(
     stats: WorkloadStats,
     *,
-    kernels: Sequence[str] = DEFAULT_KERNELS,
     block_dims: Sequence[int] = DEFAULT_TUNE_BLOCK_DIMS,
     spec: Optional[DeviceSpec] = None,
     safety: float = 3.0,
     top_k: Optional[int] = None,
-    mode: str = "estimate",
 ) -> PruneResult:
     """Rank the configuration lattice by predicted cost and prune it.
 
@@ -269,20 +228,11 @@ def prune_configs(
     """
     if safety < 1.0:
         raise ValueError("safety must be >= 1")
-    spec = spec or DeviceSpec()
-    models = _cost_models()
-    entries: list[tuple[TunerConfig, float]] = []
-    for kernel in kernels:
-        for bd in block_dims:
-            cfg = TunerConfig(kernel=kernel, block_dim=bd)
-            entries.append(
-                (
-                    cfg,
-                    predicted_ms(
-                        kernel, stats, bd, spec=spec, mode=mode, models=models
-                    ),
-                )
-            )
+    entries = [
+        (TunerConfig(kernel=kernel, block_dim=bd), predicted_ms(kernel, stats, bd, spec=spec))
+        for kernel in _cost_models()
+        for bd in block_dims
+    ]
     entries.sort(key=lambda e: (e[1], e[0].kernel, e[0].block_dim))
     feasible = [ms for _, ms in entries if math.isfinite(ms)]
     best = feasible[0] if feasible else math.inf

@@ -4,8 +4,8 @@
 
 1. construct the grid index ``(G, A)`` from ``D`` and ε (host);
 2. launch ``GPUCalcGlobal`` (or ``GPUCalcShared``) over ``n_b`` batches
-   on 3 streams, each batch device-sorted by key and staged through
-   pinned memory (Sections IV–VI);
+   on 3 streams, each batch's ε-rows written contiguously (so no batch
+   is sorted by key) and staged through pinned memory (Sections IV–VI);
 3. assemble the neighbor table ``T`` on the host;
 4. run the modified DBSCAN that looks up ``T`` instead of an index.
 

@@ -224,13 +224,6 @@ class FaultInjector:
         )
 
     @classmethod
-    def oom_at(cls, *batches: int, times: int = 1, seed: int = 0) -> "FaultInjector":
-        """Fail device allocations made inside the given batch scopes."""
-        return cls(
-            [FaultSpec("device_oom", frozenset(batches), times=times)], seed=seed
-        )
-
-    @classmethod
     def device_loss(cls, *, times: int = 1, seed: int = 0) -> "FaultInjector":
         """Lose the device wholesale on its next ``times`` operations."""
         return cls([FaultSpec("device_lost", times=times)], seed=seed)

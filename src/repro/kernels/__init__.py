@@ -15,8 +15,9 @@
   with an atomic minimum), :class:`BorderAttachKernel` (border
   attachment to the lowest-id core neighbor).
 
-Each kernel provides interpreter device code and a vectorized backend;
-they produce identical key/value result sets (property-tested).
+Every kernel :func:`shipped_kernels` registers has interpreter device
+code and a vectorized backend, and the two produce identical results
+(property-tested).
 """
 
 from repro.gpusim.launch import Kernel
@@ -27,7 +28,6 @@ from repro.kernels.cluster_kernels import (
 )
 from repro.kernels.count_kernel import NeighborCountKernel
 from repro.kernels.global_kernel import GPUCalcGlobal, batch_point_ids
-from repro.kernels.hybrid_select import HybridSelectKernel
 from repro.kernels.shared_kernel import GPUCalcShared
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "CoreFlagKernel",
     "GPUCalcGlobal",
     "GPUCalcShared",
-    "HybridSelectKernel",
     "NeighborCountKernel",
     "batch_point_ids",
     "shipped_kernels",
@@ -54,7 +53,6 @@ def shipped_kernels() -> list[Kernel]:
         NeighborCountKernel(),
         GPUCalcGlobal(),
         GPUCalcShared(),
-        HybridSelectKernel(),
         CoreFlagKernel(),
         ClusterUnionFindKernel(),
         BorderAttachKernel(),

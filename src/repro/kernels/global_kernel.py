@@ -27,7 +27,7 @@ from repro.gpusim.launch import Kernel, LaunchConfig
 from repro.gpusim.memory import ResultBuffer
 from repro.index.grid import GridIndex, NeighborPairs
 
-__all__ = ["GPUCalcGlobal", "batch_point_ids", "charge_row_scans", "store_rows"]
+__all__ = ["GPUCalcGlobal", "batch_point_ids", "store_rows"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.absint import KernelInvariants
@@ -59,46 +59,27 @@ def batch_point_ids(
     raise ValueError(f"unknown batch order {order!r}")
 
 
-def charge_row_scans(
-    counters: KernelCounters, n_threads: int, pairs: NeighborPairs
-) -> None:
-    """Charge the two candidate scans of ``n_threads`` point threads
-    whose hits are ``pairs``: each thread loads its own coordinates
-    once, then each scan reads the range of every in-grid neighbor cell
-    (the device code bounds-checks before touching ``G``) and ``A[a]``
-    plus the coordinates of every candidate, and evaluates its distance.
-    """
-    counters.global_loads += 2 * n_threads
-    counters.global_loads += 2 * (2 * pairs.n_cells + 3 * pairs.n_candidates)
-    counters.distance_calcs += 2 * pairs.n_candidates
-
-
 def store_rows(
-    counters: KernelCounters,
-    result: ResultBuffer,
-    n_rows: int,
-    *parts: NeighborPairs,
+    counters: KernelCounters, result: ResultBuffer, n_rows: int, pairs: NeighborPairs
 ) -> int:
-    """Write the hits of ``parts`` into ``result`` as ``n_rows`` whole
+    """Write the hits of ``pairs`` into ``result`` as ``n_rows`` whole
     rows and charge one reservation per row; returns the records written.
 
     One reservation covers the whole launch, so an overflow raises
     before any hit is written; each block of hits then lands in place,
     with its distances when they were asked for.
     """
-    n_hits = sum(p.n_hits for p in parts)
-    counters.count_appends(result, n_hits, rows=n_rows)
-    if n_hits:
-        at = result.reserve(n_hits)
-        for pairs in parts:
-            for b, keys in enumerate(pairs.keys):
-                rows = result.data[at : at + len(keys)]
-                rows[:, 0] = keys
-                rows[:, 1] = pairs.values[b]
-                if pairs.d2:
-                    np.sqrt(pairs.d2[b], out=rows[:, 2])
-                at += len(keys)
-    return n_hits
+    counters.count_appends(result, pairs.n_hits, rows=n_rows)
+    if pairs.n_hits:
+        at = result.reserve(pairs.n_hits)
+        for b, keys in enumerate(pairs.keys):
+            rows = result.data[at : at + len(keys)]
+            rows[:, 0] = keys
+            rows[:, 1] = pairs.values[b]
+            if pairs.d2:
+                np.sqrt(pairs.d2[b], out=rows[:, 2])
+            at += len(keys)
+    return pairs.n_hits
 
 
 class GPUCalcGlobal(Kernel):
@@ -269,7 +250,12 @@ class GPUCalcGlobal(Kernel):
             return 0
 
         pairs = grid.neighbor_pairs(ids, distances=emit_distance)
-        charge_row_scans(counters, len(ids), pairs)
+        # each thread loads its own coordinates once; each of its two
+        # scans reads the range of every in-grid neighbor cell (the
+        # device code bounds-checks before touching G) and A[a] plus the
+        # coordinates of every candidate, and evaluates its distance
+        counters.global_loads += 2 * (len(ids) + 2 * pairs.n_cells + 3 * pairs.n_candidates)
+        counters.distance_calcs += 2 * pairs.n_candidates
         # every point hits itself: one row per point
         return store_rows(counters, result, len(ids), pairs)
 

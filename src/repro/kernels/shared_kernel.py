@@ -19,7 +19,7 @@ points than the block size, the extra tiling loop the paper describes
 The vector backend charges each block as its device code counts
 (:func:`charge_cell_blocks`) and takes the blocks' rows from
 :meth:`~repro.index.grid.GridIndex.neighbor_pairs`, the one
-ε-enumeration every vector backend shares (:func:`cell_members`).
+ε-enumeration every vector backend shares.
 """
 
 from __future__ import annotations
@@ -35,60 +35,18 @@ from repro.gpusim.memory import ResultBuffer
 from repro.index.grid import GridIndex
 from repro.kernels.global_kernel import batch_point_ids, store_rows
 
-__all__ = [
-    "GPUCalcShared",
-    "batch_members",
-    "cell_members",
-    "charge_cell_blocks",
-]
+__all__ = ["GPUCalcShared", "charge_cell_blocks"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.absint import KernelInvariants
     from repro.analysis.costmodel import CostContract
 
 
-def batch_members(
-    n_points: int,
-    batch: int,
-    n_batches: int,
-    batch_order: str = "strided",
-    point_mask: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Bool mask of the points whose rows a batch produces: the points
-    of :func:`~repro.kernels.global_kernel.batch_point_ids`, or
-    ``point_mask`` for a recovery sub-unit."""
-    if point_mask is not None:
-        return np.asarray(point_mask, dtype=bool)
-    member = np.zeros(n_points, dtype=bool)
-    member[batch_point_ids(n_points, batch, n_batches, batch_order)] = True
-    return member
-
-
-def cell_members(grid: GridIndex, cells: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """The batch's points (``member``) that lie in ``cells``, in ``A``
-    order: the origin points of GPUCalcShared's blocks for those cells,
-    block by block.
-
-    :meth:`GridIndex.neighbor_pairs` walks each point's 3 row ranges of
-    ``A`` in ascending row and ``A`` order, the order in which a block
-    pages its comparison cells, so its hits for these ids are the
-    blocks' rows record for record.
-    """
-    in_cells = np.zeros(grid.n_cells, dtype=bool)
-    in_cells[cells] = True
-    a = grid.lookup
-    return a[in_cells[grid.cell_of_point[a]] & member[a]]
-
-
 def charge_cell_blocks(
-    counters: KernelCounters,
-    grid: GridIndex,
-    cells: np.ndarray,
-    member: np.ndarray,
-    block_dim: int,
+    counters: KernelCounters, grid: GridIndex, member: np.ndarray, block_dim: int
 ) -> None:
-    """Charge one GPUCalcShared block per cell of ``cells`` as its
-    device code counts, the batch's origin points being ``member``.
+    """Charge one GPUCalcShared block per non-empty cell as its device
+    code counts, the batch's origin points being ``member``.
 
     A block loads its batch's origin points once.  Each origin tile then
     pages every comparison tile in both passes (the counting pass and
@@ -98,6 +56,7 @@ def charge_cell_blocks(
     apart (:func:`~repro.kernels.global_kernel.store_rows`).
     """
     bs = block_dim
+    cells = grid.nonempty_cells
     lo = grid.cell_min[cells].astype(np.int64)
     hi = grid.cell_max[cells].astype(np.int64)
     # batch members per cell from a running count over A's cell ranges
@@ -310,10 +269,9 @@ class GPUCalcShared(Kernel):
         batch_order: str = "strided",
         point_mask: Optional[np.ndarray] = None,
     ) -> int:
-        """Block-per-cell evaluation: the blocks' rows in schedule order
-        (:func:`cell_members`); returns the pairs written.
-        ``point_mask`` narrows the batch to a subset of origin points
-        (the overflow-recovery split path).
+        """Block-per-cell evaluation: the blocks' rows in schedule order;
+        returns the pairs written.  ``point_mask`` narrows the batch to a
+        subset of origin points (the overflow-recovery split path).
         """
         cells = grid.nonempty_cells
         if config.grid_dim < len(cells):
@@ -321,9 +279,19 @@ class GPUCalcShared(Kernel):
                 f"launch too small: {config.grid_dim} blocks for "
                 f"{len(cells)} non-empty cells"
             )
-        member = batch_members(len(grid), batch, n_batches, batch_order, point_mask)
-        charge_cell_blocks(counters, grid, cells, member, config.block_dim)
-        ids = cell_members(grid, cells, member)
+        if point_mask is not None:
+            member = np.asarray(point_mask, dtype=bool)
+        else:
+            member = np.zeros(len(grid), dtype=bool)
+            member[batch_point_ids(len(grid), batch, n_batches, batch_order)] = True
+        charge_cell_blocks(counters, grid, member, config.block_dim)
+        # the blocks cover every non-empty cell, so their origin points
+        # are the batch's points in A order; neighbor_pairs walks each
+        # point's 3 row ranges of A in ascending row and A order, the
+        # order in which a block pages its comparison cells, so its hits
+        # are the blocks' rows record for record
+        a = grid.lookup
+        ids = a[member[a]]
         return store_rows(counters, result, len(ids), grid.neighbor_pairs(ids))
 
     # ------------------------------------------------------------------

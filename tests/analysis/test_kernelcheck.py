@@ -100,9 +100,13 @@ class TestShippedKernelsClean:
         assert names == {k.name for k in shipped_kernels()}
 
     def test_vector_only_kernel_still_gets_occupancy(self):
-        (report,) = [
-            r for r in analyze_shipped() if r.kernel == "HybridSelect"
-        ]
+        class VectorOnly(Kernel):
+            name = "VectorOnly"
+
+            def shared_mem_per_block(self, block_dim: int) -> int:
+                return 48 * block_dim + 80
+
+        report = analyze_kernel(VectorOnly())
         assert not report.has_device_code
         assert report.occupancy  # KC004 runs even without device code
 
@@ -292,10 +296,14 @@ _FACT_CASES = [
     ("tid-row-subscript-test",
      "row = out[tid]\nif row[0] > 0:\n    yield ctx.syncthreads()\n",
      [("KC001", 5)]),
-    # try handlers and ``finally`` carry facts
+    # try handlers, ``else`` and ``finally`` carry facts
     ("tid-branch-in-finally",
      "try:\n    pass\nfinally:\n    if tid == 0:\n        yield ctx.syncthreads()\n",
      [("KC001", 7)]),
+    ("tid-branch-in-try-else",
+     "try:\n    x = n\nexcept ValueError:\n    x = 0\nelse:\n"
+     "    if tid == 0:\n        yield ctx.syncthreads()\n",
+     [("KC001", 9)]),
     # a tuple index is thread-dependent when any part is
     ("shared-2d-tid-column",
      't = ctx.shared("t", (4, ctx.block_dim), np.int64)\n'

@@ -39,7 +39,6 @@ class TestWorkloadStats:
         assert stats.nx == grid.nx and stats.ny == grid.ny
         assert stats.n_cells == len(grid.nonempty_cells)
         assert stats.r_cell == pytest.approx(stats.n / stats.n_cells)
-        assert 0.0 <= stats.dense_frac <= 1.0
 
     def test_binding_covers_required_symbols(self, stats):
         from repro.analysis.costmodel import derive_cost
@@ -55,16 +54,9 @@ class TestWorkloadStats:
 
 class TestPredictedMs:
     def test_paths_positive_and_finite(self, stats):
-        for kind in ("global", "shared", "hybrid"):
+        for kind in ("global", "shared"):
             ms = predicted_ms(kind, stats, 64)
             assert math.isfinite(ms) and ms > 0.0
-
-    def test_hybrid_is_density_mix(self, stats):
-        s = predicted_ms("shared", stats, 64)
-        g = predicted_ms("global", stats, 64)
-        h = predicted_ms("hybrid", stats, 64)
-        want = stats.dense_frac * s + (1.0 - stats.dense_frac) * g
-        assert h == pytest.approx(want)
 
     def test_infeasible_shared_is_inf(self, stats):
         tiny = DeviceSpec(name="tiny", shared_mem_per_block_bytes=1024)
@@ -78,7 +70,7 @@ class TestPredictedMs:
 class TestPruneConfigs:
     def test_ranked_covers_lattice(self, stats):
         result = prune_configs(stats)
-        assert len(result.ranked) == 3 * len(DEFAULT_TUNE_BLOCK_DIMS)
+        assert len(result.ranked) == 2 * len(DEFAULT_TUNE_BLOCK_DIMS)
         labels = {r.config.label for r in result.ranked}
         assert "global@64" in labels and "shared@512" in labels
 
@@ -121,7 +113,7 @@ class TestPruneConfigs:
         assert all(r.eliminated for r in infeasible)
         # ...but the global path survives
         assert result.best is not None
-        assert result.best.config.kernel in ("global", "hybrid")
+        assert result.best.config.kernel == "global"
 
     def test_bad_safety_rejected(self, stats):
         with pytest.raises(ValueError):

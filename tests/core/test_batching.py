@@ -7,12 +7,10 @@ import pytest
 
 from repro.core import BatchConfig, BatchPlanner, NeighborTable
 from repro.core.batching import BatchPlan, build_neighbor_table, result_layout
-from repro.gpusim import Device, launch
+from repro.gpusim import Device
 from repro.gpusim.faults import FaultInjector
 from repro.gpusim.thrust import sort_pairs
 from repro.index import BruteForceIndex, GridIndex
-from repro.kernels import HybridSelectKernel
-from repro.kernels.hybrid_select import partition_cells
 
 
 class TestBatchConfig:
@@ -302,30 +300,6 @@ class TestSortFreeTables:
         assert device.profiler.sorts == []
         monkeypatch.undo()
         _assert_same_table(table, _sorted_reference(grid, staged, with_distances))
-
-    @pytest.mark.parametrize("n_batches", [1, 3])
-    def test_hybrid_rows_equal_the_sorted_path(self, n_batches):
-        grid = GridIndex.build(_clumpy_points(), 0.3)
-        kernel = HybridSelectKernel()
-        dense, sparse = partition_cells(grid, 16)
-        assert len(dense) and len(sparse)
-        device = Device()
-        table = NeighborTable(len(grid), grid.eps)
-        batches = []
-        for batch in range(n_batches):
-            buf = device.allocate_result_buffer(
-                (len(grid) ** 2, 2), result_layout(len(grid))[1]
-            )
-            launch(
-                kernel, kernel.launch_config(grid, block_dim=16), device,
-                grid=grid, result=buf, batch=batch, n_batches=n_batches,
-            )
-            rows = buf.view()
-            batches.append((rows[:, 0].copy(), rows[:, 1].copy()))
-            table.add_batch(rows[:, 0], rows[:, 1])
-            buf.free()
-        _assert_same_table(table.finalize(), _sorted_reference(grid, batches))
-        table.validate()
 
     def test_a_build_records_no_sort(self):
         device = Device()

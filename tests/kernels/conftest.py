@@ -8,7 +8,7 @@ from repro._nputil import run_boundaries
 from repro.core.batching import result_layout
 from repro.gpusim import Device, launch
 from repro.index import BruteForceIndex, GridIndex
-from repro.kernels import GPUCalcGlobal, GPUCalcShared, HybridSelectKernel
+from repro.kernels import GPUCalcGlobal, GPUCalcShared
 
 
 def truth_pairs(grid: GridIndex) -> set[tuple[int, int]]:
@@ -86,26 +86,6 @@ def run_shared(
             S=GPUCalcShared.schedule(grid), result=result,
             batch=batch, n_batches=n_batches,
         )
-    pairs = set(map(tuple, result.view().tolist()))
-    return pairs, res, result
-
-
-def run_hybrid(
-    device: Device,
-    grid: GridIndex,
-    *,
-    batch: int = 0,
-    n_batches: int = 1,
-    block_dim: int = 256,
-):
-    """Launch HybridSelect (vector backend only) into a result buffer
-    laid out as a build's; returns (pairs set, LaunchResult, buffer)."""
-    result = result_buffer(device, grid, None)
-    kernel = HybridSelectKernel()
-    res = launch(
-        kernel, kernel.launch_config(grid, block_dim=block_dim), device,
-        grid=grid, result=result, batch=batch, n_batches=n_batches,
-    )
     pairs = set(map(tuple, result.view().tolist()))
     return pairs, res, result
 

@@ -15,20 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batching import build_neighbor_table
-from repro.core.neighbor_table import NeighborTable
 from repro.gpusim import Device, launch
 from repro.index import GridIndex
 from repro.index import grid as grid_module
 from repro.kernels import NeighborCountKernel
-from repro.kernels.hybrid_select import partition_cells
 
-from .conftest import (
-    assert_rows_contiguous,
-    run_global,
-    run_hybrid,
-    run_shared,
-    truth_pairs,
-)
+from .conftest import assert_rows_contiguous, run_global, run_shared, truth_pairs
 
 #: ``NEIGHBOR_BLOCK`` values drawn by the properties (None keeps the
 #: module's own)
@@ -178,31 +170,6 @@ def test_shared_kernel_cells_larger_than_a_block(block_dim, n_batches):
     assert counters_dict(rv) == counters_dict(ri)
 
 
-@given(boundary_inputs(), st.sampled_from([2, 16, 64]), st.integers(1, 3), blocks)
-@settings(max_examples=40, deadline=None)
-def test_hybrid_select_pairs_equal_global(inp, block_dim, n_batches, block):
-    """HybridSelect (vector backend only) finds GPUCalcGlobal's pairs in
-    every batch, each key's records form one run although the dense and
-    sparse sides write apart, and a cell holding exactly
-    ``block_dim // 4`` points goes sparse."""
-    pts, eps = inp
-    grid = GridIndex.build(pts, eps)
-    cells = grid.nonempty_cells
-    counts = grid.cell_max[cells] - grid.cell_min[cells] + 1
-    dense, sparse = partition_cells(grid, block_dim)
-    assert np.isin(cells[counts == block_dim // 4], sparse).all()
-    assert np.array_equal(dense, cells[counts > block_dim // 4])
-    device = Device()
-    for batch in range(n_batches):
-        with neighbor_block(block):
-            ph, _, bh = run_hybrid(
-                device, grid, batch=batch, n_batches=n_batches, block_dim=block_dim
-            )
-        pg, _, _ = run_global(device, grid, batch=batch, n_batches=n_batches)
-        assert ph == pg
-        assert_rows_contiguous(bh)
-
-
 @given(boundary_inputs(), st.floats(0.05, 1.0), blocks)
 @settings(max_examples=60, deadline=None)
 def test_count_kernel_backends_identical(inp, fraction, block):
@@ -219,7 +186,7 @@ def test_count_kernel_backends_identical(inp, fraction, block):
     assert counters_dict(rv) == counters_dict(ri)
 
 
-@pytest.mark.parametrize("kernel", ["global", "shared", "count", "hybrid"])
+@pytest.mark.parametrize("kernel", ["global", "shared", "count"])
 def test_pair_exactly_eps_apart_where_pow_rounds_up(kernel):
     """At ε = 0.835449, glibc's ``pow`` (behind ``np.float64(ε) ** 2``)
     rounds one ulp above ``ε * ε``, so device code that squared with
@@ -234,11 +201,6 @@ def test_pair_exactly_eps_apart_where_pow_rounds_up(kernel):
         assert run_count(device, grid, ids, "vector")[0] == len(truth)
         assert run_count(device, grid, ids, "interpreter")[0] == len(truth)
         return
-    if kernel == "hybrid":
-        # every cell dense, then every cell sparse
-        for block_dim in (2, 256):
-            assert run_hybrid(device, grid, block_dim=block_dim)[0] == truth
-        return
     run = run_global if kernel == "global" else run_shared
     assert run(device, grid)[0] == truth
     assert run(device, grid, backend="interpreter", block_dim=32)[0] == truth
@@ -251,7 +213,6 @@ def test_pair_exactly_eps_apart_where_pow_rounds_up(kernel):
         ("vector", "shared"),
         ("interpreter", "global"),
         ("interpreter", "shared"),
-        ("vector", "hybrid"),  # HybridSelect has no device code
     ],
 )
 @given(inp=boundary_inputs(), block=blocks)
@@ -264,15 +225,9 @@ def test_table_symmetric_without_repeats(backend, kernel, inp, block):
     pts, eps = inp
     grid = GridIndex.build(pts, eps)
     with neighbor_block(block):
-        if kernel == "hybrid":
-            rows = run_hybrid(Device(), grid, block_dim=32)[2].view()
-            table = NeighborTable(len(grid), grid.eps)
-            table.add_batch(rows[:, 0], rows[:, 1])
-            table = table.finalize()
-        else:
-            table, _ = build_neighbor_table(
-                grid, Device(), kernel=kernel, backend=backend, block_dim=32
-            )
+        table, _ = build_neighbor_table(
+            grid, Device(), kernel=kernel, backend=backend, block_dim=32
+        )
     src, dst = table.edges()
     forward = np.sort(src * len(grid) + dst)
     assert np.all(forward[1:] != forward[:-1])

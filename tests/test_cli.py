@@ -248,7 +248,6 @@ class TestAnalyze:
             "NeighborCount",
             "GPUCalcGlobal",
             "GPUCalcShared",
-            "HybridSelect",
             "CoreFlag",
             "ClusterUnionFind",
             "BorderAttach",
@@ -282,7 +281,7 @@ class TestTune:
         code, payload = run_json(capsys, ["tune", points_file, "--eps", "0.5"])
         assert code == 0
         assert payload["best"] in payload["frontier"]
-        assert len(payload["ranked"]) == 3 * 4  # kernels × default block dims
+        assert len(payload["ranked"]) == 2 * 4  # kernels × default block dims
 
 
 class TestParser:
