@@ -8,6 +8,8 @@ allocation cost, and how many per-batch recovery actions fired.
 
 from __future__ import annotations
 
+import mmap
+
 import pytest
 
 from repro.bench import format_table, save_json
@@ -35,14 +37,15 @@ def test_ablation_alpha(benchmark):
         table, stats = build_neighbor_table(grid, device, config=cfg)
         table.validate()
         pinned_ms = device.profiler.pinned_alloc_ms
-        # a fresh device's first build pins every worker's b_b pairs:
-        # the cold over-allocation α trades, which staging leaked from
-        # another device would hide
+        # a fresh pool's first build maps every worker's b_b pairs in
+        # whole pages: the cold over-allocation α trades, which staging
+        # another build already mapped would hide
         n_workers = min(cfg.n_streams, stats.plan.n_batches)
         width, dtype = result_layout(len(grid))
-        staged = n_workers * stats.plan.buffer_size * width * dtype.itemsize
+        staged = stats.plan.buffer_size * width * dtype.itemsize
+        paged = -(-staged // mmap.PAGESIZE) * mmap.PAGESIZE
         assert pinned_ms == pytest.approx(
-            device.cost.pinned_alloc_time_ms(staged), rel=1e-12
+            n_workers * device.cost.pinned_alloc_time_ms(paged), rel=1e-12
         )
         rows.append(
             [

@@ -14,14 +14,18 @@ labels bit-identical to the single-device path, modeled multi-device
 makespan (builds pinned to devices, merge absorbs overlapped, finalize
 tail) strictly below the sequential-shard baseline, and — at the largest device count — locality's deduplicated
 collective halo volume strictly below round-robin's.  The artifact is
-the ``BENCH_placement.json`` baseline the CI smoke job checks.
+the ``BENCH_placement.json`` baseline: before overwriting it, a run at
+the committed scale checks every field against it but the wall-clock
+ones (the makespans, finalize seconds, speedups and utilizations).
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from repro.bench import format_table, save_json
+from repro.bench import format_table, results_dir, save_json
 from repro.core import HybridDBSCAN, ShardConfig, cluster_sharded
 
 from _bench_utils import BENCH_SCALE, bench_points, report
@@ -33,6 +37,40 @@ MINPTS = 4
 GRID = (6, 6)
 DEVICE_COUNTS = [2, 4]
 STRATEGIES = ["locality", "round-robin"]
+BASELINE = "BENCH_placement"
+#: fields the check leaves out: each is measured on the wall clock
+WALL_CLOCK_FIELDS = frozenset({
+    "sequential_makespan_s", "makespan_s", "build_makespan_s", "finalize_s",
+    "speedup", "utilization",
+})
+
+
+def _deterministic(record: dict) -> dict:
+    return {k: v for k, v in record.items() if k not in WALL_CLOCK_FIELDS}
+
+
+def check_against_baseline(payload: dict) -> None:
+    """Fail when a run at the committed scale differs from the baseline
+    in any deterministic field."""
+    path = results_dir() / f"{BASELINE}.json"
+    if not path.exists():
+        return
+    committed = json.loads(path.read_text())
+    if committed["scale"] != BENCH_SCALE:
+        return
+    fresh = json.loads(json.dumps(payload))
+    top, ref_top = _deterministic(fresh), _deterministic(committed)
+    for key in (top.keys() | ref_top.keys()) - {"runs"}:
+        assert top.get(key) == ref_top.get(key), (
+            f"{key}: {top.get(key)}, baseline {ref_top.get(key)}"
+        )
+    for run, ref in zip(fresh["runs"], committed["runs"], strict=True):
+        got, want = _deterministic(run), _deterministic(ref)
+        for key in got.keys() | want.keys():
+            assert got.get(key) == want.get(key), (
+                f"{ref['strategy']} on {ref['devices']} devices: {key} "
+                f"{got.get(key)}, baseline {want.get(key)}"
+            )
 
 
 def test_ablation_placement(benchmark):
@@ -125,16 +163,15 @@ def test_ablation_placement(benchmark):
             f"(grid={GRID[0]}x{GRID[1]}, eps={EPS}, minpts={MINPTS})",
         )
     )
-    save_json(
-        "BENCH_placement",
-        {
-            "scale": BENCH_SCALE,
-            "dataset": "SW1",
-            "eps": EPS,
-            "minpts": MINPTS,
-            "n_points": len(pts),
-            "grid": list(GRID),
-            "sequential_makespan_s": base_makespan,
-            "runs": results,
-        },
-    )
+    payload = {
+        "scale": BENCH_SCALE,
+        "dataset": "SW1",
+        "eps": EPS,
+        "minpts": MINPTS,
+        "n_points": len(pts),
+        "grid": list(GRID),
+        "sequential_makespan_s": base_makespan,
+        "runs": results,
+    }
+    check_against_baseline(payload)
+    save_json(BASELINE, payload)

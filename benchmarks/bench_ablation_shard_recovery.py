@@ -13,15 +13,21 @@ device loss) into a 2×2 sharded run under each recovery policy and
 measures the price of recovery: extra attempts, splits, fallback
 placements, wasted work, and makespan overhead versus the fault-free
 run — asserting the merged labels stay bit-identical throughout.  The
-artifact is the ``BENCH_shard_recovery.json`` baseline the CI smoke
-checks.
+artifact is the ``BENCH_shard_recovery.json`` baseline: before
+overwriting it, a run at the committed scale checks every field against
+it but the wall-clock ones (makespans, wasted seconds, attempt seconds)
+and each event's device, which follows the wall-clock device choice.
+Events are keyed by tile, cells, generation and attempt, since their
+order follows the wall clock too.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from repro.bench import format_table, save_json
+from repro.bench import format_table, results_dir, save_json
 from repro.core import ShardConfig, cluster_sharded, make_shard_fault_factory
 from repro.gpusim import FaultSpec
 
@@ -32,6 +38,14 @@ MINPTS = 4
 GRID = (2, 2)
 N_DEVICES = 2
 FAULT_SEED = 7
+BASELINE = "BENCH_shard_recovery"
+#: fields left out of the check, at any depth: wall-clock seconds and
+#: ratios, and an event's device (the device that frees first on the
+#: wall clock takes the next tile)
+WALL_CLOCK_FIELDS = frozenset({
+    "clean_makespan_s", "makespan_s", "makespan_overhead", "wasted_s",
+    "shard_s", "wasted_kernel_s", "device",
+})
 
 #: wholesale faults: device OOM on tile (0,0), device loss on tile (1,1)
 FAULTS = [
@@ -71,6 +85,57 @@ def _run(fault_factory=None, **policy):
 
 
 pts_cache = {}
+
+
+def _deterministic(value):
+    """``value`` without its wall-clock fields."""
+    if isinstance(value, dict):
+        return {
+            k: _deterministic(v) for k, v in value.items() if k not in WALL_CLOCK_FIELDS
+        }
+    if isinstance(value, list):
+        return [_deterministic(v) for v in value]
+    return value
+
+
+def _events(policy: dict) -> dict[tuple, dict]:
+    """A policy's attempts keyed by ``(tile, cells, generation, attempt)``:
+    the cells tell a tile's quad-split children apart."""
+    return {
+        (tuple(e["tile"]), tuple(e["cells"]), e["generation"], e["attempt"]): e
+        for e in policy["events"]
+    }
+
+
+def check_against_baseline(payload: dict) -> None:
+    """Fail when a run at the committed scale differs from the baseline
+    in any deterministic field."""
+    path = results_dir() / f"{BASELINE}.json"
+    if not path.exists():
+        return
+    committed = _deterministic(json.loads(path.read_text()))
+    if committed["scale"] != BENCH_SCALE:
+        return
+    fresh = _deterministic(json.loads(json.dumps(payload)))
+    for key in (committed.keys() | fresh.keys()) - {"policies"}:
+        assert fresh.get(key) == committed.get(key), (
+            f"{key}: {fresh.get(key)}, baseline {committed.get(key)}"
+        )
+    for got, ref in zip(fresh["policies"], committed["policies"], strict=True):
+        name = ref["policy"]
+        for key in (got.keys() | ref.keys()) - {"events"}:
+            assert got.get(key) == ref.get(key), (
+                f"{name}: {key} {got.get(key)}, baseline {ref.get(key)}"
+            )
+        events, ref_events = _events(got), _events(ref)
+        assert len(events) == len(got["events"]), f"{name}: events share a key"
+        assert events.keys() == ref_events.keys(), (
+            f"{name}: attempts {sorted(events)}, baseline {sorted(ref_events)}"
+        )
+        for key, event in events.items():
+            assert event == ref_events[key], (
+                f"{name} attempt {key}: {event}, baseline {ref_events[key]}"
+            )
 
 
 def test_ablation_shard_recovery(benchmark):
@@ -134,22 +199,21 @@ def test_ablation_shard_recovery(benchmark):
             f"(grid={GRID[0]}x{GRID[1]}, OOM@(0,0) + device-loss@(1,1))",
         )
     )
-    save_json(
-        "BENCH_shard_recovery",
-        {
-            "scale": BENCH_SCALE,
-            "dataset": "SW1",
-            "eps": EPS,
-            "minpts": MINPTS,
-            "n_points": len(pts_cache["pts"]),
-            "n_devices": N_DEVICES,
-            "grid": list(GRID),
-            "fault_seed": FAULT_SEED,
-            "faults": [
-                {"tile": list(t), "kinds": [s.kind for s in specs]}
-                for t, specs in FAULTS
-            ],
-            "clean_makespan_s": clean.makespan_s,
-            "policies": results,
-        },
-    )
+    payload = {
+        "scale": BENCH_SCALE,
+        "dataset": "SW1",
+        "eps": EPS,
+        "minpts": MINPTS,
+        "n_points": len(pts_cache["pts"]),
+        "n_devices": N_DEVICES,
+        "grid": list(GRID),
+        "fault_seed": FAULT_SEED,
+        "faults": [
+            {"tile": list(t), "kinds": [s.kind for s in specs]}
+            for t, specs in FAULTS
+        ],
+        "clean_makespan_s": clean.makespan_s,
+        "policies": results,
+    }
+    check_against_baseline(payload)
+    save_json(BASELINE, payload)

@@ -1,6 +1,5 @@
 """Clustering comparison, validation, and static-analysis utilities."""
 
-from repro.analysis.lint import LintFinding, lint_source, run_lint
 from repro.analysis.metrics import (
     adjusted_rand_index,
     cluster_sizes,
@@ -18,7 +17,4 @@ __all__ = [
     "noise_fraction",
     "validate_hybrid",
     "ValidationReport",
-    "LintFinding",
-    "lint_source",
-    "run_lint",
 ]

@@ -15,11 +15,13 @@ built in ``n_b`` batches:
    otherwise (``b_b = a_b (1 + 2α) / 3`` — α doubled because small
    estimates are noisier), so small workloads don't pay
    pinned-allocation time for huge buffers.  Each worker's pinned
-   staging comes from the device's
-   :class:`~repro.gpusim.memory.PinnedMemoryPool`: a device's first
-   build allocates it fresh, as the paper does, and later builds on the
-   same device reuse the staging the pool keeps, paying only when a
-   larger ``b_b`` makes the pool grow;
+   staging comes from the
+   :class:`~repro.gpusim.memory.PinnedMemoryPool` the device borrows
+   from its host: the pool's first build maps it, as the paper
+   allocates each stream's staging once, and every later build — on
+   the same device or on a fresh attempt device borrowing the same
+   pool — reuses the mappings, paying only when a larger ``b_b`` makes
+   the pool grow;
 4. batch ``l`` processes points ``{g·n_b + l}`` — strided, which is
    spatially uniform because points are stored in spatial sort order —
    keeping every batch's result size ``|R_l| ≲ b_b``;
@@ -305,10 +307,21 @@ def build_neighbor_table(
 
     ``faults`` (or an injector attached to the device) exercises these
     paths deterministically — see :mod:`repro.gpusim.faults`.
+
+    The interpreter backend runs strided batches only: its device code
+    selects points by stride, and ``batch_order="contiguous"`` (a
+    vector-backend ablation) raises :class:`ValueError`.
     """
     if with_distances and kernel != "global":
         raise ValueError("annotated tables require the global kernel")
     cfg = config or BatchConfig()
+    if backend == "interpreter" and cfg.batch_order != "strided":
+        # the device code picks each batch's points by stride, so split
+        # masks built from contiguous ids would cover only part of a unit
+        raise ValueError(
+            f"backend='interpreter' supports only batch_order='strided', "
+            f"not {cfg.batch_order!r}: contiguous batches are a vector-backend ablation"
+        )
     planner = BatchPlanner(cfg)
     the_plan = plan or planner.plan(grid, device, backend=backend)
     injector = faults if faults is not None else device.faults
@@ -464,11 +477,9 @@ def _run_batches(
         # retire the old staging buffer before replacing it — pinned
         # pages are a scarce host resource and the residency accounting
         # (and sanitizer leak-at-close) must stay truthful; returned
-        # first, its held mapping is the one a warm pool grows, and
-        # replacing() keeps the swap inside this build's busy period
-        with device.pinned.replacing():
-            pinned_bufs[worker].free()
-            pinned_bufs[worker] = device.alloc_pinned((new_cap, width), dtype)
+        # first, its mapping is the one the pool grows
+        pinned_bufs[worker].free()
+        pinned_bufs[worker] = device.alloc_pinned((new_cap, width), dtype)
         return True
 
     def run_batch(l: int, worker: int) -> None:

@@ -248,6 +248,9 @@ class HybridDBSCAN:
         labeling runs on the shard's own bounded device too), and
         merges the shard-local clusterings into labels
         bit-identical to :meth:`fit`.  See :mod:`repro.core.sharding`.
+        Every shard attempt borrows this instance's pinned staging pool
+        (``self.device.pinned``), so staging mapped by an earlier fit or
+        sharded run is reused, not charged again.
 
         Shards run under the supervised recovery state machine: a shard
         that dies wholesale (OOM, device loss, transfer fault beyond
@@ -283,4 +286,5 @@ class HybridDBSCAN:
             device_spec=self.device.spec,
             sanitize=self.device.sanitizer is not None,
             cluster_on=self.cluster_on,
+            pinned=self.device.pinned,
         )

@@ -17,7 +17,9 @@ bound with a spatial sharding layer:
    (:func:`~repro.core.batching.build_neighbor_table`, batching,
    per-batch overflow recovery, sanitizer) on its own bounded
    :class:`~repro.gpusim.device.Device`, so per-shard device residency
-   never exceeds the configured per-shard capacity;
+   never exceeds the configured per-shard capacity; the pinned staging
+   is host memory, so every attempt device borrows the run's one
+   :class:`~repro.gpusim.memory.PinnedMemoryPool`;
 4. **Local clustering** — components-DBSCAN runs per shard over the
    interior core subgraph, and the shard table is then *dropped*: only
    O(interior + halo-boundary) reduction arrays survive the shard;
@@ -96,6 +98,7 @@ from repro.core.batching import (
 )
 from repro.core.table_dbscan import NOISE, cluster_csr
 from repro.gpusim.device import Device, DeviceSpec
+from repro.gpusim.memory import PinnedMemoryPool
 from repro.gpusim.faults import (
     FaultInjector,
     FaultSpec,
@@ -428,7 +431,8 @@ class ShardStats:
     reduce_s: float = 0.0
     #: peak device global-memory residency of the shard's build (bytes)
     peak_device_bytes: int = 0
-    #: peak pinned staging residency of the shard's build (bytes)
+    #: high-water mark of the pinned bytes the shard's attempt device
+    #: had checked out of the pool it borrows
     peak_pinned_bytes: int = 0
     #: batch-level recovery of the *successful* attempt only
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
@@ -623,7 +627,7 @@ def run_shard(
         border_halo_edges = np.column_stack([ids[bsrc[bh]], ids[bdst[bh]]])
     stats.reduce_s = time.perf_counter() - t1
     stats.peak_device_bytes = device.memory.peak_bytes
-    stats.peak_pinned_bytes = device.pinned.peak_bytes
+    stats.peak_pinned_bytes = device.pinned_borrower.peak_bytes
 
     return ShardLocalResult(
         interior_ids=shard.interior_ids,
@@ -824,15 +828,20 @@ def run_shard_supervised(
     cluster_on: Literal["host", "device"] = "host",
     events: Optional[list[ShardAttempt]] = None,
     device_id: int = 0,
+    pinned: PinnedMemoryPool,
 ) -> "ShardLocalResult | list[Shard]":
     """Supervised attempt loop for one shard — the recovery state machine.
 
     Returns the shard's :class:`ShardLocalResult` on success, or the
     quad-split children (to be enqueued in its place) when a
     memory-shaped fault splits the tile.  Each attempt runs on a
-    **fresh** bounded device; the shard's injector (from
-    ``cfg.fault_factory``) persists across attempts so bounded fault
-    budgets span retries.  Fatal faults propagate unchanged; an
+    **fresh** bounded device that borrows the host's ``pinned`` pool,
+    so it stages through mappings already held and pays only when the
+    pool grows.  A lost device loses nothing in the pool: the build
+    returns every staging buffer as it unwinds, and the retry reuses
+    the mappings.  The shard's injector (from ``cfg.fault_factory``)
+    persists across attempts so bounded fault budgets span retries.
+    Fatal faults propagate unchanged; an
     exhausted retry budget raises :class:`ShardFailureError`.  Every
     attempt is appended to ``events`` (the recovery audit trail),
     stamped with ``device_id`` — the simulated device the executor
@@ -848,7 +857,7 @@ def run_shard_supervised(
     wasted_bytes = 0
     while True:
         spec, grant = _grant_spec(base_spec, cfg, escalations)
-        device = Device(spec, sanitize=sanitize)
+        device = Device(spec, sanitize=sanitize, pinned=pinned)
         t0 = time.perf_counter()
         try:
             local = run_shard(
@@ -1053,6 +1062,7 @@ def cluster_sharded(
     device_spec: Optional[DeviceSpec] = None,
     sanitize: Optional[bool] = None,
     cluster_on: Literal["host", "device"] = "host",
+    pinned: Optional[PinnedMemoryPool] = None,
 ) -> ShardedResult:
     """Out-of-core HYBRID-DBSCAN over ``kx × ky`` spatial shards.
 
@@ -1062,7 +1072,11 @@ def cluster_sharded(
     is modeled as one collective all-to-all.  Each shard runs on a
     fresh bounded :class:`Device` (capacity ``config.device_mem_bytes``),
     one at a time — no device ever holds more than one shard's working
-    set.  Concurrency is replayed as an event simulation: the next
+    set.  Every attempt device borrows one pinned staging pool: the
+    caller's ``pinned`` (:meth:`HybridDBSCAN.fit_sharded
+    <repro.core.HybridDBSCAN.fit_sharded>` passes its device's, so
+    repeated runs reuse the mappings), or one made for this call.
+    Concurrency is replayed as an event simulation: the next
     shard to run is always the head of the earliest-clock live device's
     queue, the order a real N-device host would observe completions in.
 
@@ -1128,6 +1142,7 @@ def cluster_sharded(
         block_dim=block_dim,
         sanitize=sanitize,
         cluster_on=cluster_on,
+        pinned=PinnedMemoryPool() if pinned is None else pinned,
     )
 
     placement = place_shards(plan, cfg.n_devices, cfg.placement)

@@ -3,9 +3,13 @@
 :class:`DeviceSpec` describes the hardware; the default values approximate
 the NVIDIA Tesla K20c used in the paper (13 SMs, 5 GB global memory, PCIe
 2.0-era host link).  :class:`Device` owns the global memory pool, the
-pinned staging pool, the cost model, the profiler, and the stream
-timeline, and provides the host-side API (`to_device`, `from_device`,
-`alloc_pinned`).
+cost model, the profiler, and the stream timeline, and provides the
+host-side API (`to_device`, `from_device`, `alloc_pinned`).  Pinned
+staging is host memory: a device borrows the
+:class:`~repro.gpusim.memory.PinnedMemoryPool` it is given
+(``Device(pinned=pool)``), so a fresh attempt device stages through
+mappings its host already holds, and makes and owns a pool only when
+given none.
 
 ``Device(sanitize=True)`` (or the ``GPUSAN=1`` environment variable, or
 the CLI's ``--sanitize``) attaches a
@@ -28,6 +32,7 @@ from repro.gpusim.faults import FaultInjector
 from repro.gpusim.memory import (
     DeviceBuffer,
     GlobalMemoryPool,
+    PinnedBorrower,
     PinnedHostBuffer,
     PinnedMemoryPool,
     ResultBuffer,
@@ -79,11 +84,15 @@ class Device:
         faults: Optional[FaultInjector] = None,
         sanitize: Optional[bool] = None,
         sanitize_mode: str = "raise",
+        pinned: Optional[PinnedMemoryPool] = None,
     ):
         self.spec = spec or DeviceSpec()
         self.cost = cost_model or self.spec.cost_model()
         self.memory = GlobalMemoryPool(self.spec.global_mem_bytes)
-        self.pinned = PinnedMemoryPool(self.cost.pinned_alloc_time_ms)
+        #: pinned staging: the host's pool when one is passed (borrowed),
+        #: else one this device makes and owns
+        self._owns_pinned = pinned is None
+        self.pinned = PinnedMemoryPool() if pinned is None else pinned
         self.profiler = Profiler()
         self.timeline = Timeline()
         self.default_stream = Stream(self.timeline, name="default")
@@ -97,7 +106,8 @@ class Device:
             Sanitizer(mode=sanitize_mode) if enabled else None
         )
         self.memory.sanitizer = self.sanitizer
-        self.pinned.sanitizer = self.sanitizer
+        #: this device's checkouts from ``pinned``
+        self.pinned_borrower = PinnedBorrower(sanitizer=self.sanitizer)
 
     def check_fault(self, kind: str) -> None:
         """Give the attached :class:`FaultInjector` (if any) a chance to
@@ -154,19 +164,23 @@ class Device:
         *,
         name: str = "pinned",
     ) -> PinnedHostBuffer:
-        """Check page-locked host staging out of the device's
-        :class:`~repro.gpusim.memory.PinnedMemoryPool`.
+        """Check page-locked host staging out of the pool this device
+        borrows (:attr:`pinned`).
 
-        The cost model's pinned-allocation time is recorded only when
-        the pool has to allocate: always on the device's first build,
-        which stages from the heap, and afterwards for each new mapping,
-        in full, when none the pool holds is big enough.  Call the
-        buffer's ``free()`` to return it, so pinned residency accounting
-        (and the sanitizer's leak-at-close check) stays truthful.
+        This device's profiler is charged the cost model's
+        pinned-allocation time for the whole pages the pool newly maps
+        to hand the buffer out: nothing when a held mapping fits, in
+        full when the pool has to grow.  So the first build on a fresh
+        pool pays for its staging, and later builds, on this device or
+        any other borrowing the pool, reuse it.  Call the buffer's
+        ``free()`` to return it, so pinned residency accounting (and the
+        sanitizer's leak-at-close check) stays truthful.
         """
-        buf = self.pinned.checkout(shape, dtype, name=name)
-        if buf.alloc_time_ms:
-            self.profiler.record_pinned_alloc(buf.alloc_time_ms)
+        buf = self.pinned.checkout(shape, dtype, name=name, borrower=self.pinned_borrower)
+        if buf.mapped_bytes:
+            self.profiler.record_pinned_alloc(
+                self.cost.pinned_alloc_time_ms(buf.mapped_bytes)
+            )
         return buf
 
     # ------------------------------------------------------------------
@@ -292,17 +306,22 @@ class Device:
         return self.memory.leaked_buffers()
 
     def close(self) -> Optional[SanitizerReport]:
-        """Teardown: release the pinned staging the pool holds, then
-        report leaked device *and* pinned allocations (buffers still
-        checked out) to the sanitizer.
+        """Teardown: report leaked device allocations and this device's
+        pinned buffers still checked out to the sanitizer.
 
-        Returns the sanitizer report (``None`` on unsanitized devices).
-        Leaks are reported, never raised — teardown must not mask the
-        run's real outcome.
+        A device that owns its pinned pool also drops the mappings the
+        pool holds and reports every borrower's unreturned buffers; a
+        borrowed pool stays with its owner, mappings and all.  Returns
+        the sanitizer report (``None`` on unsanitized devices).  Leaks
+        are reported, never raised — teardown must not mask the run's
+        real outcome.
         """
-        self.pinned.release_held()
+        if self._owns_pinned:
+            self.pinned.release_held()
         if self.sanitizer is None:
             return None
-        self.sanitizer.check_leaks(self.memory)
-        self.sanitizer.check_leaks(self.pinned)
+        self.sanitizer.check_leaks(self.memory.leaked_buffers())
+        self.sanitizer.check_leaks(
+            self.pinned.leaked_buffers(None if self._owns_pinned else self.pinned_borrower)
+        )
         return self.sanitizer.report

@@ -6,8 +6,10 @@ paper's batching scheme (Section VI) exists to avoid.  Result buffers are
 append-only regions fed by an atomic cursor; writing past their capacity
 raises :class:`ResultBufferOverflow` — the failure mode the overestimation
 factor ``alpha`` guards against.  Page-locked host staging comes from a
-grow-only :class:`PinnedMemoryPool` that each device owns, so a device
-that builds many tables pays the pinned-allocation cost once.
+grow-only :class:`PinnedMemoryPool` that belongs to the host: devices
+borrow it, so every build after the pool's first, on any device that
+borrows it, stages through mappings already held and pays the
+pinned-allocation cost only when the pool grows.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import itertools
 import mmap
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "ResultBufferOverflow",
     "DeviceBuffer",
     "ResultBuffer",
+    "PinnedBorrower",
     "PinnedHostBuffer",
     "GlobalMemoryPool",
     "PinnedMemoryPool",
@@ -148,32 +150,51 @@ class ResultBuffer(DeviceBuffer):
 
 
 @dataclass
+class PinnedBorrower:
+    """One device's share of a :class:`PinnedMemoryPool` it borrows.
+
+    The pool updates the byte counters under its lock at every checkout
+    and return of a buffer the borrower checked out; its buffers send
+    their free and double-free reports to ``sanitizer``.
+    """
+
+    #: the borrowing device's sanitizer (duck-typed; ``None`` when off)
+    sanitizer: Any = None
+    #: bytes the borrower has checked out now
+    used_bytes: int = 0
+    #: high-water mark of ``used_bytes``
+    peak_bytes: int = 0
+
+
+@dataclass
 class PinnedHostBuffer:
-    """Page-locked host staging buffer.
+    """Page-locked host staging buffer, carved from a held mapping.
 
     Pinned memory transfers at the fast PCIe rate but is expensive to
-    allocate — the model charges
+    allocate: the borrowing device charges
     :meth:`repro.gpusim.costmodel.CostModel.pinned_alloc_time_ms` for
-    the staging the device's :class:`PinnedMemoryPool` newly allocated
-    to hand the buffer out (``alloc_time_ms``; 0 when held staging was
-    reused), which the batching scheme's variable buffer sizing exists
-    to minimize.  Pinned buffers share the device-buffer id space, a fresh
-    id per checkout, so the sanitizer can track staging-buffer accesses
-    (two streams staging through one pinned buffer is the canonical
-    Section VI race) without mixing up two builds that reuse one
-    mapping.  Call :meth:`free` when the staging buffer is retired
-    (regrow, build teardown) to return it to the pool.
+    ``mapped_bytes``, the whole pages the pool newly mapped to hand the
+    buffer out (0 when it reused a mapping it holds).  The batching
+    scheme's variable buffer sizing exists to keep that small.  Pinned
+    buffers share the device-buffer id space, a fresh id per checkout,
+    so the sanitizer can track staging-buffer accesses (two streams
+    staging through one pinned buffer is the canonical Section VI race)
+    without mixing up two builds that reuse one mapping.  Call
+    :meth:`free` when the staging buffer is retired (regrow, build
+    teardown) to return it to the pool.
     """
 
     data: np.ndarray
-    alloc_time_ms: float
+    #: the pool's mapping ``data`` is carved from
+    staging: mmap.mmap = field(repr=False)
+    pool: "PinnedMemoryPool" = field(repr=False)
+    #: bytes the pool newly mapped for this checkout (0 on reuse)
+    mapped_bytes: int = 0
     name: str = ""
-    pool: Optional["PinnedMemoryPool"] = None
+    #: the share of the device that checked the buffer out
+    borrower: Optional[PinnedBorrower] = field(default=None, repr=False)
     buffer_id: int = field(default_factory=lambda: next(_buffer_ids))
     freed: bool = False
-    #: the pool's mapping ``data`` is carved from; ``None`` for staging
-    #: from the ordinary heap, which is dropped on return
-    staging: Optional[mmap.mmap] = field(default=None, repr=False)
 
     @property
     def nbytes(self) -> int:
@@ -182,21 +203,24 @@ class PinnedHostBuffer:
     def __len__(self) -> int:
         return len(self.data)
 
+    @property
+    def sanitizer(self):
+        """The borrowing device's sanitizer (``None`` when off)."""
+        return None if self.borrower is None else self.borrower.sanitizer
+
     def free(self) -> None:
         """Return the staging buffer to its pool.
 
         Mirrors :meth:`DeviceBuffer.free`: a second ``free()`` is a
         silent no-op on plain devices but a ``double-free`` memcheck
-        violation under the sanitizer.
+        violation under the borrowing device's sanitizer.
         """
         if self.freed:
-            san = getattr(self.pool, "sanitizer", None)
-            if san is not None:
-                san.on_double_free(self)
+            if self.sanitizer is not None:
+                self.sanitizer.on_double_free(self)
             return
         self.freed = True
-        if self.pool is not None:
-            self.pool.release_buffer(self)
+        self.pool.release_buffer(self)
 
     def __enter__(self) -> "PinnedHostBuffer":
         return self
@@ -206,60 +230,52 @@ class PinnedHostBuffer:
 
 
 class PinnedMemoryPool:
-    """A device's page-locked staging: a grow-only pool.
+    """Page-locked host staging: a grow-only pool that devices borrow.
 
-    :meth:`checkout` hands out a :class:`PinnedHostBuffer` and its
-    ``free()`` hands it back.  What the pool keeps depends on the
-    *busy period*, the stretch from a checkout with nothing checked
-    out to the return of the last buffer — one table build (a regrow
-    swaps its buffer inside :meth:`replacing`, which keeps the period
-    open even when that buffer was the only one checked out):
+    Staging is host memory, so the pool belongs to the host object that
+    outlives its devices: a :class:`~repro.core.HybridDBSCAN` (its
+    device's pool, which its sharded attempts borrow too) or a
+    :class:`~repro.service.ClusteringService`.  A bare
+    :class:`~repro.gpusim.device.Device` makes and owns one.
 
-    * the first busy period stages from the ordinary heap and keeps nothing,
-      so a device that builds once (a shard or service attempt) holds no
-      staging through the rest of its life;
-    * from the second busy period on, buffers are carved from page-granular
-      anonymous mappings outside the malloc heap, and a returned buffer's
-      mapping stays held.  A request takes the smallest held mapping
-      that fits; when none fits, the pool grows: it replaces its largest
-      free mapping with one of the requested size (or adds one when all
-      are checked out), so it never holds more mappings than were
-      checked out at once.
+    :meth:`checkout` hands out a :class:`PinnedHostBuffer` carved from a
+    page-granular anonymous mapping outside the malloc heap, and its
+    ``free()`` hands the mapping back, where the pool keeps it.  A
+    request takes the smallest held mapping that fits; when none fits,
+    the pool grows: it replaces its largest free mapping with one of the
+    requested size, in whole pages (or adds one when all are checked
+    out), so it never holds more mappings than were checked out at
+    once.  Only a new mapping costs anything (``mapped_bytes``), so an
+    attempt's fresh device stages through mappings the host already
+    holds and pays only when the pool grows.
 
-    Each checkout is charged ``alloc_cost`` of the staging it newly
-    allocates — a whole heap buffer or a whole new mapping, nothing for
-    reused staging.
-    :meth:`release_held` (device teardown) drops the free mappings.
+    :meth:`release_held` (the owner's teardown) drops the free mappings.
     Pinned memory is not capacity-bounded here, but page-locked pages
     are a scarce host resource, so the pool tracks every checked-out
-    buffer (:meth:`leaked_buffers` is the teardown leak report) and the
-    byte counters the batching and sharding layers account against:
-    ``used_bytes`` (checked out), ``held_bytes`` (heap buffers checked
-    out plus every held mapping) and ``peak_bytes``, the high-water mark
-    of ``held_bytes``.
+    buffer and who borrowed it (:meth:`leaked_buffers` is the teardown
+    leak report) and the byte counters the batching and sharding layers
+    account against: ``used_bytes`` (checked out), ``held_bytes`` (every
+    held mapping, checked out or not) and ``peak_bytes``, the high-water
+    mark of ``held_bytes``.  Each borrower's own checked-out bytes are
+    on its :class:`PinnedBorrower`.
     """
 
-    def __init__(self, alloc_cost: Callable[[int], float]) -> None:
-        self._alloc_cost = alloc_cost
+    def __init__(self) -> None:
         self._used = 0
         self._lock = threading.Lock()
         self.peak_bytes = 0
-        self._live: dict[int, "PinnedHostBuffer"] = {}
+        self._live: dict[int, PinnedHostBuffer] = {}
         #: held mappings that no buffer is carved from right now
         self._free: list[mmap.mmap] = []
-        self._busy_periods = 0
-        self._replacing = 0
-        #: optional sanitizer (set by the owning Device; duck-typed)
-        self.sanitizer = None
 
     @property
     def used_bytes(self) -> int:
         return self._used
 
     def _held(self) -> int:
-        """Free mappings plus what checked-out buffers hold (lock held)."""
+        """Every held mapping's bytes (lock held)."""
         return sum(len(m) for m in self._free) + sum(
-            b.nbytes if b.staging is None else len(b.staging) for b in self._live.values()
+            len(b.staging) for b in self._live.values()
         )
 
     @property
@@ -271,7 +287,7 @@ class PinnedMemoryPool:
     def held_count(self) -> int:
         """Mappings the pool holds, checked out or not."""
         with self._lock:
-            return len(self._free) + sum(b.staging is not None for b in self._live.values())
+            return len(self._free) + len(self._live)
 
     @property
     def live_count(self) -> int:
@@ -284,77 +300,69 @@ class PinnedMemoryPool:
         dtype: np.dtype | str,
         *,
         name: str = "pinned",
-    ) -> "PinnedHostBuffer":
-        """Hand out a buffer of ``shape`` and ``dtype`` (class docstring)."""
+        borrower: Optional[PinnedBorrower] = None,
+    ) -> PinnedHostBuffer:
+        """Hand out a buffer of ``shape`` and ``dtype`` (class docstring);
+        its ``mapped_bytes`` reports what the pool newly mapped."""
         dtype = np.dtype(dtype)
         count = int(np.prod(shape))
         nbytes = count * dtype.itemsize
         with self._lock:
-            if not self._live and not self._replacing:
-                self._busy_periods += 1
-            staging: Optional[mmap.mmap] = None
-            allocated = nbytes
-            if self._busy_periods == 1:
-                data = np.empty(shape, dtype=dtype)
+            fits = [m for m in self._free if len(m) >= nbytes]
+            if fits:
+                staging = min(fits, key=len)
+                self._free.remove(staging)
+                mapped = 0
             else:
-                fits = [m for m in self._free if len(m) >= nbytes]
-                if fits:
-                    staging = min(fits, key=len)
-                    self._free.remove(staging)
-                    allocated = 0
-                else:
-                    if self._free:
-                        self._free.remove(max(self._free, key=len))
-                    allocated = max(1, -(-nbytes // mmap.PAGESIZE)) * mmap.PAGESIZE
-                    staging = mmap.mmap(-1, allocated, flags=mmap.MAP_PRIVATE)
-                data = np.frombuffer(staging, dtype=dtype, count=count).reshape(shape)
+                if self._free:
+                    self._free.remove(max(self._free, key=len))
+                mapped = max(1, -(-nbytes // mmap.PAGESIZE)) * mmap.PAGESIZE
+                staging = mmap.mmap(-1, mapped, flags=mmap.MAP_PRIVATE)
             buf = PinnedHostBuffer(
-                data=data,
-                alloc_time_ms=self._alloc_cost(allocated) if allocated else 0.0,
-                name=name,
-                pool=self,
+                data=np.frombuffer(staging, dtype=dtype, count=count).reshape(shape),
                 staging=staging,
+                pool=self,
+                mapped_bytes=mapped,
+                name=name,
+                borrower=borrower,
             )
             self._used += nbytes
             self._live[buf.buffer_id] = buf
             self.peak_bytes = max(self.peak_bytes, self._held())
+            if borrower is not None:
+                borrower.used_bytes += nbytes
+                borrower.peak_bytes = max(borrower.peak_bytes, borrower.used_bytes)
         return buf
 
-    def release_buffer(self, buf: "PinnedHostBuffer") -> None:
+    def release_buffer(self, buf: PinnedHostBuffer) -> None:
         with self._lock:
             self._used -= buf.nbytes
             if self._used < 0:  # pragma: no cover - defensive
                 raise RuntimeError("pinned memory pool underflow")
             self._live.pop(buf.buffer_id, None)
-            if buf.staging is not None:
-                self._free.append(buf.staging)
-        if self.sanitizer is not None:
-            self.sanitizer.on_free(buf)
-
-    @contextmanager
-    def replacing(self) -> Iterator[None]:
-        """Keep the busy period open while a buffer is returned and its
-        replacement checked out, so a regrow stays part of its build
-        even when the returned buffer was the only one checked out."""
-        with self._lock:
-            self._replacing += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._replacing -= 1
+            self._free.append(buf.staging)
+            if buf.borrower is not None:
+                buf.borrower.used_bytes -= buf.nbytes
+        if buf.sanitizer is not None:
+            buf.sanitizer.on_free(buf)
 
     def release_held(self) -> None:
-        """Drop every free mapping (device teardown).  A mapping is
+        """Drop every free mapping (the owner's teardown).  A mapping is
         unmapped once no array views it; checked-out buffers stay live,
         so the leak report still names them."""
         with self._lock:
             self._free.clear()
 
-    def leaked_buffers(self) -> list["PinnedHostBuffer"]:
-        """Checked-out (never-returned) pinned buffers."""
+    def leaked_buffers(
+        self, borrower: Optional[PinnedBorrower] = None
+    ) -> list[PinnedHostBuffer]:
+        """Checked-out (never-returned) buffers: ``borrower``'s only,
+        or every borrower's when it is ``None``."""
         with self._lock:
-            return list(self._live.values())
+            return [
+                b for b in self._live.values()
+                if borrower is None or b.borrower is borrower
+            ]
 
 
 class GlobalMemoryPool:

@@ -363,15 +363,17 @@ class Sanitizer:
         with self._lock:
             self._accesses.pop(buf.buffer_id, None)
 
-    def check_leaks(self, pool) -> None:
+    def check_leaks(self, buffers) -> None:
         """Record a leak violation per live allocation (teardown report;
         never raises — leaks are reported, not fatal).
 
-        ``pool`` is any object with ``leaked_buffers()`` — the device's
-        :class:`~repro.gpusim.memory.GlobalMemoryPool` or its
-        :class:`~repro.gpusim.memory.PinnedMemoryPool`.
+        ``buffers`` are the live allocations a pool's
+        ``leaked_buffers()`` names: the device's
+        :class:`~repro.gpusim.memory.GlobalMemoryPool`'s, or its own
+        checkouts from the :class:`~repro.gpusim.memory.PinnedMemoryPool`
+        it borrows.
         """
-        for buf in pool.leaked_buffers():
+        for buf in buffers:
             self._violation(
                 "leak",
                 f"buffer {buf.buffer_id} ('{buf.name}', {buf.nbytes} B) "

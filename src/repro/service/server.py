@@ -40,6 +40,7 @@ from repro.core.hybrid_dbscan import HybridDBSCAN
 from repro.core.table_dbscan import NOISE, dbscan_from_table
 from repro.gpusim.device import Device
 from repro.gpusim.faults import FaultInjector, classify_fault, derive_seed
+from repro.gpusim.memory import PinnedMemoryPool
 from repro.hostsim import WorkerPool
 from repro.service.admission import (
     AdmissionConfig,
@@ -246,7 +247,15 @@ class TraceResult:
 
 
 class ClusteringService:
-    """Long-lived request loop over the HYBRID-DBSCAN machinery."""
+    """Long-lived request loop over the HYBRID-DBSCAN machinery.
+
+    Each execution attempt, exact or sampled, runs on a fresh
+    :class:`~repro.gpusim.device.Device` that stands for that attempt's
+    GPU state.  Pinned staging is host memory, so the service keeps one
+    :class:`~repro.gpusim.memory.PinnedMemoryPool` that every attempt
+    device borrows: the first miss maps the staging and later misses
+    reuse it, paying only when a larger build makes the pool grow.
+    """
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
@@ -255,6 +264,7 @@ class ClusteringService:
         self.pool = WorkerPool(self.config.n_workers)
         self.breaker = CircuitBreaker(self.config.n_device_slots)
         self.cost = CostTracker()
+        self.pinned = PinnedMemoryPool()
         self._datasets: dict[str, _DatasetState] = {}
         self._slot_use = [0] * self.config.n_device_slots
         self.responses: list[Response] = []
@@ -665,6 +675,7 @@ class ClusteringService:
             faults=injector,
             sanitize=self.config.sanitize,
             sanitize_mode="record",
+            pinned=self.pinned,
         )
 
     def _close_device(self, device: Device) -> None:

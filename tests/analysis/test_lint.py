@@ -1,6 +1,9 @@
 """Tests for the repo-invariant AST lint (GS001–GS006)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -398,3 +401,16 @@ class TestRepoIsClean:
     def test_src_tree_has_no_findings(self):
         findings = run_lint([str(REPO_SRC)])
         assert findings == [], "\n".join(f.render() for f in findings)
+
+    def test_module_entry_point_runs_without_runpy_warning(self):
+        """``python -m repro.analysis.lint`` must not find the module
+        already imported by its package: runpy then warns on every run."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.analysis.lint", str(REPO_SRC)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "gpulint: clean" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr

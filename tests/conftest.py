@@ -46,3 +46,26 @@ def device():
 def tiny_device():
     """Device with very little global memory, for OOM-path tests."""
     return Device(DeviceSpec(global_mem_bytes=64 * 1024))
+
+
+@pytest.fixture
+def shard_attempt_devices(monkeypatch):
+    """Every device a sharded run makes, one per supervised attempt in
+    event order, each with the staging buffers it checked out."""
+    import repro.core.sharding as sharding
+
+    made: list = []
+
+    class Attempt(Device):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.staged: list = []
+            made.append(self)
+
+        def alloc_pinned(self, *args, **kwargs):
+            buf = super().alloc_pinned(*args, **kwargs)
+            self.staged.append(buf)
+            return buf
+
+    monkeypatch.setattr(sharding, "Device", Attempt)
+    return made

@@ -185,6 +185,33 @@ class TestBuildNeighborTable:
         table, _ = build_neighbor_table(grid, device, config=cfg)
         assert self._table_pairs(table) == self._truth(grid)
 
+    def test_interpreter_rejects_contiguous_batches_that_lost_rows(self):
+        """Regression: the interpreter's device code visits strided
+        points while overflow splits took contiguous ids, so this
+        3-batch build of 440-pair buffers kept 658 of its 1,984 pairs.
+        The interpreter now refuses the contiguous order; the vector
+        backend in either order and the strided interpreter build the
+        reference table."""
+        pts = np.random.default_rng(0).random((300, 2)) * 10
+        grid = GridIndex.build(pts, 0.8)
+        truth = self._truth(grid)
+        assert len(truth) == 1984
+
+        def build(order, backend):
+            cfg = BatchConfig(batch_order=order, min_buffer_size=16)
+            plan = BatchPlanner(cfg).plan_from_estimate(eb=1, ab=1200)
+            assert (plan.n_batches, plan.buffer_size) == (3, 440)
+            table, _ = build_neighbor_table(
+                grid, Device(), config=cfg, plan=plan, backend=backend
+            )
+            return self._table_pairs(table)
+
+        with pytest.raises(ValueError, match="interpreter.*contiguous"):
+            build("contiguous", "interpreter")
+        assert build("strided", "interpreter") == truth
+        assert build("contiguous", "vector") == truth
+        assert build("strided", "vector") == truth
+
     def test_strided_batches_balanced_on_skewed_data(self, device, blobs_points):
         grid = GridIndex.build(blobs_points, 0.4)
         cfg = BatchConfig(static_threshold=1, static_buffer_size=15_000)

@@ -194,13 +194,17 @@ class TestPinnedAccounting:
         assert report.clean, report.render()
 
     def test_fault_free_build_releases_pinned(self):
+        """A build returns every staging buffer; the pool keeps their
+        mappings, one per worker in whole pages, until its owner closes."""
         cfg = _cfg()
         device = Device(sanitize=True)
         build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
-        assert device.pinned.live_count == 0
-        # a device's first build keeps no staging
-        assert device.pinned.held_bytes == 0
+        assert (device.pinned.live_count, device.pinned.used_bytes) == (0, 0)
+        assert device.pinned_borrower.used_bytes == 0
+        assert device.pinned.held_count == cfg.n_streams
+        assert device.pinned.held_bytes == cfg.n_streams * _paged(STAGING)
         assert device.close().clean
+        assert device.pinned.held_bytes == 0
 
     def test_warm_builds_allocate_no_pinned_memory(self, reference):
         cfg = _cfg()
@@ -211,13 +215,12 @@ class TestPinnedAccounting:
             table, _ = build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
             assert _neighbors(table) == reference
             charges.append(device.profiler.pinned_alloc_ms - ms)
-        staging = cfg.n_streams * STAGING
-        assert charges[0] == pytest.approx(device.cost.pinned_alloc_time_ms(staging), rel=1e-12)
-        # the second build maps the staging the pool keeps from then on
-        assert charges[1] == pytest.approx(
-            device.cost.pinned_alloc_time_ms(device.pinned.held_bytes), rel=1e-12
+        # the first build maps each worker's staging in whole pages; the
+        # builds after it reuse the mappings
+        assert charges[0] == pytest.approx(
+            cfg.n_streams * device.cost.pinned_alloc_time_ms(_paged(STAGING)), rel=1e-12
         )
-        assert charges[2:] == [0.0, 0.0]
+        assert charges[1:] == [0.0, 0.0, 0.0]
         assert device.pinned.held_count == cfg.n_streams
         report = device.close()
         assert report.clean, report.render()
@@ -269,10 +272,11 @@ class TestPinnedAccounting:
         report = device.close()
         assert report.clean, report.render()
 
-    def test_one_worker_regrow_stays_in_the_first_build(self, reference):
+    def test_one_worker_regrow_charges_its_grown_mapping(self, reference):
         """A regrow returns a one-worker build's only staging buffer
-        before checking out the larger one; the build still stages from
-        the heap, is charged for both buffers, and keeps nothing."""
+        before checking out the larger one: the grown mapping replaces
+        the returned one and is charged in whole pages, and the next
+        build reuses it free."""
         cfg = _cfg(recovery="regrow", n_streams=1)
         device = Device(sanitize=True)
         table, stats = build_neighbor_table(
@@ -282,12 +286,14 @@ class TestPinnedAccounting:
         assert stats.recovery.regrows == 1
         assert _neighbors(table) == reference
         cost = device.cost.pinned_alloc_time_ms
-        assert device.profiler.pinned_alloc_ms == cost(STAGING) + cost(2 * STAGING)
-        assert device.pinned.peak_bytes == 2 * STAGING
-        assert (device.pinned.held_count, device.pinned.held_bytes) == (0, 0)
-        # the next build is the device's second: its staging is mapped
+        assert device.profiler.pinned_alloc_ms == pytest.approx(
+            cost(_paged(STAGING)) + cost(_paged(2 * STAGING)), rel=1e-12
+        )
+        assert (device.pinned.held_count, device.pinned.held_bytes) == (1, _paged(2 * STAGING))
+        assert device.pinned_borrower.peak_bytes == 2 * STAGING
+        ms = device.profiler.pinned_alloc_ms
         build_neighbor_table(_grid(), device, config=cfg, plan=_plan(cfg))
-        assert device.pinned.held_count == 1
+        assert device.profiler.pinned_alloc_ms == ms
         report = device.close()
         assert report.clean, report.render()
 

@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core import sharding as sharding_mod
 from repro.core.sharding import _global_cell_coords, exchange_halos
-from repro.gpusim import DeviceMemoryError, FaultSpec
+from repro.gpusim import DeviceMemoryError, FaultSpec, PinnedMemoryPool
 
 
 def _pts(seed, n=220, spread=1.0):
@@ -197,6 +197,37 @@ class TestSupervisor:
             self._run(pts, max_shard_retries=5)
         # one attempt only: the fatal classification short-circuits
         assert sum(1 for k in calls if "(0,0)" in k) == 1
+
+    def test_lost_device_loses_no_staging(self, shard_attempt_devices):
+        """A device lost mid-build returns its staging as the build
+        unwinds: the shared pool ends with nothing checked out, no
+        attempt reports a leak, and the retry reuses the mappings."""
+        made = shard_attempt_devices
+        pts = _pts(25)
+        ref = _reference(pts, self.EPS, self.MINPTS)
+        pool = PinnedMemoryPool()
+        res = cluster_sharded(
+            pts, self.EPS, self.MINPTS,
+            config=ShardConfig(
+                shards_x=2, shards_y=2,
+                fault_factory=_loss_on((0, 0), batch_indices=[1]),
+            ),
+            batch_config=BatchConfig(min_buffer_size=16),
+            sanitize=True,
+            pinned=pool,
+        )
+        assert np.array_equal(res.labels, ref)
+        # one device per attempt, in event order
+        assert len(made) == len(res.events)
+        assert all(d.pinned is pool for d in made)
+        lost = next(i for i, e in enumerate(res.events) if e.outcome == "retry")
+        assert res.events[lost].error.startswith("DeviceLostError")
+        assert made[lost].pinned_borrower.peak_bytes > 0  # it had staged
+        assert (pool.live_count, pool.used_bytes) == (0, 0)
+        assert all(d.sanitizer.report.count("leak") == 0 for d in made)
+        retry = made[lost + 1]
+        assert res.events[lost + 1].attempt == 1
+        assert retry.profiler.pinned_alloc_ms == 0
 
     def test_exhausted_budget_raises_typed_error(self):
         """An unlimited OOM with splitting disabled burns the retry

@@ -2,6 +2,8 @@
 equivalence with the single-device components path, and the per-shard
 memory bound."""
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,44 @@ class TestOutOfCore:
             sanitize=True,
         )  # Device.close() inside raises on any leak
         assert np.array_equal(res.labels, ref)
+
+
+class TestPinnedStaging:
+    """Every shard attempt borrows its host's one pinned pool."""
+
+    def test_second_fit_sharded_reuses_the_hosts_staging(self, shard_attempt_devices):
+        made = shard_attempt_devices
+        pts = _pts(23, n=300)
+        h = HybridDBSCAN()
+        cfg = ShardConfig(shards_x=2, shards_y=2)
+        h.fit_sharded(pts, 0.07, 4, shard_config=cfg)
+        first = len(made)
+        assert sum(d.profiler.pinned_alloc_ms for d in made) > 0
+        second = h.fit_sharded(pts, 0.07, 4, shard_config=cfg)
+        assert len(made) == 2 * first
+        assert all(d.pinned is h.device.pinned for d in made)
+        assert [d.profiler.pinned_alloc_ms for d in made[first:]] == [0.0] * first
+        assert np.array_equal(second.labels, h.fit(pts, 0.07, 4).labels)
+
+    def test_peak_pinned_bytes_is_the_shards_checked_out_high_water(
+        self, shard_attempt_devices
+    ):
+        """A build without regrows checks each worker's staging out at
+        the start and returns it at the end, so its high-water is the
+        bytes it checked out: exact bytes, not the pool's whole pages."""
+        made = shard_attempt_devices
+        pts = _pts(21, n=300)
+        res = cluster_sharded(
+            pts, 0.08, 4,
+            config=ShardConfig(shards_x=2, shards_y=2),
+            batch_config=BatchConfig(min_buffer_size=16),
+        )
+        assert len(made) == len(res.shard_stats)
+        for stats, device in zip(res.shard_stats, made, strict=True):
+            assert stats.recovery.regrows == 0
+            assert len(device.staged) == 3
+            assert stats.peak_pinned_bytes == sum(b.nbytes for b in device.staged)
+            assert stats.peak_pinned_bytes % mmap.PAGESIZE != 0
 
 
 class TestMergeUnit:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import Device, DeviceMemoryError, DeviceSpec, ResultBufferOverflow
-from repro.gpusim.memory import GlobalMemoryPool
+from repro.gpusim.memory import GlobalMemoryPool, PinnedMemoryPool
 from repro.gpusim.sanitizer import DoubleFreeError
 
 
@@ -180,7 +180,7 @@ class TestTransfers:
 
     def test_pinned_out_buffer(self, device):
         pinned = device.alloc_pinned(50, np.int64)
-        assert pinned.alloc_time_ms > 0
+        assert pinned.mapped_bytes > 0
         buf = device.to_device(np.arange(20, dtype=np.int64))
         got = device.from_device(buf, out=pinned.data, pinned=True)
         assert got.tolist() == list(range(20))
@@ -208,49 +208,40 @@ def _build(device, n, shape=(100, 2)):
 
 
 class TestPinnedStagingPool:
-    def test_first_build_stages_from_the_heap_and_keeps_nothing(self, device):
+    def test_first_build_maps_whole_pages_and_keeps_them(self, device):
         bufs = _build(device, 3)
-        assert all(b.staging is None for b in bufs)
-        assert all(b.alloc_time_ms == device.cost.pinned_alloc_time_ms(1600) for b in bufs)
-        assert device.pinned.held_bytes == 0
-        assert device.pinned.held_count == 0
-        assert device.pinned.peak_bytes == 3 * 1600
+        assert [b.mapped_bytes for b in bufs] == [mmap.PAGESIZE] * 3
+        assert all(len(b.staging) == mmap.PAGESIZE for b in bufs)
+        assert device.profiler.pinned_alloc_ms == pytest.approx(
+            3 * device.cost.pinned_alloc_time_ms(mmap.PAGESIZE), rel=1e-12
+        )
+        assert device.pinned.held_bytes == device.pinned.peak_bytes == 3 * mmap.PAGESIZE
+        assert device.pinned.held_count == 3
+        assert (device.pinned.live_count, device.pinned.used_bytes) == (0, 0)
+        # the device's own high-water counts the bytes it checked out
+        assert device.pinned_borrower.peak_bytes == 3 * 1600
+        assert device.pinned_borrower.used_bytes == 0
 
     def test_warm_builds_reuse_staging_free_of_charge(self, device):
-        _build(device, 3)
-        second = _build(device, 3)
+        first = _build(device, 3)
         charged = device.profiler.pinned_alloc_ms
-        third = _build(device, 3)
+        second = _build(device, 3)
         assert device.profiler.pinned_alloc_ms == charged
-        assert [b.alloc_time_ms for b in third] == [0.0] * 3
-        assert {id(b.staging) for b in third} == {id(b.staging) for b in second}
-        # staging is held in whole pages
+        assert [b.mapped_bytes for b in second] == [0] * 3
+        assert {id(b.staging) for b in second} == {id(b.staging) for b in first}
         assert device.pinned.held_bytes == device.pinned.peak_bytes == 3 * mmap.PAGESIZE
         assert (device.pinned.live_count, device.pinned.used_bytes) == (0, 0)
 
     def test_growth_charges_the_whole_new_mapping(self, device):
         _build(device, 1)
-        _build(device, 1)
         charged = device.profiler.pinned_alloc_ms
         (big,) = _build(device, 1, shape=(1000, 2))
-        assert len(big.staging) == 4 * mmap.PAGESIZE
-        assert big.alloc_time_ms == device.cost.pinned_alloc_time_ms(4 * mmap.PAGESIZE)
-        assert device.profiler.pinned_alloc_ms == charged + big.alloc_time_ms
+        assert len(big.staging) == big.mapped_bytes == 4 * mmap.PAGESIZE
+        assert device.profiler.pinned_alloc_ms == charged + device.cost.pinned_alloc_time_ms(
+            4 * mmap.PAGESIZE
+        )
         # the smaller mapping it replaced is dropped
         assert device.pinned.held_bytes == 4 * mmap.PAGESIZE
-
-    def test_replacing_keeps_the_busy_period_open(self, device):
-        only = device.alloc_pinned((100, 2), np.int64)
-        with device.pinned.replacing():
-            only.free()
-            larger = device.alloc_pinned((200, 2), np.int64)
-        # still the first build: heap staging, charged in full, not kept
-        assert larger.staging is None
-        assert larger.alloc_time_ms == device.cost.pinned_alloc_time_ms(3200)
-        larger.free()
-        assert device.pinned.held_bytes == 0
-        (second,) = _build(device, 1)
-        assert second.staging is not None
 
     def test_holds_no_more_buffers_than_were_checked_out_at_once(self, device):
         _build(device, 1)
@@ -321,6 +312,55 @@ class TestPinnedStagingPool:
         # returned once: the next two checkouts get distinct mappings
         x, y = device.alloc_pinned(64, np.int64), device.alloc_pinned(64, np.int64)
         assert x.staging is not y.staging
+
+
+class TestBorrowedPinnedPool:
+    """A pool belongs to its host; devices borrow it."""
+
+    def test_a_fresh_device_stages_through_the_hosts_mappings(self):
+        pool = PinnedMemoryPool()
+        _build(Device(pinned=pool), 2)
+        fresh = Device(pinned=pool)
+        bufs = _build(fresh, 2)
+        assert [b.mapped_bytes for b in bufs] == [0, 0]
+        assert fresh.profiler.pinned_alloc_ms == 0
+        # a borrower's close leaves the host's mappings with the pool
+        fresh.close()
+        assert pool.held_count == 2
+
+    def test_borrowed_double_free_goes_to_the_borrowers_sanitizer(self):
+        pool = PinnedMemoryPool()
+        other = Device(sanitize=True, sanitize_mode="record", pinned=pool)
+        borrower = Device(sanitize=True, pinned=pool)
+        _build(other, 1)
+        buf = borrower.alloc_pinned(64, np.int64)
+        buf.free()
+        with pytest.raises(DoubleFreeError):
+            buf.free()
+        assert borrower.sanitizer.report.count("double-free") == 1
+        assert other.sanitizer.report.clean
+
+    def test_borrowers_close_reports_only_its_own_checkouts(self):
+        pool = PinnedMemoryPool()
+        mine = Device(sanitize=True, pinned=pool)
+        theirs = Device(sanitize=True, pinned=pool)
+        mine.alloc_pinned(64, np.int64, name="mine")
+        held = theirs.alloc_pinned(64, np.int64, name="theirs")
+        report = mine.close()
+        assert report.count("leak") == 1
+        assert "'mine'" in report.violations[-1].message
+        # nothing of the pool went with the borrower
+        assert (pool.live_count, pool.held_count) == (2, 2)
+        held.free()
+        assert theirs.close().clean
+
+    def test_owners_close_reports_every_borrowers_checkouts(self):
+        owner = Device(sanitize=True)
+        borrower = Device(pinned=owner.pinned)
+        borrower.alloc_pinned(64, np.int64, name="borrowed")
+        report = owner.close()
+        assert report.count("leak") == 1
+        assert "'borrowed'" in report.violations[-1].message
 
 
 class TestDeviceSpec:

@@ -12,6 +12,7 @@ The load-bearing invariants:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,37 @@ class TestExactPaths:
         assert r.cache == "miss" and r.epoch == 1
         direct = HybridDBSCAN().fit(_PTS_B, 0.5, 4)
         assert np.array_equal(r.labels, direct.labels)
+
+
+class TestPinnedStaging:
+    def test_second_miss_borrows_the_services_staging(self, monkeypatch):
+        """Two misses at one ε across an epoch bump: each attempt runs on
+        a fresh device, but both borrow the service's pinned pool, so
+        only the first maps staging and the second is charged none."""
+        svc = _svc()
+        made = []
+        make = svc._make_device
+
+        def recording(**kwargs):
+            made.append(make(**kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(svc, "_make_device", recording)
+        first = svc.submit(Request("ds", eps=0.5, minpts=4, arrival_ms=0.0, seq=0))
+        svc.bump_epoch("ds")
+        second = svc.submit(
+            Request("ds", eps=0.5, minpts=4, arrival_ms=1000.0, seq=1)
+        )
+        assert [r.cache for r in (first, second)] == ["miss", "miss"]
+        assert [r.status for r in (first, second)] == ["exact", "exact"]
+        assert len(made) == 2 and made[0] is not made[1]
+        assert all(d.pinned is svc.pinned for d in made)
+        charged = made[0].profiler.pinned_alloc_ms
+        assert charged > 0
+        assert made[1].profiler.pinned_alloc_ms == 0
+        assert second.exec_ms == pytest.approx(first.exec_ms - charged, rel=1e-9)
+        assert np.array_equal(second.labels, first.labels)
+        assert svc.pinned.live_count == 0
 
 
 class TestTypedRejections:
